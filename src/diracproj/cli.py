@@ -42,7 +42,7 @@ from .bounds import (
     worst_ratios,
     BoundCheck,
 )
-from .decomposition import expand, reconstruction_curve, unconditionality_test
+from .decomposition import disc_expansion, expand, reconstruction_curve, unconditionality_test
 from .operator import (
     EigenResidualError,
     build_operator,
@@ -68,6 +68,7 @@ from .resolvent import (
     ThresholdNotFoundError,
     circle_norm_profile,
     find_threshold_n,
+    threshold_from_profile,
 )
 
 EXIT_OK = 0
@@ -269,7 +270,7 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix: bool = False) -> int:
                 disc = str(nearest)
         rows.append((float(lam.real), float(lam.imag), disc))
     _write_csv(out / "spectrum.csv", ("re", "im", "disc"), rows)
-    counts = localization_counts(spec, cfg.bc, cfg.K, cfg.radius)
+    counts = localization_counts(op, cfg.radius)
     _write_csv(out / "localization.csv", ("n", "count"), sorted(counts.items()))
     if dump_matrix:
         entries = op.entries
@@ -292,12 +293,13 @@ def cmd_deviations(cfg: RunConfig) -> int:
     spec = _potential_for(cfg)
     threshold = find_threshold_n(spec, cfg.bc, cfg.K)
     N = cfg.N if cfg.N is not None else threshold
-    report = deviation_report(spec, cfg.bc, cfg.K, N, cfg.radius, cfg.nodes)
+    op = build_operator(spec, cfg.bc, cfg.K)
+    report = deviation_report(op, N, threshold, cfg.radius, cfg.nodes)
     rows = []
     for n, cum in zip(report.ordered_discs, report.cumulative):
         rows.append((n, report.ranks[n], report.per_n[n], cum))
     _write_csv(out / "deviations.csv", ("n", "rank", "deviation_hs", "cumulative_sum"), rows)
-    counts = localization_counts(spec, cfg.bc, cfg.K, cfg.radius)
+    counts = localization_counts(op, cfg.radius)
     expected = 1 if cfg.bc == "dir" else 2
     verified = all(counts[n] == expected for n in counts if abs(n) > N)
     _write_run_json(
@@ -335,11 +337,10 @@ def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
     shells = sorted({abs(n) for n in disc_centers(cfg.bc, M) if abs(n) > N})
     if not shells:
         raise ValueError(f"no discs in the window N={N} < |n| <= M={M}")
-    curve = reconstruction_curve(f, op, N, shells, cfg.radius, cfg.nodes)
+    expansion = disc_expansion(f, op, N, M, cfg.radius, cfg.nodes)
+    curve = reconstruction_curve(expansion, shells)
     _write_csv(out / "reconstruction.csv", ("M", "error"), curve)
-    report = unconditionality_test(
-        f, op, N, M, trials=trials, seed=cfg.seed, radius=cfg.radius, nodes=cfg.nodes
-    )
+    report = unconditionality_test(expansion, trials=trials, seed=cfg.seed)
     _write_csv(
         out / "excursions.csv",
         ("trial", "excursion", "terminal_error"),
@@ -413,7 +414,7 @@ def cmd_threshold(cfg: RunConfig, samples: int) -> int:
     profile = circle_norm_profile(spec, cfg.bc, cfg.K, samples)
     rows = sorted(profile.items(), key=lambda kv: (abs(kv[0]), kv[0]))
     _write_csv(out / "threshold.csv", ("n", "max_kvk_hs"), rows)
-    N = find_threshold_n(spec, cfg.bc, cfg.K, samples)
+    N = threshold_from_profile(profile, cfg.K)
     _write_run_json(
         out,
         cfg,

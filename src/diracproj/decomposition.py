@@ -8,7 +8,7 @@ inner product (1/pi) * int_0^pi (f1 conj(g1) + f2 conj(g2)) dx, so
 coefficient 2-norms are function L2 norms and Parseval is exact.
 
 The decomposition splits a function into the part S_N f inside the circle
-|z| = N - 1/2 plus one term P_n f per trusted disc.  Quadratic closeness of
+|z| = N + 1/2 plus one term P_n f per trusted disc.  Quadratic closeness of
 the disc projections to the orthogonal free family makes the series
 unconditionally convergent, which is checked here empirically: reordering
 the terms must not move the terminal sum, and partial-sum excursions must
@@ -141,13 +141,42 @@ def _ordered_discs(basis: BasisIndexSet, N: int, M: int) -> list[int]:
     )
 
 
-def _disc_terms(
-    f: FunctionVector, op: OperatorMatrix, discs, radius: float, nodes: int
-) -> list[np.ndarray]:
-    return [
-        riesz_projection(op, ContourSpec(n, radius, nodes)).matrix @ f.coeffs
-        for n in discs
-    ]
+@dataclass(frozen=True)
+class DiscExpansion:
+    """S_N f and the disc terms P_n f of one function over N < |n| <= M.
+
+    Each disc projection and the global one are built once; only the term
+    vectors and each disc's deviation ||P_n - P_n^0||_HS are kept, not the
+    dense projections.  discs run in the canonical (|n|, n) order.
+    """
+
+    f: FunctionVector
+    M: int
+    discs: tuple[int, ...]
+    start: np.ndarray
+    terms: tuple[np.ndarray, ...]
+    deviations: tuple[float, ...]
+
+
+def disc_expansion(
+    f: FunctionVector,
+    op: OperatorMatrix,
+    N: int,
+    M: int,
+    radius: float = 0.5,
+    nodes: int = 64,
+    global_nodes: int | None = None,
+) -> DiscExpansion:
+    """Apply S_N and every window disc projection to f, one contour each."""
+    discs = _ordered_discs(op.basis, N, M)
+    terms = []
+    devs = []
+    for n in discs:
+        p = riesz_projection(op, ContourSpec(n, radius, nodes))
+        terms.append(p.matrix @ f.coeffs)
+        devs.append(deviation(p, free_projection(op.basis.bc, n, op.basis.K)))
+    start = global_projection(op, N, global_nodes).matrix @ f.coeffs
+    return DiscExpansion(f, M, tuple(discs), start, tuple(terms), tuple(devs))
 
 
 def reconstruct(
@@ -163,35 +192,28 @@ def reconstruct(
 
     Returns the reconstruction and its L2 error against f.
     """
-    discs = _ordered_discs(op.basis, N, M)
-    acc = global_projection(op, N, global_nodes).matrix @ f.coeffs
-    for term in _disc_terms(f, op, discs, radius, nodes):
+    expansion = disc_expansion(f, op, N, M, radius, nodes, global_nodes)
+    acc = expansion.start
+    for term in expansion.terms:
         acc = acc + term
     f_hat = FunctionVector(op.basis, acc)
     return f_hat, float(np.linalg.norm(acc - f.coeffs))
 
 
-def reconstruction_curve(
-    f: FunctionVector,
-    op: OperatorMatrix,
-    N: int,
-    Ms,
-    radius: float = 0.5,
-    nodes: int = 64,
-    global_nodes: int | None = None,
-) -> list[tuple[int, float]]:
+def reconstruction_curve(expansion: DiscExpansion, Ms) -> list[tuple[int, float]]:
     """Reconstruction error as the disc window M grows, reusing every term."""
     Ms = sorted(int(m) for m in Ms)
-    discs = _ordered_discs(op.basis, N, Ms[-1])
-    terms = _disc_terms(f, op, discs, radius, nodes)
-    acc = global_projection(op, N, global_nodes).matrix @ f.coeffs
+    if Ms[-1] > expansion.M:
+        raise ValueError(f"window M = {Ms[-1]} exceeds the expansion's M = {expansion.M}")
+    target = expansion.f.coeffs
+    acc = expansion.start
     out = []
     i = 0
     for M in Ms:
-        while i < len(discs) and abs(discs[i]) <= M:
-            acc = acc + terms[i]
+        while i < len(expansion.discs) and abs(expansion.discs[i]) <= M:
+            acc = acc + expansion.terms[i]
             i += 1
-        out.append((M, float(np.linalg.norm(acc - f.coeffs))))
+        out.append((M, float(np.linalg.norm(acc - target))))
     return out
 
 
@@ -225,17 +247,7 @@ class UnconditionalityReport:
         return (self.max_partial_sum_spread - self.base_error) / scale
 
 
-def unconditionality_test(
-    f: FunctionVector,
-    op: OperatorMatrix,
-    N: int,
-    M: int,
-    trials: int = 16,
-    seed: int = 0,
-    radius: float = 0.5,
-    nodes: int = 64,
-    global_nodes: int | None = None,
-) -> UnconditionalityReport:
+def unconditionality_test(expansion: DiscExpansion, trials: int = 16, seed: int = 0) -> UnconditionalityReport:
     """Permute the disc terms and watch the partial sums.
 
     Each trial draws its permutation from an independent stream seeded by
@@ -243,11 +255,9 @@ def unconditionality_test(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    discs = _ordered_discs(op.basis, N, M)
-    disc_projections = [riesz_projection(op, ContourSpec(n, radius, nodes)) for n in discs]
-    terms = [p.matrix @ f.coeffs for p in disc_projections]
-    start = global_projection(op, N, global_nodes).matrix @ f.coeffs
-    target = f.coeffs
+    terms = expansion.terms
+    start = expansion.start
+    target = expansion.f.coeffs
 
     def run(order) -> tuple[float, float]:
         acc = start.copy()
@@ -267,18 +277,14 @@ def unconditionality_test(
         excursions.append(worst)
         terminals.append(terminal)
 
-    devs = [
-        deviation(p, free_projection(op.basis.bc, n, op.basis.K))
-        for p, n in zip(disc_projections, discs)
-    ]
     return UnconditionalityReport(
         trials=trials,
         seed=seed,
         base_error=base_error,
         max_reordered_error=max(terminals + [base_error]),
         max_partial_sum_spread=max(excursions + [base_error]),
-        bari_markus_tail=float(sum(d * d for d in devs)),
-        f_norm=f.norm,
+        bari_markus_tail=float(sum(d * d for d in expansion.deviations)),
+        f_norm=expansion.f.norm,
         trial_excursions=tuple(excursions),
         trial_terminals=tuple(terminals),
     )

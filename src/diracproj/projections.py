@@ -13,10 +13,14 @@ why node-doubling checks are a meaningful convergence diagnostic.
 
 Two evaluation routes are kept.  The spectral route diagonalizes L once and
 applies the identical quadrature sum to each eigenvalue (legitimate by
-linearity, and cheap enough to make large node counts free).  The lu route
-factors (lambda_j - L) node by node and never forms an eigendecomposition;
-it is the fallback when the eigenvector basis is ill-conditioned and the
-cross-check in tests.  Both share the same proximity and quality gates.
+linearity, and cheap enough to make large node counts free).  Only the few
+eigenvalues inside or near the contour have a filter value above roundoff,
+so the spectral route keeps those r columns and returns P as the rank-r
+product V[:, S] diag(f_S) V^{-1}[S, :], at O(dim^2 r) cost per contour.
+The lu route factors (lambda_j - L) node by node and never forms an
+eigendecomposition; it is the fallback when the eigenvector basis is
+ill-conditioned and the cross-check in tests.  Both share the same
+proximity and quality gates.
 """
 
 from __future__ import annotations
@@ -29,18 +33,22 @@ import numpy as np
 from .operator import (
     OperatorMatrix,
     build_free,
-    build_operator,
     disc_centers,
     eigen,
     eigenbasis_condition,
     eigenbasis_inverse,
 )
-from .potential import PotentialSpec, validate_bc
-from .resolvent import find_threshold_n, shifted_solve
+from .potential import validate_bc
+from .resolvent import shifted_solve
 
 PROXIMITY_TOL = 1e-6
 QUALITY_TOL = 1e-6
 SPECTRAL_COND_LIMIT = 1e8
+# eigenvalues whose quadrature filter value is at or below this floor are
+# left out of the spectral route's factors.  Far from the contour the
+# computed filter is pure roundoff (about 1e-17..5e-16 where the exact value
+# is below 1e-30), so dropping those terms leaves P as accurate as before.
+FILTER_FLOOR = 1e-15
 
 
 class ContourProximityError(Exception):
@@ -84,13 +92,20 @@ class ProjectionResult:
         return float(np.linalg.norm(self.matrix))
 
 
-def _quadrature_spectral(op: OperatorMatrix, contour: ContourSpec) -> np.ndarray:
+def _quadrature_spectral(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (left, right) with P = left @ right, of inner size r = |S|.
+
+    S holds the eigenvalues whose filter value exceeds FILTER_FLOOR, chosen
+    by magnitude rather than position so that coarse contours, whose filter
+    leaks to far eigenvalues, keep everything that matters.
+    """
     vals, vecs = eigen(op)
     phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
     lams = contour.center + contour.radius * phases
     # filter value per eigenvalue: (R/M) sum_j z_j / (lambda_j - mu)
     filt = (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - vals[:, None])).sum(axis=1)
-    return (vecs * filt) @ eigenbasis_inverse(op)
+    keep = np.flatnonzero(np.abs(filt) > FILTER_FLOOR)
+    return vecs[:, keep] * filt[keep], eigenbasis_inverse(op)[keep, :]
 
 
 def _quadrature_lu(op: OperatorMatrix, contour: ContourSpec) -> np.ndarray:
@@ -126,11 +141,17 @@ def riesz_projection(
         )
     if method == "auto":
         method = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "lu"
-    matrix = _quadrature_spectral(op, contour) if method == "spectral" else _quadrature_lu(op, contour)
+    if method == "spectral":
+        left, right = _quadrature_spectral(op, contour)
+        matrix = left @ right
+        # P^2 = left (right left) right, with the r x r product in the middle
+        residual = float(np.linalg.norm(left @ ((right @ left) @ right) - matrix))
+    else:
+        matrix = _quadrature_lu(op, contour)
+        residual = float(np.linalg.norm(matrix @ matrix - matrix))
 
     trace = complex(np.trace(matrix))
     rank = int(round(trace.real))
-    residual = float(np.linalg.norm(matrix @ matrix - matrix))
     if quality_threshold is not None:
         if abs(trace - rank) > quality_threshold:
             raise ProjectionQualityError(
@@ -202,26 +223,24 @@ class DeviationReport:
 
 
 def deviation_report(
-    spec: PotentialSpec,
-    bc: str,
-    K: int,
+    op: OperatorMatrix,
     N: int,
+    threshold: int,
     radius: float = 0.5,
     nodes: int = 64,
     max_disc: float | None = None,
 ) -> DeviationReport:
     """Deviations for every trusted disc N < |n| <= K/2 (optionally capped).
 
-    Requires N at or above the verified threshold for this potential, so
-    every contour the report integrates over satisfies the smallness test.
+    `threshold` is the verified threshold of the operator's potential
+    (find_threshold_n).  N must be at or above it, so every contour the
+    report integrates over satisfies the smallness test.
     """
-    validate_bc(bc)
-    threshold = find_threshold_n(spec, bc, K)
     if N < threshold:
         raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")
+    bc, K = op.basis.bc, op.basis.K
     limit = K / 2 if max_disc is None else min(max_disc, K / 2)
     discs = sorted((n for n in disc_centers(bc, limit) if abs(n) > N), key=lambda n: (abs(n), n))
-    op = build_operator(spec, bc, K)
     per_n: dict[int, float] = {}
     ranks: dict[int, int] = {}
     cumulative: list[float] = []
@@ -237,12 +256,10 @@ def deviation_report(
     return DeviationReport(per_n, tuple(cumulative), N, K, ranks)
 
 
-def localization_counts(spec: PotentialSpec, bc: str, K: int, radius: float = 0.5) -> dict[int, int]:
+def localization_counts(op: OperatorMatrix, radius: float = 0.5) -> dict[int, int]:
     """Eigenvalues of the truncation strictly inside each trusted disc."""
-    validate_bc(bc)
-    op = build_operator(spec, bc, K)
     vals, _ = eigen(op)
     return {
         n: int(np.count_nonzero(np.abs(vals - n) < radius))
-        for n in disc_centers(bc, K / 2)
+        for n in disc_centers(op.basis.bc, op.basis.trusted_limit)
     }

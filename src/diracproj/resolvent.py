@@ -16,8 +16,10 @@ free resolvent exactly.
 The smallness test drives everything else: once the circle of radius 1/2
 around a lattice point n has max ||K V K||_HS <= 1/2, the resolvent exists
 on that circle and the Riesz projection for the disc is trustworthy.
-find_threshold_n scans the trusted window for the smallest cutoff N beyond
-which every disc passes.
+circle_norm_profile evaluates the double sum for every disc and circle
+sample of the trusted window in one broadcast pass (kvk_hs_norm is the
+same sum at one point), and threshold_from_profile reads off the smallest
+cutoff N beyond which every disc passes.
 """
 
 from __future__ import annotations
@@ -192,28 +194,41 @@ def circle_norm_profile(
     """Worst sampled ||K V K||_HS on the radius-1/2 circle of each disc.
 
     Covers every nonzero lattice point in the trusted window |n| <= K/2.
+    All (disc, sample, lattice point) gaps are evaluated at once; the
+    lattice is symmetric with step s, so the partner j - lat[i] of lattice
+    point i sits at index (L - 1 - i) + j/s, and each anti-diagonal j
+    reduces to one shifted product of the reciprocal gaps with their
+    reversal.  kvk_hs_norm evaluates the same sum at one point.
     """
     if samples_per_circle < 4:
         raise ValueError("samples_per_circle must be at least 4")
-    profile: dict[int, float] = {}
-    for n in disc_centers(bc, K / 2):
-        if n == 0:
+    centers = np.array([n for n in disc_centers(bc, K / 2) if n != 0], dtype=float)
+    lat = np.array(lattice_points(bc, K), dtype=float)
+    step = 1 if bc == DIRICHLET else 2
+    lams = circle_samples(centers[:, None], 0.5, samples_per_circle)
+    inv = 1.0 / np.abs(lams[:, :, None] - lat)
+    rev = inv[:, :, ::-1]
+    L = lat.size
+    total = np.zeros(lams.shape)
+    for j, w in _antidiagonal_weights(spec, bc).items():
+        t = j // step
+        if w == 0.0 or abs(t) >= L:
             continue
-        worst = 0.0
-        for lam in circle_samples(n, 0.5, samples_per_circle):
-            worst = max(worst, kvk_hs_norm(spec, bc, lam, K))
-        profile[n] = worst
-    return profile
+        if t >= 0:
+            total += w * np.einsum("dsi,dsi->ds", inv[:, :, t:], rev[:, :, : L - t])
+        else:
+            total += w * np.einsum("dsi,dsi->ds", inv[:, :, : L + t], rev[:, :, -t:])
+    worst = np.sqrt(total.max(axis=1))
+    return {int(n): float(v) for n, v in zip(centers, worst)}
 
 
-def find_threshold_n(spec: PotentialSpec, bc: str, K: int, samples_per_circle: int = 16) -> int:
-    """Smallest cutoff N <= K/2 with max ||K V K||_HS <= 1/2 past it.
+def threshold_from_profile(profile: dict[int, float], K: int) -> int:
+    """Smallest cutoff N with every disc |n| > N passing max ||K V K||_HS <= 1/2.
 
     The zero potential returns 1.  Raises ThresholdNotFoundError when even
     the outermost trusted disc fails the smallness test, i.e. no cutoff
     inside the truncation leaves a nonempty verified window.
     """
-    profile = circle_norm_profile(spec, bc, K, samples_per_circle)
     failing = [abs(n) for n, worst in profile.items() if worst > 0.5]
     if not failing:
         return 1
@@ -225,3 +240,11 @@ def find_threshold_n(spec: PotentialSpec, bc: str, K: int, samples_per_circle: i
             f"max sampled ||K V K||_HS > 1/2 at the edge of the trusted window (K = {K})"
         )
     return N
+
+
+def find_threshold_n(spec: PotentialSpec, bc: str, K: int, samples_per_circle: int = 16) -> int:
+    """Smallest cutoff N <= K/2 with max ||K V K||_HS <= 1/2 past it.
+
+    One smallness scan (circle_norm_profile) read by threshold_from_profile.
+    """
+    return threshold_from_profile(circle_norm_profile(spec, bc, K, samples_per_circle), K)

@@ -17,6 +17,7 @@ import pytest
 from diracproj.bounds import check_chain_sums, check_shift_sums, run_battery, worst_ratios
 from diracproj.decomposition import (
     FunctionVector,
+    disc_expansion,
     expand,
     reconstruct,
     reconstruction_curve,
@@ -88,7 +89,7 @@ def test_criterion_02_constant_potential_oracle():
             assert np.min(np.abs(lam - oracle)) <= 1e-8, lam
             checked += 1
     assert checked >= 16
-    counts = localization_counts(CONSTANT, "per+", 64, 0.5)
+    counts = localization_counts(op, 0.5)
     for n, count in counts.items():
         if abs(n) >= 2:
             assert count == 2, (n, count)
@@ -118,7 +119,7 @@ def test_criterion_03a_deviations_halve_across_window():
                 f"(seed, bc, N) = {(seed, bc, N)}: verified threshold is past "
                 "the inner window's edge 16, so N < |n| <= 16 holds no disc"
             )
-            rep = deviation_report(spec, bc, 64, N)
+            rep = deviation_report(build_operator(spec, bc, 64), N, N)
             first = sum(d for n, d in rep.per_n.items() if N < abs(n) <= 16)
             second = sum(d for n, d in rep.per_n.items() if 16 < abs(n) <= 32)
             if not second <= 0.5 * first:
@@ -134,14 +135,13 @@ def test_criterion_03b_deviations_stable_under_truncation_doubling():
     for seed in range(5):
         spec = random_potential(seed)
         for bc in BC_TAGS:
-            N = max(
-                find_threshold_n(spec, bc, 64), find_threshold_n(spec, bc, 128)
-            )
+            t64, t128 = find_threshold_n(spec, bc, 64), find_threshold_n(spec, bc, 128)
+            N = max(t64, t128)
             shared = [n for n in disc_centers(bc, 32) if abs(n) > N]
             if not shared:
                 continue  # threshold consumed the whole K = 64 window
-            r64 = deviation_report(spec, bc, 64, N)
-            r128 = deviation_report(spec, bc, 128, N)
+            r64 = deviation_report(build_operator(spec, bc, 64), N, t64)
+            r128 = deviation_report(build_operator(spec, bc, 128), N, t128)
             drift = max(abs(r64.per_n[n] - r128.per_n[n]) for n in shared)
             assert drift <= 1e-6, (seed, bc, drift)
 
@@ -200,7 +200,7 @@ def test_criterion_07_reconstruction():
         N = find_threshold_n(spec, "per+", 96)
         f = band_limited(op, 8, 7)
         shells = sorted({abs(n) for n in disc_centers("per+", 32) if abs(n) > N})
-        curve = reconstruction_curve(f, op, N, shells)
+        curve = reconstruction_curve(disc_expansion(f, op, N, shells[-1]), shells)
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:])), (seed, errs)
         assert curve[-1][0] == 32
@@ -226,9 +226,10 @@ def test_criterion_08_unconditional_reordering():
     vals = rng.standard_normal(len(win)) + 1j * rng.standard_normal(len(win))
     vals /= np.linalg.norm(vals)
     f = expand({i: v for i, v in zip(win, vals)}, op.basis)
+    expansion = disc_expansion(f, op, N, M)
     constants = []
     for s in (0, 1, 2):
-        rep = unconditionality_test(f, op, N, M, trials=10, seed=s)
+        rep = unconditionality_test(expansion, trials=10, seed=s)
         assert max(rep.trial_terminals) - min(rep.trial_terminals) <= 1e-10
         assert abs(rep.base_error - max(rep.trial_terminals)) <= 1e-10
         constants.append(rep.excursion_constant)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diracproj.cli import (
     ConfigError,
@@ -21,6 +22,8 @@ from diracproj.cli import (
     load_potential_file,
     main,
 )
+from diracproj.projections import riesz_projection
+from diracproj.resolvent import circle_norm_profile
 
 SMALL = {
     "max_mode": 2,
@@ -390,3 +393,80 @@ class TestThreshold:
         for n, val in rows:
             if abs(int(n)) > run["threshold_N"]:
                 assert float(val) <= 0.5
+
+
+def count_calls(monkeypatch, fn, owners=()):
+    """Replace fn in every diracproj namespace (and in `owners`) by a counter.
+
+    The modules bind names at import, so the function is replaced by
+    identity wherever it is bound.  Returns the list of recorded argument
+    tuples, one per call.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    modules = [m for n, m in sys.modules.items() if n == "diracproj" or n.startswith("diracproj.")]
+    for owner in [*modules, *owners]:
+        for attr, obj in list(vars(owner).items()):
+            if obj is fn:
+                monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+class TestWorkPerJob:
+    """Each job diagonalizes its operator once, scans the smallness test once
+    and integrates over each contour once."""
+
+    JOBS = {
+        "spectrum": ["spectrum"],
+        "threshold": ["threshold"],
+        "deviations": ["deviations"],
+        "reconstruct": ["reconstruct", "--trials", "2"],
+        "verify-bounds": ["verify-bounds", "--draws", "1", "--window", "32"],
+    }
+    # (eig, smallness scans) per job
+    EXPECTED = {
+        "spectrum": (1, 0),
+        "threshold": (0, 1),
+        "deviations": (1, 1),
+        "reconstruct": (1, 1),
+        "verify-bounds": (0, 0),
+    }
+
+    @pytest.mark.parametrize("bc", ["per+", "dir"])
+    @pytest.mark.parametrize("command", sorted(JOBS))
+    def test_counts(self, monkeypatch, tmp_path, small_potential, bc, command):
+        eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])
+        scans = count_calls(monkeypatch, circle_norm_profile)
+        riesz = count_calls(monkeypatch, riesz_projection)
+        out = tmp_path / "run"
+        argv = self.JOBS[command] + ["--out", str(out)]
+        if command != "verify-bounds":
+            argv += ["--bc", bc, "--K", "16", "--potential", small_potential]
+        assert main(argv) == EXIT_OK
+        assert (len(eigs), len(scans)) == self.EXPECTED[command]
+        contours = [args[1] for args in riesz]
+        if command == "deviations":
+            _, rows = read_csv(out / "deviations.csv")
+            assert sorted(c.center.real for c in contours) == sorted(float(r[0]) for r in rows)
+        elif command == "reconstruct":
+            run = read_run(out)
+            discs = [c for c in contours if c.radius == 0.5]
+            globals_ = [c for c in contours if c not in discs]
+            assert len(set(contours)) == len(contours)
+            assert [(c.center, c.radius) for c in globals_] == [(0, run["N_used"] + 0.5)]
+            assert sorted(abs(c.center.real) for c in discs) == sorted(
+                abs(n) for n in range(-run["M_used"], run["M_used"] + 1)
+                if run["N_used"] < abs(n) and (bc == "dir" or n % 2 == 0)
+            )
+        else:
+            assert contours == []
+
+    def test_classify_bc_does_no_spectral_work(self, monkeypatch, capsys):
+        eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])
+        scans = count_calls(monkeypatch, circle_norm_profile)
+        assert main(["classify-bc", "0", "-1", "-1", "0"]) == EXIT_OK
+        assert (len(eigs), len(scans)) == (0, 0)

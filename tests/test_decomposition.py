@@ -7,6 +7,7 @@ import pytest
 
 from diracproj.decomposition import (
     FunctionVector,
+    disc_expansion,
     expand,
     reconstruct,
     reconstruction_curve,
@@ -158,19 +159,26 @@ class TestReconstruct:
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=2, max_abs_n=6)
         Ms = [2, 4, 6, 8]
-        curve = reconstruction_curve(f, op, 1, Ms, nodes=64, global_nodes=256)
+        curve = reconstruction_curve(disc_expansion(f, op, 1, max(Ms), nodes=64, global_nodes=256), Ms)
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         for M, err in curve:
             _, single = reconstruct(f, op, 1, M, nodes=64, global_nodes=256)
             assert err == pytest.approx(single, abs=1e-12)
 
+    def test_curve_rejects_window_beyond_expansion(self):
+        op = build_free(PER_PLUS, 16)
+        f = random_vector(op.basis, seed=2, max_abs_n=6)
+        expansion = disc_expansion(f, op, 1, 4, global_nodes=256)
+        with pytest.raises(ValueError):
+            reconstruction_curve(expansion, [2, 6])
+
     def test_perturbed_reconstruction_converges(self):
         spec = random_potential(5, norm=0.3)
         op = build_operator(spec, PER_PLUS, 32)
         N = find_threshold_n(spec, PER_PLUS, 32)
         f = random_vector(op.basis, seed=4, max_abs_n=4)
-        curve = reconstruction_curve(f, op, N, [N + 2, 8, 16])
+        curve = reconstruction_curve(disc_expansion(f, op, N, 16), [N + 2, 8, 16])
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 0.05 * f.norm
@@ -180,7 +188,7 @@ class TestUnconditionality:
     def test_free_case_terminals_agree(self):
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
-        rep = unconditionality_test(f, op, 1, 8, trials=6, nodes=64, global_nodes=256)
+        rep = unconditionality_test(disc_expansion(f, op, 1, 8, nodes=64, global_nodes=256), trials=6)
         assert rep.base_error < 1e-9
         assert rep.max_reordered_error < 1e-9
         assert rep.bari_markus_tail < 1e-20
@@ -191,8 +199,8 @@ class TestUnconditionality:
     def test_deterministic_in_seed(self):
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
-        a = unconditionality_test(f, op, 1, 8, trials=3, seed=9, global_nodes=256)
-        b = unconditionality_test(f, op, 1, 8, trials=3, seed=9, global_nodes=256)
+        a = unconditionality_test(disc_expansion(f, op, 1, 8, global_nodes=256), trials=3, seed=9)
+        b = unconditionality_test(disc_expansion(f, op, 1, 8, global_nodes=256), trials=3, seed=9)
         assert a == b
 
     def test_perturbed_terminals_agree(self):
@@ -200,7 +208,7 @@ class TestUnconditionality:
         op = build_operator(spec, PER_PLUS, 32)
         N = find_threshold_n(spec, PER_PLUS, 32)
         f = random_vector(op.basis, seed=8, max_abs_n=4)
-        rep = unconditionality_test(f, op, N, 16, trials=8)
+        rep = unconditionality_test(disc_expansion(f, op, N, 16), trials=8)
         worst = max(abs(t - rep.base_error) for t in rep.trial_terminals)
         assert worst < 1e-10
         assert rep.bari_markus_tail > 0
@@ -212,4 +220,4 @@ class TestUnconditionality:
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         with pytest.raises(ValueError):
-            unconditionality_test(f, op, 1, 8, trials=0)
+            unconditionality_test(disc_expansion(f, op, 1, 8), trials=0)

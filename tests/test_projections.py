@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diracproj.operator import build_free, build_operator
+from diracproj.operator import build_free, build_operator, disc_centers, eigen, eigenbasis_inverse
 from diracproj.potential import (
     DIRICHLET,
     PER_MINUS,
@@ -134,6 +134,49 @@ class TestRieszProjection:
         assert np.max(np.abs(total - np.eye(op.dim))) < 1e-12
 
 
+def dense_spectral_projection(op, contour):
+    """The full filter over every eigenvalue: (V diag(f)) V^{-1}."""
+    vals, vecs = eigen(op)
+    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
+    lams = contour.center + contour.radius * phases
+    filt = (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - vals[:, None])).sum(axis=1)
+    return (vecs * filt) @ eigenbasis_inverse(op)
+
+
+class TestLowRankSpectralRoute:
+    """The spectral route keeps only eigenvalues with |filter| above roundoff;
+    it must reproduce the dense filter over all of them."""
+
+    def check(self, op, p):
+        dense = dense_spectral_projection(op, p.contour)
+        assert np.max(np.abs(p.matrix - dense)) <= 1e-12
+        assert p.rank == int(round(np.trace(dense).real))
+        assert abs(np.trace(p.matrix) - np.trace(dense)) <= 1e-12
+        assert p.idempotency_residual == pytest.approx(
+            np.linalg.norm(dense @ dense - dense), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_discs_and_global(self, bc):
+        spec = random_potential(3, norm=0.3)
+        op = build_operator(spec, bc, 32)
+        N = find_threshold_n(spec, bc, 32)
+        for n in disc_centers(bc, 16):
+            if abs(n) > N:
+                self.check(op, riesz_projection(op, ContourSpec(n, 0.5, 64), method="spectral"))
+        self.check(op, global_projection(op, N))
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_coarse_contour(self, bc):
+        # at 8 nodes the filter leaks to eigenvalues far from the disc, so
+        # choosing them by position would miss terms the dense sum has
+        op = build_operator(random_potential(3, norm=0.3), bc, 32)
+        n = 5 if bc == PER_MINUS else 6
+        p = riesz_projection(op, ContourSpec(n, 0.5, 8), quality_threshold=None, method="spectral")
+        self.check(op, p)
+        assert p.idempotency_residual > 1e-6
+
+
 class TestGlobalProjection:
     def test_default_nodes_floor_and_scaling(self):
         assert default_global_nodes(0.5) == 64
@@ -155,13 +198,14 @@ class TestGlobalProjection:
 class TestDeviationReport:
     def test_below_threshold_rejected(self):
         spec = random_potential(0)  # threshold around 20 at unit norm
+        op = build_operator(spec, PER_PLUS, 64)
         with pytest.raises(ValueError):
-            deviation_report(spec, PER_PLUS, 64, 2)
+            deviation_report(op, 2, find_threshold_n(spec, PER_PLUS, 64))
 
     def test_report_shape(self):
         spec = random_potential(0, norm=0.3)
         N = find_threshold_n(spec, PER_PLUS, 32)
-        report = deviation_report(spec, PER_PLUS, 32, N, max_disc=10)
+        report = deviation_report(build_operator(spec, PER_PLUS, 32), N, N, max_disc=10)
         discs = report.ordered_discs
         assert discs == tuple(sorted(discs, key=lambda n: (abs(n), n)))
         assert all(abs(n) > N for n in discs)
@@ -176,13 +220,15 @@ class TestDeviationReport:
         )
 
     def test_free_potential_deviations_vanish(self):
-        report = deviation_report(PotentialSpec.zero(), DIRICHLET, 16, 1, max_disc=6)
+        zero = PotentialSpec.zero()
+        op = build_operator(zero, DIRICHLET, 16)
+        report = deviation_report(op, 1, find_threshold_n(zero, DIRICHLET, 16), max_disc=6)
         assert report.tail_sum < 1e-20
 
     def test_deviations_decay_outward(self):
         spec = random_potential(2, norm=0.3)
         N = find_threshold_n(spec, PER_PLUS, 64)
-        report = deviation_report(spec, PER_PLUS, 64, N)
+        report = deviation_report(build_operator(spec, PER_PLUS, 64), N, N)
         inner = report.per_n[report.ordered_discs[0]]
         outer = report.per_n[report.ordered_discs[-1]]
         assert outer < inner
@@ -190,12 +236,12 @@ class TestDeviationReport:
 
 class TestLocalization:
     def test_constant_potential_counts(self):
-        counts = localization_counts(CONST, PER_PLUS, 16)
+        counts = localization_counts(build_operator(CONST, PER_PLUS, 16))
         assert counts[0] == 0  # +-1 sit a full unit away from the center
         for n in (-8, -6, -4, -2, 2, 4, 6, 8):
             assert counts[n] == 2
 
     def test_free_counts(self):
-        counts = localization_counts(PotentialSpec.zero(), DIRICHLET, 8)
+        counts = localization_counts(build_operator(PotentialSpec.zero(), DIRICHLET, 8))
         assert all(v == 1 for v in counts.values())
         assert sorted(counts) == list(range(-4, 5))

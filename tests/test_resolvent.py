@@ -10,6 +10,7 @@ from diracproj.operator import (
     build_free,
     build_operator,
     build_v,
+    lattice_points,
 )
 from diracproj.potential import (
     DIRICHLET,
@@ -31,6 +32,7 @@ from diracproj.resolvent import (
     kvk_hs_norm,
     resolve,
     shifted_solve,
+    threshold_from_profile,
 )
 
 
@@ -193,6 +195,30 @@ class TestCircleSampling:
         assert sorted(profile) == [-8, -6, -4, -2, 2, 4, 6, 8]
         assert all(v == 0.0 for v in profile.values())
 
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("kind", ["zero", "p_only", "q_only", "constant", "scaled_random"])
+    def test_profile_matches_per_sample_oracle(self, bc, kind):
+        # the broadcast kernel against the one-point lattice sum, sample by
+        # sample; only the summation order differs, hence 1e-12 relative
+        full = random_potential(11, norm=0.8)
+        spec = {
+            "zero": PotentialSpec.zero(),
+            "p_only": PotentialSpec(full.p_even, {}, full.p_odd, {}, full.max_mode),
+            "q_only": PotentialSpec({}, full.q_even, {}, full.q_odd, full.max_mode),
+            "constant": PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0),
+            "scaled_random": full.scaled(2.5),
+        }[kind]
+        K, samples = 24, 12
+        profile = circle_norm_profile(spec, bc, K, samples)
+        centers = [n for n in lattice_points(bc, K) if 0 < abs(n) <= K / 2]
+        assert list(profile) == centers
+        for n in centers:
+            want = max(kvk_hs_norm(spec, bc, lam, K) for lam in circle_samples(n, 0.5, samples))
+            if want == 0.0:
+                assert profile[n] == 0.0, (bc, kind, n)
+            else:
+                assert abs(profile[n] - want) <= 1e-12 * want, (bc, kind, n)
+
     def test_profile_rejects_few_samples(self):
         with pytest.raises(ValueError):
             circle_norm_profile(PotentialSpec.zero(), PER_PLUS, 16, samples_per_circle=2)
@@ -220,6 +246,18 @@ class TestThreshold:
     def test_tiny_potential_passes_everywhere(self):
         spec = random_potential(8, norm=0.02)
         assert find_threshold_n(spec, PER_MINUS, 32) == 1
+
+    def test_from_profile_hand_built(self):
+        assert threshold_from_profile({-2: 0.6, 2: 0.1, -4: 0.2, 4: 0.5}, 8) == 2
+        assert threshold_from_profile({-2: 0.1, 2: 0.1}, 4) == 1
+        with pytest.raises(ThresholdNotFoundError):
+            threshold_from_profile({-2: 0.1, 2: 0.1, 4: 0.51}, 8)
+
+    def test_from_profile_matches_search(self):
+        spec = random_potential(6)
+        for bc in BC_TAGS:
+            profile = circle_norm_profile(spec, bc, 64)
+            assert threshold_from_profile(profile, 64) == find_threshold_n(spec, bc, 64)
 
     def test_huge_potential_exhausts_window(self):
         spec = random_potential(3, norm=50.0)

@@ -272,6 +272,14 @@ def check_chain_sums(
     Only s = 0 and s = 1 are supported: the closed forms beyond need the
     full operator-norm machinery, and the bound's shape changes anyway.
     For s = 0 there is no interior index, so only three sums exist.
+
+    Every index is pinned to the support of r.  An index x with r(x + n)
+    as its factor is a - n for a support point a; at s = 1 the free end of
+    the chain r(k + j) r(j + n) is k = n + d with d a nonzero difference
+    of support points, so r(k + j) = r(a + d) comes from one table.  The
+    left- and right-free chains are term-by-term equal under renaming the
+    free end, so one value serves both.  Each chain is maximized over the
+    circle samples per free index before the sum over free indices.
     """
     validate_bc(bc)
     if s not in (0, 1):
@@ -279,100 +287,40 @@ def check_chain_sums(
     if N < 1:
         raise ValueError("N must be a positive integer")
     r = r_sequence(spec, bc)
-    js, _ = _support_arrays(r)
-    supp = set(int(j) for j in js)
+    supp = np.array(r.support, dtype=int)
+    ra = np.array([r(int(a)) for a in supp], dtype=float)
+    diffs = np.unique(supp[:, None] - supp)
+    diffs = diffs[diffs != 0]
+    shifted = (supp[:, None] + diffs[:, None, None] == supp) @ ra  # r(a + d)
     rho_sq = rho(spec, bc, N) ** 2
-    ns = [n for n in disc_centers(bc, K) if abs(n) > N]
 
-    lhs = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
-    for n in ns:
-        lams = circle_samples(n, 0.5, samples)
+    closed = free = anchor = 0.0
+    for n in (n for n in disc_centers(bc, K) if abs(n) > N):
+        lams = circle_samples(n, 0.5, samples)[:, None]
         gap_n = np.abs(lams - n)
+        gap_a = np.abs(lams - (supp - n))
+        # one-factor end terms (r(x + n) / |l - x|)^2 for x = a - n != n
+        ends = np.where(supp != 2 * n, ra / gap_a, 0.0) ** 2
         if s == 0:
-            lhs[1] += float(np.max(r(2 * n) ** 2 / gap_n**2))
-            ks = np.array([j - n for j in supp if j - n != n])
-            if ks.size:
-                rk = np.array([r(int(k) + n) for k in ks])
-                gap_k = np.abs(lams[:, None] - ks[None, :])
-                terms = (rk[None, :] / (gap_k * gap_n[:, None])) ** 2
-                lhs[2] += float(terms.max(axis=0).sum())
-            ms = np.array([j - n for j in supp if j - n != n])
-            if ms.size:
-                rm = np.array([r(n + int(m)) for m in ms])
-                gap_m = np.abs(lams[:, None] - ms[None, :])
-                terms = (rm[None, :] / (gap_n[:, None] * gap_m)) ** 2
-                lhs[3] += float(terms.max(axis=0).sum())
+            closed += float(np.max(ra[supp == 2 * n].sum() ** 2 / gap_n**2))
+            free += float((ends / gap_n**2).max(axis=0).sum())
             continue
-
-        j_vals = np.array(sorted(j - n for j in supp))
-        if j_vals.size == 0:
-            continue
-        r_jn = np.array([r(int(j) + n) for j in j_vals])
-        gap_j = np.abs(lams[:, None] - j_vals[None, :])
-
-        # both ends at n: sum_j r(n+j)^2 / (|l-n|^2 |l-j|)
-        inner = (r_jn**2 / gap_j).sum(axis=1) / gap_n**2
-        lhs[1] += float(np.max(inner**2))
-
-        # left end free: k != n, chain r(k+j) r(j+n)
-        by_k: dict[int, list[int]] = {}
-        for jj, rj in zip(j_vals, r_jn):
-            if rj == 0.0:
-                continue
-            for m in supp:
-                k = int(m) - int(jj)
-                if k != n:
-                    by_k.setdefault(k, []).append(int(jj))
-        for k, jlist in by_k.items():
-            gap_k = np.abs(lams - k)
-            inner = np.zeros(samples)
-            for jj in jlist:
-                col = int(np.searchsorted(j_vals, jj))
-                inner += r(k + jj) * r(jj + n) / (gap_k * gap_j[:, col] * gap_n)
-            lhs[2] += float(np.max(inner**2))
-
-        # right end free: m != n, chain r(n+j) r(j+m); same index geometry
-        by_m: dict[int, list[int]] = {}
-        for jj, rj in zip(j_vals, r_jn):
-            if rj == 0.0:
-                continue
-            for q in supp:
-                m = int(q) - int(jj)
-                if m != n:
-                    by_m.setdefault(m, []).append(int(jj))
-        for m, jlist in by_m.items():
-            gap_m = np.abs(lams - m)
-            inner = np.zeros(samples)
-            for jj in jlist:
-                col = int(np.searchsorted(j_vals, jj))
-                inner += r(n + jj) * r(jj + m) / (gap_n * gap_j[:, col] * gap_m)
-            lhs[3] += float(np.max(inner**2))
-
-        # both ends free, interior forced to n: r(k+n) r(n+m)
-        ks = np.array([j - n for j in supp if j - n != n])
-        if ks.size:
-            rk = np.array([r(int(k) + n) for k in ks])
-            gap_k = np.abs(lams[:, None] - ks[None, :])
-            weights = (rk[None, :] / gap_k) ** 2 / gap_n[:, None] ** 2
-            # tensor over (lambda, k, m); max over lambda before summing
-            prod = weights[:, :, None] * ((rk[None, :] / gap_k) ** 2)[:, None, :]
-            lhs[4] += float(prod.max(axis=0).sum())
+        closed += float(np.max(((ra**2 / gap_a).sum(axis=1, keepdims=True) / gap_n**2) ** 2))
+        chain = (ra / gap_a) @ shifted.T / (np.abs(lams - (n + diffs)) * gap_n)
+        free += float((chain**2).max(axis=0).sum())
+        pairs = (ends / gap_n**2)[:, :, None] * ends[:, None, :]
+        anchor += float(pairs.max(axis=0).sum())
 
     params = {"bc": bc, "s": s, "N": N, "K": K, "samples": samples}
+    rhs = r.norm_sq * rho_sq**s
     checks = [
-        _check("chain_closed", lhs[1], r.norm_sq * rho_sq**s, dict(params)),
-        _check("chain_left_free", lhs[2], r.norm_sq * rho_sq**s, dict(params)),
-        _check("chain_right_free", lhs[3], r.norm_sq * rho_sq**s, dict(params)),
+        _check("chain_closed", closed, rhs, dict(params)),
+        _check("chain_left_free", free, rhs, dict(params)),
+        _check("chain_right_free", free, rhs, dict(params)),
     ]
     if s >= 1:
-        checks.append(
-            _check(
-                "chain_interior_anchor",
-                lhs[4],
-                s * r.norm_sq**2 * rho_sq ** (s - 1),
-                dict(params),
-            )
-        )
+        anchor_rhs = s * r.norm_sq**2 * rho_sq ** (s - 1)
+        checks.append(_check("chain_interior_anchor", anchor, anchor_rhs, dict(params)))
     return checks
 
 

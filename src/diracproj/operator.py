@@ -150,31 +150,27 @@ def build_free(bc: str, K: int) -> OperatorMatrix:
     return OperatorMatrix(basis, np.diag(basis.free_diagonal().astype(complex)))
 
 
+def _coefficient_table(coeff, max_mode: int, sums: np.ndarray) -> np.ndarray:
+    """coeff(m) at every entry of the index array sums; zero off |m| <= max_mode."""
+    table = np.array([coeff(m) for m in range(-max_mode, max_mode + 1)], dtype=complex)
+    idx = sums + max_mode
+    inside = (idx >= 0) & (idx < table.size)
+    return np.where(inside, table[np.where(inside, idx, 0)], 0j)
+
+
 def build_v(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
     basis = basis_index_set(bc, K)
     ns = np.array(lattice_points(bc, K))
-    dim = basis.dim
-    entries = np.zeros((dim, dim), dtype=complex)
+    sums = ns[:, None] + ns[None, :]
     if bc == DIRICHLET:
         # entry (k, n) couples g_n into g_k through W(k + n)
-        for i, k in enumerate(ns):
-            for j, n in enumerate(ns):
-                w = dirichlet_w(spec, k + n)
-                if w:
-                    entries[i, j] = w
-    else:
-        # channel 1 feeds channel 2 through q, channel 2 feeds channel 1
-        # through p; k + n is even on both periodic lattices
-        for k in ns:
-            row1 = basis.position(k, 1)
-            row2 = basis.position(k, 2)
-            for n in ns:
-                qv = spec.q(k + n)
-                if qv:
-                    entries[row2, basis.position(n, 1)] = qv
-                pv = spec.p(-k - n)
-                if pv:
-                    entries[row1, basis.position(n, 2)] = pv
+        w = _coefficient_table(lambda m: dirichlet_w(spec, m), spec.max_mode, sums)
+        return OperatorMatrix(basis, w)
+    # channel 1 feeds channel 2 through q(k + n), channel 2 feeds channel 1
+    # through p(-k - n); the basis interleaves (n, 1), (n, 2)
+    entries = np.zeros((basis.dim, basis.dim), dtype=complex)
+    entries[1::2, 0::2] = _coefficient_table(spec.q, spec.max_mode, sums)
+    entries[0::2, 1::2] = _coefficient_table(lambda m: spec.p(-m), spec.max_mode, sums)
     return OperatorMatrix(basis, entries)
 
 

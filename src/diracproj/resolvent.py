@@ -1,17 +1,17 @@
 """Shifted solves (lambda - L)^{-1} and the Hilbert-Schmidt smallness test.
 
-Two independent routes to the same quantity live here on purpose.  resolve()
-actually factors the shifted truncation and solves, and is what the contour
-quadrature consumes.  kvk_hs_norm() never touches a matrix: it evaluates the
-lattice double sum
+Two routes to the resolvent live here.  ShiftedSolve factors the shifted
+truncation once, behind a conditioning gate, and solves against it; the
+dense contour quadrature consumes it through shifted_solve().
+kvk_hs_norm() never touches a matrix: it evaluates the lattice double sum
 
     ||K V K||_HS^2 = sum_{i,k} w(i + k) / (|lambda - i| |lambda - k|)
 
 by grouping terms along anti-diagonals j = i + k, where w(j) collects the
 squared potential coefficients that can connect modes i and k.  K here is
-the diagonal square root of the free resolvent, taken with the principal
-branch cut just below the negative real axis so that K^2 reproduces the
-free resolvent exactly.
+the diagonal square root of the free resolvent, K^2 = (lambda - L0)^{-1};
+only the moduli |lambda - i|^{-1/2} of its entries enter the sum, so no
+branch of the square root is ever chosen.
 
 The smallness test drives everything else: once the circle of radius 1/2
 around a lattice point n has max ||K V K||_HS <= 1/2, the resolvent exists
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .operator import OperatorMatrix, BasisIndexSet, disc_centers, eigen, lattice_points
+from .operator import OperatorMatrix, disc_centers, eigen, lattice_points
 from .potential import DIRICHLET, PotentialSpec, dirichlet_w, r_sequence, validate_bc
 
 CONDITION_LIMIT = 1e12
@@ -41,43 +41,6 @@ class IllConditionedError(Exception):
 
 class ThresholdNotFoundError(Exception):
     """No cutoff within the trusted window satisfies the smallness test."""
-
-
-def branch_sqrt(z):
-    """Principal square root with the argument taken in [-pi, pi).
-
-    Differs from the numpy convention only on the negative real axis, which
-    gets argument -pi (so its square root sits on the negative imaginary
-    axis).  Accepts scalars or arrays.
-    """
-    z = np.asarray(z, dtype=complex)
-    phi = np.angle(z)
-    phi = np.where(phi == np.pi, -np.pi, phi)
-    out = np.sqrt(np.abs(z)) * np.exp(0.5j * phi)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-@dataclass(frozen=True)
-class KOperator:
-    """Diagonal square root of the free resolvent on one truncation."""
-
-    basis: BasisIndexSet
-    lam: complex
-    diag: np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-
-def k_operator(basis: BasisIndexSet, lam: complex) -> KOperator:
-    lam = complex(lam)
-    free = basis.free_diagonal()
-    gaps = lam - free
-    if np.any(gaps == 0):
-        raise ValueError(f"lambda = {lam} is a free eigenvalue of the {basis.bc} truncation")
-    return KOperator(basis, lam, 1.0 / branch_sqrt(gaps))
 
 
 @dataclass
@@ -121,11 +84,6 @@ class ShiftedSolve:
 
 def shifted_solve(op: OperatorMatrix, lam: complex) -> ShiftedSolve:
     return ShiftedSolve(op, lam)
-
-
-def resolve(op: OperatorMatrix, lam: complex, rhs: np.ndarray) -> np.ndarray:
-    """Apply (lambda - L)^{-1} to one vector or a stack of columns."""
-    return shifted_solve(op, lam).solve(rhs)
 
 
 def _antidiagonal_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:

@@ -26,6 +26,7 @@ from diracproj.bounds import (
     violations,
     worst_ratios,
 )
+from diracproj.operator import disc_centers
 from diracproj.potential import (
     BC_TAGS,
     DIRICHLET,
@@ -40,6 +41,50 @@ from diracproj.resolvent import circle_samples, dominated_hs_norm
 # W(-2) = p(2)/2 = 1/2 is the only coupling coefficient: a one-point
 # envelope whose chains can be enumerated by hand
 ONE_POINT = PotentialSpec(p_even={2: 1.0}, q_even={}, p_odd={}, q_odd={}, max_mode=2)
+
+
+def _chain_sums_by_enumeration(spec, bc, s, N, K, samples=16):
+    """Chain sums from their summand definitions, every index in a box.
+
+    The box |x| <= K + 2 max_mode holds every index with a nonzero envelope
+    factor: an interior j needs |j + n| <= max_mode, a free end k needs
+    |k + j| <= max_mode.  Each chain is maximized over the circle samples
+    per free index, then summed.  The right-free chain is the left-free one
+    with the free end renamed, so it gets the same value.
+
+      s = 0  closed  r(2n)^2 / |l-n|^2
+             free    (r(k+n) / (|l-k| |l-n|))^2,                 k != n
+      s = 1  closed  (sum_j r(n+j)^2 / (|l-n|^2 |l-j|))^2
+             free    (sum_j r(k+j) r(j+n) / (|l-k| |l-j| |l-n|))^2, k != n
+             anchor  r(k+n)^2 r(n+m)^2 / (|l-k| |l-n| |l-m|)^2,  k, m != n
+    """
+    r = np.vectorize(r_sequence(spec, bc), otypes=[float])
+    box = np.arange(-K - 2 * spec.max_mode, K + 2 * spec.max_mode + 1)
+    sums = {"chain_closed": 0.0, "chain_left_free": 0.0}
+    if s == 1:
+        sums["chain_interior_anchor"] = 0.0
+    for n in disc_centers(bc, K):
+        if abs(n) <= N:
+            continue
+        lam = circle_samples(n, 0.5, samples)[:, None]
+        gap_n = np.abs(lam - n)
+        ends = box[box != n]
+        # (sample, k): r(k+n) / (|l-k| |l-n|) over the free ends k != n
+        end_terms = r(ends + n) / (np.abs(lam - ends) * gap_n)
+        if s == 0:
+            sums["chain_closed"] += float(np.max(r(2 * n) ** 2 / gap_n**2))
+            sums["chain_left_free"] += float((end_terms**2).max(axis=0).sum())
+            continue
+        inner = (r(n + box) ** 2 / (gap_n**2 * np.abs(lam - box))).sum(axis=1)
+        sums["chain_closed"] += float(np.max(inner**2))
+        # (sample, k, j): r(k+j) r(j+n) / (|l-k| |l-j| |l-n|)
+        links = r(ends[:, None] + box) * r(box + n) / np.abs(lam - box)[:, None, :]
+        chain = links.sum(axis=2) / (np.abs(lam - ends) * gap_n)
+        sums["chain_left_free"] += float((chain**2).max(axis=0).sum())
+        pairs = end_terms[:, :, None] ** 2 * (end_terms * gap_n)[:, None, :] ** 2
+        sums["chain_interior_anchor"] += float(pairs.max(axis=0).sum())
+    sums["chain_right_free"] = sums["chain_left_free"]
+    return sums
 
 
 class TestElementary:
@@ -214,7 +259,7 @@ class TestChainSums:
         assert len(checks) == 3
 
     def test_left_and_right_free_agree(self):
-        # the two mirrored code paths must land on identical numbers: the
+        # the left- and right-free rows must carry identical numbers: the
         # chains are term-by-term equal under renaming the free end
         for seed in range(3):
             spec = random_potential(seed)
@@ -224,6 +269,37 @@ class TestChainSums:
                 left = by_name["chain_left_free"].lhs
                 right = by_name["chain_right_free"].lhs
                 assert left == pytest.approx(right, rel=1e-12)
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("s", (0, 1))
+    def test_matches_box_enumeration(self, bc, s):
+        # N = 1 keeps the discs 2 <= |n| <= 4, where 2n is a support point
+        # and the k != n exclusions bite
+        for seed in range(3):
+            spec = random_potential(seed)
+            want = _chain_sums_by_enumeration(spec, bc, s, 1, 12)
+            got = {c.name: c.lhs for c in check_chain_sums(spec, bc, s, 1, 12)}
+            assert set(got) == set(want)
+            for name, value in want.items():
+                assert got[name] == pytest.approx(value, rel=1e-12), (seed, name)
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("s", (0, 1))
+    @pytest.mark.parametrize("N, K", [(1, 8), (4, 32), (8, 64)])
+    def test_envelope_read_once_per_point(self, monkeypatch, bc, s, N, K):
+        calls = []
+        original = RSequence.__call__
+
+        def counted(self, m):
+            calls.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(RSequence, "__call__", counted)
+        spec = random_potential(4)
+        check_chain_sums(spec, bc, s, N, K)
+        discs = sum(1 for n in disc_centers(bc, K) if abs(n) > N)
+        support = len(r_sequence(spec, bc).support)
+        assert len(calls) <= discs + support
 
     def test_rejects_unsupported_order(self):
         with pytest.raises(ValueError):

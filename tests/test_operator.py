@@ -15,7 +15,29 @@ from diracproj.operator import (
     eigenbasis_condition,
     lattice_points,
 )
-from diracproj.potential import DIRICHLET, PER_MINUS, PER_PLUS, PotentialSpec
+from diracproj.potential import (
+    DIRICHLET,
+    PER_MINUS,
+    PER_PLUS,
+    PotentialSpec,
+    dirichlet_w,
+    random_potential,
+)
+
+
+def _per_entry_coupling(spec, bc, K):
+    """Coupling matrix filled one entry at a time from the coefficient maps."""
+    basis = basis_index_set(bc, K)
+    ns = lattice_points(bc, K)
+    entries = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for k in ns:
+        for n in ns:
+            if bc == DIRICHLET:
+                entries[basis.position(k, 0), basis.position(n, 0)] = dirichlet_w(spec, k + n)
+            else:
+                entries[basis.position(k, 2), basis.position(n, 1)] = spec.q(k + n)
+                entries[basis.position(k, 1), basis.position(n, 2)] = spec.p(-k - n)
+    return entries
 
 
 class TestLattices:
@@ -132,6 +154,14 @@ class TestCouplingMatrix:
                 assert v.entries[b.position(*row), b.position(*col)] == pytest.approx(
                     w(row[0] + col[0]), abs=1e-15
                 )
+
+    @pytest.mark.parametrize("bc", (PER_PLUS, PER_MINUS, DIRICHLET))
+    @pytest.mark.parametrize("max_mode", (7, 8))
+    def test_table_lookup_matches_per_entry_fill(self, bc, max_mode):
+        spec = random_potential(11, max_mode=max_mode)
+        for K in (0, 1, 3, 8, 32, 128):
+            want = _per_entry_coupling(spec, bc, K)
+            assert np.array_equal(build_v(spec, bc, K).entries, want), K
 
     def test_build_operator_is_sum(self):
         spec = PotentialSpec(p_even={2: 1.0}, q_even={0: 1j}, p_odd={}, q_odd={}, max_mode=2)

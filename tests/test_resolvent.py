@@ -1,11 +1,14 @@
 """Branch choice, shifted solves, and the off-diagonal smallness test."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from diracproj.operator import (
+    BasisIndexSet,
+    OperatorMatrix,
     basis_index_set,
     build_free,
     build_operator,
@@ -23,17 +26,59 @@ from diracproj.potential import (
 from diracproj.resolvent import (
     IllConditionedError,
     ThresholdNotFoundError,
-    branch_sqrt,
     circle_norm_profile,
     circle_samples,
     dominated_hs_norm,
     find_threshold_n,
-    k_operator,
     kvk_hs_norm,
-    resolve,
     shifted_solve,
     threshold_from_profile,
 )
+
+
+# The diagonal square root K of the free resolvent and a one-shot shifted
+# solve, built explicitly: the dense oracles for the lattice double sums.
+
+def branch_sqrt(z):
+    """Principal square root with the argument taken in [-pi, pi).
+
+    Differs from the numpy convention only on the negative real axis, which
+    gets argument -pi (so its square root sits on the negative imaginary
+    axis).  Accepts scalars or arrays.
+    """
+    z = np.asarray(z, dtype=complex)
+    phi = np.angle(z)
+    phi = np.where(phi == np.pi, -np.pi, phi)
+    out = np.sqrt(np.abs(z)) * np.exp(0.5j * phi)
+    if out.ndim == 0:
+        return complex(out)
+    return out
+
+
+@dataclass(frozen=True)
+class KOperator:
+    """Diagonal square root of the free resolvent on one truncation."""
+
+    basis: BasisIndexSet
+    lam: complex
+    diag: np.ndarray
+
+    def as_matrix(self) -> np.ndarray:
+        return np.diag(self.diag)
+
+
+def k_operator(basis: BasisIndexSet, lam: complex) -> KOperator:
+    lam = complex(lam)
+    free = basis.free_diagonal()
+    gaps = lam - free
+    if np.any(gaps == 0):
+        raise ValueError(f"lambda = {lam} is a free eigenvalue of the {basis.bc} truncation")
+    return KOperator(basis, lam, 1.0 / branch_sqrt(gaps))
+
+
+def resolve(op: OperatorMatrix, lam: complex, rhs: np.ndarray) -> np.ndarray:
+    """Apply (lambda - L)^{-1} to one vector or a stack of columns."""
+    return shifted_solve(op, lam).solve(rhs)
 
 
 class TestBranchSqrt:

@@ -210,9 +210,13 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenbasis_condition(op: OperatorMatrix) -> float:
+    """1-norm condition ||V||_1 ||V^{-1}||_1 of the eigenvector basis; inf if V is singular."""
     if "cond" not in op._aux_cache:
         _, vecs = eigen(op)
-        op._aux_cache["cond"] = float(np.linalg.cond(vecs))
+        try:
+            op._aux_cache["cond"] = float(np.linalg.norm(vecs, 1) * np.linalg.norm(eigenbasis_inverse(op), 1))
+        except np.linalg.LinAlgError:
+            op._aux_cache["cond"] = np.inf
     return op._aux_cache["cond"]
 
 

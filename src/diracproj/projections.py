@@ -11,16 +11,19 @@ which for each eigenvalue mu of L is a scalar filter: exactly
 -1/(d^M - 1) when outside.  Both tails die geometrically in M, which is
 why node-doubling checks are a meaningful convergence diagnostic.
 
-Two evaluation routes are kept.  The spectral route diagonalizes L once and
-applies the identical quadrature sum to each eigenvalue (legitimate by
-linearity, and cheap enough to make large node counts free).  Only the few
-eigenvalues inside or near the contour have a filter value above roundoff,
-so the spectral route keeps those r columns and returns P as the rank-r
-product V[:, S] diag(f_S) V^{-1}[S, :], at O(dim^2 r) cost per contour.
-The lu route factors (lambda_j - L) node by node and never forms an
-eigendecomposition; it is the fallback when the eigenvector basis is
-ill-conditioned and the cross-check in tests.  Both share the same
-proximity and quality gates.
+Two evaluation routes are kept; both apply the same filter rule and gates.
+The spectral route diagonalizes L once and applies the identical quadrature
+sum to each eigenvalue (legitimate by linearity, and cheap enough to make
+large node counts free).  Only the few eigenvalues inside or near the
+contour have a filter value above roundoff, so the spectral route keeps
+those r columns and returns P as the rank-r product
+V[:, S] diag(f_S) V^{-1}[S, :], at O(dim^2 r) cost per contour.  When the
+eigenvector basis is ill-conditioned (defective truncations), the Schur
+route reorders one complex Schur form L = Z T Z^H so that S leads, solves
+one Sylvester equation for the coupling X, and filters the triangular
+r x r block, again in O(dim^2 r) per contour (Golub & Van Loan 7.6; Bai &
+Demmel 1993).  The dense LU quadrature, node by node, survives only in the
+tests as the oracle for both.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .operator import (
     OperatorMatrix,
@@ -39,7 +43,7 @@ from .operator import (
     eigenbasis_inverse,
 )
 from .potential import validate_bc
-from .resolvent import shifted_solve
+from .resolvent import CONDITION_LIMIT
 
 PROXIMITY_TOL = 1e-6
 QUALITY_TOL = 1e-6
@@ -86,10 +90,18 @@ class ProjectionResult:
     rank: int
     idempotency_residual: float
     contour: ContourSpec | None
+    route: str | None = None
 
     @property
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
+
+
+def _filter(contour: ContourSpec, mu: np.ndarray) -> np.ndarray:
+    """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) at each value of mu."""
+    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
+    lams = contour.center + contour.radius * phases
+    return (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - mu[:, None])).sum(axis=1)
 
 
 def _quadrature_spectral(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -100,37 +112,53 @@ def _quadrature_spectral(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.n
     leaks to far eigenvalues, keep everything that matters.
     """
     vals, vecs = eigen(op)
-    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
-    lams = contour.center + contour.radius * phases
-    # filter value per eigenvalue: (R/M) sum_j z_j / (lambda_j - mu)
-    filt = (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - vals[:, None])).sum(axis=1)
+    filt = _filter(contour, vals)
     keep = np.flatnonzero(np.abs(filt) > FILTER_FLOOR)
     return vecs[:, keep] * filt[keep], eigenbasis_inverse(op)[keep, :]
 
 
-def _quadrature_lu(op: OperatorMatrix, contour: ContourSpec) -> np.ndarray:
-    ident = np.eye(op.dim, dtype=complex)
-    acc = np.zeros((op.dim, op.dim), dtype=complex)
-    for lam, phase in zip(contour.points(), np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)):
-        acc += phase * shifted_solve(op, lam).solve(ident)
-    return (contour.radius / contour.nodes) * acc
+def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    if "schur" not in op._aux_cache:
+        op._aux_cache["schur"] = scipy.linalg.schur(op.entries, output="complex")
+    return op._aux_cache["schur"]
+
+
+def _quadrature_schur(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (Z1 F, [I, -X] Z^H): S from diag(T) moved to the leading block
+    T11, T11 X - X T22 = -T12, F the trapezoid filter of T11 itself.  Refuses
+    when LAPACK fails or the projector norm sqrt(1 + ||X||_F^2) exceeds
+    CONDITION_LIMIT.
+    """
+    T, Z = _schur_form(op)
+    select = np.abs(_filter(contour, np.diagonal(T))) > FILTER_FLOOR
+    T, Z, _, r, _, _, info = scipy.linalg.lapack.ztrsen(select, T, Z, job="N")
+    X, scale = np.zeros((r, op.dim - r), dtype=complex), 1.0
+    if info == 0 and 0 < r < op.dim:
+        X, scale, info = scipy.linalg.lapack.ztrsyl(T[:r, :r], T[r:, r:], -T[:r, r:], isgn=-1)
+    norm = math.hypot(1.0, float(np.linalg.norm(X)))
+    if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
+        raise ProjectionQualityError(
+            f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
+            f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
+        )
+    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
+    shifted = contour.points()[:, None, None] * np.eye(r) - T[:r, :r]
+    filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
+    return Z[:, :r] @ filt, Z[:, :r].conj().T - X @ Z[:, r:].conj().T
 
 
 def riesz_projection(
     op: OperatorMatrix,
     contour: ContourSpec,
     quality_threshold: float | None = QUALITY_TOL,
-    method: str = "auto",
 ) -> ProjectionResult:
     """Contour-quadrature spectral projection with proximity/quality gates.
 
     Refuses when an eigenvalue of the truncation lies within PROXIMITY_TOL
     of the contour.  With quality_threshold = None the idempotency and rank
     gates are skipped (used by node-convergence studies that build coarse
-    projections on purpose).
+    projections on purpose).  Schur route above SPECTRAL_COND_LIMIT.
     """
-    if method not in ("auto", "spectral", "lu"):
-        raise ValueError(f"unknown method {method!r}")
     vals, _ = eigen(op)
     offsets = np.abs(np.abs(vals - contour.center) - contour.radius)
     worst = int(np.argmin(offsets))
@@ -139,16 +167,11 @@ def riesz_projection(
             f"eigenvalue {vals[worst]} lies within {PROXIMITY_TOL:.0e} of the contour "
             f"|z - {contour.center}| = {contour.radius}"
         )
-    if method == "auto":
-        method = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "lu"
-    if method == "spectral":
-        left, right = _quadrature_spectral(op, contour)
-        matrix = left @ right
-        # P^2 = left (right left) right, with the r x r product in the middle
-        residual = float(np.linalg.norm(left @ ((right @ left) @ right) - matrix))
-    else:
-        matrix = _quadrature_lu(op, contour)
-        residual = float(np.linalg.norm(matrix @ matrix - matrix))
+    route = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "schur"
+    left, right = (_quadrature_spectral if route == "spectral" else _quadrature_schur)(op, contour)
+    matrix = left @ right
+    # P^2 = left (right left) right, with the r x r product in the middle
+    residual = float(np.linalg.norm(left @ ((right @ left) @ right) - matrix))
 
     trace = complex(np.trace(matrix))
     rank = int(round(trace.real))
@@ -161,7 +184,7 @@ def riesz_projection(
             raise ProjectionQualityError(
                 f"idempotency residual {residual:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
             )
-    return ProjectionResult(matrix, rank, residual, contour)
+    return ProjectionResult(matrix, rank, residual, contour, route)
 
 
 def free_projection(bc: str, n: int, K: int) -> ProjectionResult:

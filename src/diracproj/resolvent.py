@@ -1,8 +1,9 @@
 """Shifted solves (lambda - L)^{-1} and the Hilbert-Schmidt smallness test.
 
 Two routes to the resolvent live here.  ShiftedSolve factors the shifted
-truncation once, behind a conditioning gate, and solves against it; the
-dense contour quadrature consumes it through shifted_solve().
+truncation once, behind a conditioning gate, and solves against it; only
+the tests' dense LU projection oracle uses it.  CONDITION_LIMIT also caps
+the projector norm the Schur projection route accepts.
 kvk_hs_norm() never touches a matrix: it evaluates the lattice double sum
 
     ||K V K||_HS^2 = sum_{i,k} w(i + k) / (|lambda - i| |lambda - k|)

@@ -23,7 +23,7 @@ from diracproj.cli import (
     main,
 )
 from diracproj.projections import riesz_projection
-from diracproj.resolvent import circle_norm_profile
+from diracproj.resolvent import ShiftedSolve, circle_norm_profile
 
 SMALL = {
     "max_mode": 2,
@@ -31,6 +31,8 @@ SMALL = {
     "q_even": [[-2, 0.1, 0.05]],
 }
 HUGE = {"max_mode": 2, "p_even": [[2, 50.0, 0.0]]}
+# Q = 0 with p(-4) != 0: the per+ truncation has Jordan blocks at n = +-2
+P_ONLY = {"max_mode": 4, "p_even": [[-4, 0.3, 0.0], [2, 0.2, 0.1]]}
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
@@ -464,6 +466,17 @@ class TestWorkPerJob:
             )
         else:
             assert contours == []
+
+    def test_defective_deviations_use_one_schur_form(self, monkeypatch, tmp_path):
+        path = tmp_path / "p_only.json"
+        path.write_text(json.dumps(P_ONLY), encoding="utf-8")
+        schurs = count_calls(monkeypatch, scipy.linalg.schur, owners=[scipy.linalg])
+        solves = []
+        post_init = ShiftedSolve.__post_init__
+        monkeypatch.setattr(ShiftedSolve, "__post_init__", lambda self: solves.append(self) or post_init(self))
+        argv = ["deviations", "--bc", "per+", "--K", "32", "--potential", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_OK
+        assert (len(solves), len(schurs)) == (0, 1)
 
     def test_classify_bc_does_no_spectral_work(self, monkeypatch, capsys):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])

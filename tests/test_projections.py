@@ -4,8 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diracproj.operator import build_free, build_operator, disc_centers, eigen, eigenbasis_inverse
+from diracproj.operator import (
+    OperatorMatrix,
+    basis_index_set,
+    build_free,
+    build_operator,
+    disc_centers,
+    eigen,
+    eigenbasis_condition,
+    eigenbasis_inverse,
+)
 from diracproj.potential import (
     DIRICHLET,
     PER_MINUS,
@@ -18,6 +29,9 @@ from diracproj.projections import (
     ContourProximityError,
     ContourSpec,
     ProjectionQualityError,
+    SPECTRAL_COND_LIMIT,
+    _quadrature_schur,
+    _quadrature_spectral,
     default_global_nodes,
     deviation,
     deviation_report,
@@ -26,9 +40,17 @@ from diracproj.projections import (
     localization_counts,
     riesz_projection,
 )
-from diracproj.resolvent import find_threshold_n
+from diracproj.resolvent import IllConditionedError, find_threshold_n, shifted_solve
 
 CONST = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
+
+
+def _quadrature_lu(op: OperatorMatrix, contour: ContourSpec) -> np.ndarray:
+    ident = np.eye(op.dim, dtype=complex)
+    acc = np.zeros((op.dim, op.dim), dtype=complex)
+    for lam, phase in zip(contour.points(), np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)):
+        acc += phase * shifted_solve(op, lam).solve(ident)
+    return (contour.radius / contour.nodes) * acc
 
 
 class TestContourSpec:
@@ -74,20 +96,20 @@ class TestRieszProjection:
         assert p.rank == p0.rank
 
     def test_routes_agree(self):
+        # spectral factors, Schur factors and the LU oracle on one operator;
+        # the automatic choice is the spectral route, bit for bit
         spec = random_potential(1, norm=0.5)
         op = build_operator(spec, PER_PLUS, 8)
         contour = ContourSpec(4, 0.5, 64)
-        a = riesz_projection(op, contour, method="spectral")
-        b = riesz_projection(op, contour, method="lu")
-        c = riesz_projection(op, contour, method="auto")
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
-        assert np.max(np.abs(a.matrix - c.matrix)) == 0.0
-        assert a.rank == b.rank
-
-    def test_unknown_method_rejected(self):
-        op = build_free(PER_PLUS, 8)
-        with pytest.raises(ValueError):
-            riesz_projection(op, ContourSpec(2, 0.5, 64), method="simpson")
+        a = np.matmul(*_quadrature_spectral(op, contour))
+        s = np.matmul(*_quadrature_schur(op, contour))
+        b = _quadrature_lu(op, contour)
+        c = riesz_projection(op, contour)
+        assert np.max(np.abs(a - b)) < 1e-9
+        assert np.max(np.abs(s - b)) < 1e-9
+        assert c.route == "spectral"
+        assert np.max(np.abs(a - c.matrix)) == 0.0
+        assert c.rank == int(round(np.trace(b).real))
 
     def test_eigenvalue_on_contour_refused(self):
         op = build_free(DIRICHLET, 8)
@@ -148,6 +170,7 @@ class TestLowRankSpectralRoute:
     it must reproduce the dense filter over all of them."""
 
     def check(self, op, p):
+        assert p.route == "spectral"
         dense = dense_spectral_projection(op, p.contour)
         assert np.max(np.abs(p.matrix - dense)) <= 1e-12
         assert p.rank == int(round(np.trace(dense).real))
@@ -163,7 +186,7 @@ class TestLowRankSpectralRoute:
         N = find_threshold_n(spec, bc, 32)
         for n in disc_centers(bc, 16):
             if abs(n) > N:
-                self.check(op, riesz_projection(op, ContourSpec(n, 0.5, 64), method="spectral"))
+                self.check(op, riesz_projection(op, ContourSpec(n, 0.5, 64)))
         self.check(op, global_projection(op, N))
 
     @pytest.mark.parametrize("bc", BC_TAGS)
@@ -172,9 +195,84 @@ class TestLowRankSpectralRoute:
         # choosing them by position would miss terms the dense sum has
         op = build_operator(random_potential(3, norm=0.3), bc, 32)
         n = 5 if bc == PER_MINUS else 6
-        p = riesz_projection(op, ContourSpec(n, 0.5, 8), quality_threshold=None, method="spectral")
+        p = riesz_projection(op, ContourSpec(n, 0.5, 8), quality_threshold=None)
         self.check(op, p)
         assert p.idempotency_residual > 1e-6
+
+
+def coupled_triangle(coupling):
+    """Upper-triangular 3 x 3 operator with eigenvalues 0, 0.9, 2 and the
+    first two coupled: its eigenbasis condition grows like the coupling."""
+    entries = np.diag([0.0, 0.9, 2.0]).astype(complex)
+    entries[0, 1] = coupling
+    return OperatorMatrix(basis_index_set(DIRICHLET, 1), entries)
+
+
+def structured_potential(seed, p_scale, q_scale):
+    """random_potential(seed, norm=0.3) with P and Q scaled separately."""
+    v = random_potential(seed, norm=0.3)
+    p = {m: p_scale * c for m, c in (*v.p_even.items(), *v.p_odd.items())}
+    q = {m: q_scale * c for m, c in (*v.q_even.items(), *v.q_odd.items())}
+    return PotentialSpec(
+        p_even={m: c for m, c in p.items() if m % 2 == 0},
+        q_even={m: c for m, c in q.items() if m % 2 == 0},
+        p_odd={m: c for m, c in p.items() if m % 2 != 0},
+        q_odd={m: c for m, c in q.items() if m % 2 != 0},
+        max_mode=v.max_mode,
+    )
+
+
+EPSILON = st.one_of(st.just(0.0), st.floats(-10.0, -1.0).map(lambda e: 10.0**e))
+# (P scale, Q scale): P-only, Q-only and nearly defective P-only + eps Q
+SCALES = st.one_of(st.just((1.0, 0.0)), st.just((0.0, 1.0)), EPSILON.map(lambda e: (1.0, e)))
+
+
+class TestSchurRoute:
+    """Ill-conditioned eigenbases take the sorted-Schur route; it must agree
+    with the dense LU quadrature and refuse what it cannot certify."""
+
+    def test_certification_refuses_huge_coupling(self):
+        op = coupled_triangle(1e14)
+        contour = ContourSpec(0, 0.5, 64)
+        assert eigenbasis_condition(op) > SPECTRAL_COND_LIMIT
+        # the certification holds even with the node-count gates off
+        for threshold in (1e-6, None):
+            with pytest.raises(ProjectionQualityError, match="projector norm"):
+                riesz_projection(op, contour, quality_threshold=threshold)
+        with pytest.raises(IllConditionedError):
+            _quadrature_lu(op, contour)
+
+    def test_moderate_coupling_matches_oracle(self):
+        op = coupled_triangle(1e2)
+        contour = ContourSpec(0, 0.5, 64)
+        p = np.matmul(*_quadrature_schur(op, contour))
+        want = _quadrature_lu(op, contour)
+        assert np.max(np.abs(p - want)) <= 1e-10
+        assert np.max(np.abs(riesz_projection(op, contour).matrix - want)) <= 1e-10
+
+    def test_defective_truncation_and_coarse_contour(self):
+        op = build_operator(structured_potential(0, 1.0, 0.0), PER_PLUS, 16)
+        p = riesz_projection(op, ContourSpec(8, 0.5, 64))
+        assert p.route == "schur"
+        assert p.rank == 2
+        # the filter acts on the triangular block, so 8 nodes stay inexact
+        with pytest.raises(ProjectionQualityError):
+            riesz_projection(op, ContourSpec(8, 0.5, 8))
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), scales=SCALES, bc=st.sampled_from(BC_TAGS))
+    def test_auto_route_matches_lu_oracle(self, seed, scales, bc):
+        spec = structured_potential(seed, *scales)
+        op = build_operator(spec, bc, 16)
+        N = find_threshold_n(spec, bc, 16)
+        route = "schur" if eigenbasis_condition(op) > SPECTRAL_COND_LIMIT else "spectral"
+        contours = [ContourSpec(n, 0.5, 64) for n in disc_centers(bc, 8) if abs(n) > N]
+        for contour in contours + [global_projection(op, N).contour]:
+            p = riesz_projection(op, contour)
+            want = _quadrature_lu(op, contour)
+            assert p.route == route
+            assert np.max(np.abs(p.matrix - want)) <= 1e-10
+            assert p.rank == int(round(np.trace(want).real))
 
 
 class TestGlobalProjection:

@@ -36,6 +36,7 @@ import scipy
 
 from . import __version__
 from .bounds import (
+    BATTERY_CUTOFFS,
     check_elementary,
     run_battery,
     violations,
@@ -372,6 +373,11 @@ def _params_str(parameters: dict) -> str:
 
 
 def cmd_verify_bounds(cfg: RunConfig, draws: int, window: int, self_test: bool) -> int:
+    if draws < 1:
+        raise ConfigError(f"--draws must be a positive integer, got {draws}")
+    cutoff = max(BATTERY_CUTOFFS)
+    if window <= cutoff:
+        raise ConfigError(f"--window must exceed the battery's cutoff N = {cutoff}, got {window}")
     started = time.perf_counter()
     out = _outdir(cfg)
     checks: list[BoundCheck] = list(check_elementary(n_max=1000))

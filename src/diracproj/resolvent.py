@@ -4,7 +4,8 @@ Two routes to the resolvent live here.  ShiftedSolve factors the shifted
 truncation once, behind a conditioning gate, and solves against it; only
 the tests' dense LU projection oracle uses it.  CONDITION_LIMIT also caps
 the projector norm the Schur projection route accepts.
-kvk_hs_norm() never touches a matrix: it evaluates the lattice double sum
+The smallness test never touches a matrix: it evaluates the lattice
+double sum
 
     ||K V K||_HS^2 = sum_{i,k} w(i + k) / (|lambda - i| |lambda - k|)
 
@@ -18,9 +19,10 @@ The smallness test drives everything else: once the circle of radius 1/2
 around a lattice point n has max ||K V K||_HS <= 1/2, the resolvent exists
 on that circle and the Riesz projection for the disc is trustworthy.
 circle_norm_profile evaluates the double sum for every disc and circle
-sample of the trusted window in one broadcast pass (kvk_hs_norm is the
-same sum at one point), and threshold_from_profile reads off the smallest
-cutoff N beyond which every disc passes.
+sample of the trusted window in one broadcast pass, and
+threshold_from_profile reads off the smallest cutoff N beyond which every
+disc passes.  The same kernel, fed the envelope weights r(j)^2, gives the
+bound audit's dominated double sum.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .operator import OperatorMatrix, disc_centers, eigen, lattice_points
-from .potential import DIRICHLET, PotentialSpec, dirichlet_w, r_sequence, validate_bc
+from .potential import DIRICHLET, PotentialSpec, dirichlet_w
 
 CONDITION_LIMIT = 1e12
 
@@ -101,75 +103,30 @@ def _antidiagonal_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
     }
 
 
-def _lattice_double_sum(weights: dict[int, float], lat: np.ndarray, lam: complex) -> float:
-    gaps = np.abs(lam - lat)
-    if np.any(gaps == 0):
-        raise ValueError(f"lambda = {lam} lies on the free lattice")
-    inv = 1.0 / gaps
-    lo, hi = int(lat[0]), int(lat[-1])
-    total = 0.0
-    # partners j - i stay on the lattice automatically: j carries
-    # coefficient mass only when it has the right parity
-    for j, w in weights.items():
-        if w == 0.0:
-            continue
-        partners = j - lat
-        mask = (partners >= lo) & (partners <= hi)
-        if not np.any(mask):
-            continue
-        inv_partner = 1.0 / np.abs(lam - partners[mask])
-        total += w * float(np.dot(inv[mask], inv_partner))
-    return total
-
-
-def kvk_hs_norm(spec: PotentialSpec, bc: str, lam: complex, K: int) -> float:
-    """HS norm of K V K on the size-K truncation, by lattice sums alone."""
-    validate_bc(bc)
-    lat = np.array(lattice_points(bc, K), dtype=float)
-    return float(np.sqrt(_lattice_double_sum(_antidiagonal_weights(spec, bc), lat, complex(lam))))
-
-
-def dominated_hs_norm(spec: PotentialSpec, bc: str, lam: complex, K: int) -> float:
-    """Same double sum with the dominating envelope r in place of p, q.
-
-    Always >= kvk_hs_norm for the same arguments, since
-    r(j)^2 >= |q(j)|^2 + |p(-j)|^2 pointwise.
-    """
-    validate_bc(bc)
-    r = r_sequence(spec, bc)
-    weights = {j: v * v for j, v in r.values.items()}
-    lat = np.array(lattice_points(bc, K), dtype=float)
-    return float(np.sqrt(_lattice_double_sum(weights, lat, complex(lam))))
-
-
 def circle_samples(center: complex, radius: float, count: int) -> np.ndarray:
     theta = 2 * np.pi * np.arange(count) / count
     return center + radius * np.exp(1j * theta)
 
 
-def circle_norm_profile(
-    spec: PotentialSpec, bc: str, K: int, samples_per_circle: int = 16
-) -> dict[int, float]:
-    """Worst sampled ||K V K||_HS on the radius-1/2 circle of each disc.
+def _circle_double_sums(
+    weights: dict[int, float], bc: str, K: int, centers: np.ndarray, samples: int
+) -> np.ndarray:
+    """sum_j w(j) sum_i 1 / (|l - i| |l - (j - i)|) over the size-K lattice.
 
-    Covers every nonzero lattice point in the trusted window |n| <= K/2.
-    All (disc, sample, lattice point) gaps are evaluated at once; the
-    lattice is symmetric with step s, so the partner j - lat[i] of lattice
-    point i sits at index (L - 1 - i) + j/s, and each anti-diagonal j
-    reduces to one shifted product of the reciprocal gaps with their
-    reversal.  kvk_hs_norm evaluates the same sum at one point.
+    Evaluated at every (disc, sample) point l of the radius-1/2 circles
+    around `centers`, in one broadcast pass.  The lattice is symmetric with
+    step s, so the partner j - lat[i] of lattice point i sits at index
+    (L - 1 - i) + j/s, and each anti-diagonal j reduces to one shifted
+    product of the reciprocal gaps with their reversal.
     """
-    if samples_per_circle < 4:
-        raise ValueError("samples_per_circle must be at least 4")
-    centers = np.array([n for n in disc_centers(bc, K / 2) if n != 0], dtype=float)
     lat = np.array(lattice_points(bc, K), dtype=float)
     step = 1 if bc == DIRICHLET else 2
-    lams = circle_samples(centers[:, None], 0.5, samples_per_circle)
+    lams = circle_samples(centers[:, None], 0.5, samples)
     inv = 1.0 / np.abs(lams[:, :, None] - lat)
     rev = inv[:, :, ::-1]
     L = lat.size
     total = np.zeros(lams.shape)
-    for j, w in _antidiagonal_weights(spec, bc).items():
+    for j, w in weights.items():
         t = j // step
         if w == 0.0 or abs(t) >= L:
             continue
@@ -177,6 +134,22 @@ def circle_norm_profile(
             total += w * np.einsum("dsi,dsi->ds", inv[:, :, t:], rev[:, :, : L - t])
         else:
             total += w * np.einsum("dsi,dsi->ds", inv[:, :, : L + t], rev[:, :, -t:])
+    return total
+
+
+def circle_norm_profile(
+    spec: PotentialSpec, bc: str, K: int, samples_per_circle: int = 16
+) -> dict[int, float]:
+    """Worst sampled ||K V K||_HS on the radius-1/2 circle of each disc.
+
+    Covers every nonzero lattice point in the trusted window |n| <= K/2;
+    the squared norms are _circle_double_sums with the anti-diagonal
+    weights w.
+    """
+    if samples_per_circle < 4:
+        raise ValueError("samples_per_circle must be at least 4")
+    centers = np.array([n for n in disc_centers(bc, K / 2) if n != 0], dtype=float)
+    total = _circle_double_sums(_antidiagonal_weights(spec, bc), bc, K, centers, samples_per_circle)
     worst = np.sqrt(total.max(axis=1))
     return {int(n): float(v) for n, v in zip(centers, worst)}
 

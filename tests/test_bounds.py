@@ -36,7 +36,8 @@ from diracproj.potential import (
     r_sequence,
     random_potential,
 )
-from diracproj.resolvent import circle_samples, dominated_hs_norm
+from diracproj.resolvent import circle_samples
+from test_resolvent import dominated_hs_norm
 
 # W(-2) = p(2)/2 = 1/2 is the only coupling coefficient: a one-point
 # envelope whose chains can be enumerated by hand
@@ -85,6 +86,67 @@ def _chain_sums_by_enumeration(spec, bc, s, N, K, samples=16):
         sums["chain_interior_anchor"] += float(pairs.max(axis=0).sum())
     sums["chain_right_free"] = sums["chain_left_free"]
     return sums
+
+
+def _grid_shift_sum_by_loop(r, n, window):
+    """grid_shift_sum's lhs, one support point at a time over the window."""
+    d = r.step
+    t = np.arange(-window, window + 1)
+    t = t[t != 0]
+    i = n + d * t
+    inv_i = 1.0 / np.abs(n - i).astype(float)
+    js = np.array(r.support, dtype=int)
+    ws = np.array([r(int(j)) ** 2 for j in js], dtype=float)
+    lhs_grid = 0.0
+    for j, w in zip(js, ws):
+        k = j - i
+        mask = (k != n) & (np.abs(k - n) <= d * window)
+        if np.any(mask):
+            lhs_grid += w * float((inv_i[mask] / np.abs(n - k[mask])).sum())
+    return lhs_grid
+
+
+def _tail_sums_by_loop(r, N, K):
+    """The four tail sums' lhs, the windowed grids one support point at a
+    time over (n, window offset)."""
+    d = r.step
+    ns = np.array([n for n in range(-K, K + 1) if abs(n) > N])
+    js = np.array(r.support, dtype=int)
+    ws = np.array([r(int(j)) ** 2 for j in js], dtype=float)
+    gaps = np.abs(2 * ns[:, None] - js[None, :]).astype(float)
+    live = gaps > 0
+    inv = np.where(live, 1.0 / np.where(live, gaps, 1.0), 0.0)
+    lhs_sq = float((inv**2 @ ws).sum())
+    row_sums = inv @ ws
+    lhs_pair = float((row_sums**2).sum())
+    T = 2 * K
+    t = np.arange(-T, T + 1)
+    t = t[t != 0]
+    i = ns[:, None] + d * t[None, :]
+    inv_i = 1.0 / (d * np.abs(t)).astype(float)[None, :]
+    lhs_grid_sq = 0.0
+    mixed_inner = np.zeros(ns.size)
+    for j, w in zip(js, ws):
+        k = j - i
+        dist = np.abs(k - ns[:, None])
+        mask = (dist > 0) & (dist <= d * T)
+        inv_k = np.where(mask, 1.0 / np.where(mask, dist.astype(float), 1.0), 0.0)
+        lhs_grid_sq += w * float(((inv_i * inv_k) ** 2).sum())
+        mixed_inner += w * (inv_i * inv_k**2).sum(axis=1)
+    lhs_mixed = float((row_sums * mixed_inner).sum())
+    return {
+        "tail_sum_sq": lhs_sq,
+        "tail_sum_pair": lhs_pair,
+        "tail_sum_grid_sq": lhs_grid_sq,
+        "tail_sum_mixed": lhs_mixed,
+    }
+
+
+def _assert_rel(got, want, tol, label):
+    if want == 0.0:
+        assert got == 0.0, label
+    else:
+        assert abs(got - want) <= tol * abs(want), label
 
 
 class TestElementary:
@@ -222,6 +284,42 @@ class TestTailSums:
         second = {c.name: c.ratio for c in check_tail_sums(r, 8, 256)}
         for name, ratio in first.items():
             assert second[name] == pytest.approx(ratio, rel=0.10)
+
+
+class TestOffsetKernelOracles:
+    """The convolution tables against the per-support-point loops."""
+
+    CASES = [(1, 2), (2, 3), (1, 8), (4, 32), (8, 256)]
+    # a point mass off the origin and a support wider than the window put
+    # offsets j - 2n beyond the convolution's reach
+    EDGE_ENVELOPES = [
+        RSequence({6: 1.0}, step=1),
+        RSequence({-40: 1.0, 0: 2.0, 40: 0.5}, step=2),
+        RSequence({m: 1.0 + 0.02 * m for m in range(-30, 31)}, step=1),
+    ]
+
+    @staticmethod
+    def _assert_matches_loops(r, N, K, label):
+        want = _tail_sums_by_loop(r, N, K)
+        got = {c.name: c.lhs for c in check_tail_sums(r, N, K)}
+        assert list(got) == list(want)
+        for name, value in want.items():
+            _assert_rel(got[name], value, 1e-12, (*label, N, K, name))
+        for n in (N + 1, -N - 1):
+            _, grid = check_shift_sums(r, n, window=K)
+            _assert_rel(grid.lhs, _grid_shift_sum_by_loop(r, n, K), 1e-12, (*label, n, K))
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_random_envelopes(self, bc):
+        for seed in range(3):
+            r = r_sequence(random_potential(seed), bc)
+            for N, K in self.CASES:
+                self._assert_matches_loops(r, N, K, (bc, seed))
+
+    def test_offsets_beyond_reach(self):
+        for r in self.EDGE_ENVELOPES:
+            for N, K in self.CASES[:3]:
+                self._assert_matches_loops(r, N, K, (r.support[0],))
 
 
 class TestChainSums:

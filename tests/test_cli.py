@@ -374,6 +374,18 @@ class TestVerifyBounds:
         _, rows = read_csv(out / "bounds.csv")
         assert rows[0][0] == "row_shift_sum" and rows[0][1] == "self_test=1"
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--draws", "0"), ("--draws", "-1"), ("--window", "0"), ("--window", "8")]
+    )
+    def test_rejected_arguments(self, tmp_path, capsys, flag, value):
+        # no draws audits no potential; a window at or below the battery's
+        # cutoff N = 8 leaves no disc beyond it
+        out = tmp_path / "run"
+        code = main(["verify-bounds", "--window", "32", "--draws", "1", flag, value, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestThreshold:
     def test_outputs(self, tmp_path, small_potential):

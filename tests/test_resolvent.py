@@ -21,19 +21,64 @@ from diracproj.potential import (
     PER_PLUS,
     BC_TAGS,
     PotentialSpec,
+    r_sequence,
     random_potential,
+    validate_bc,
 )
 from diracproj.resolvent import (
     IllConditionedError,
     ThresholdNotFoundError,
+    _antidiagonal_weights,
     circle_norm_profile,
     circle_samples,
-    dominated_hs_norm,
     find_threshold_n,
-    kvk_hs_norm,
     shifted_solve,
     threshold_from_profile,
 )
+
+
+# One-point oracles for the broadcast smallness kernel: the lattice double
+# sum at a single lambda, one anti-diagonal at a time.
+
+def _lattice_double_sum(weights: dict[int, float], lat: np.ndarray, lam: complex) -> float:
+    gaps = np.abs(lam - lat)
+    if np.any(gaps == 0):
+        raise ValueError(f"lambda = {lam} lies on the free lattice")
+    inv = 1.0 / gaps
+    lo, hi = int(lat[0]), int(lat[-1])
+    total = 0.0
+    # partners j - i stay on the lattice automatically: j carries
+    # coefficient mass only when it has the right parity
+    for j, w in weights.items():
+        if w == 0.0:
+            continue
+        partners = j - lat
+        mask = (partners >= lo) & (partners <= hi)
+        if not np.any(mask):
+            continue
+        inv_partner = 1.0 / np.abs(lam - partners[mask])
+        total += w * float(np.dot(inv[mask], inv_partner))
+    return total
+
+
+def kvk_hs_norm(spec: PotentialSpec, bc: str, lam: complex, K: int) -> float:
+    """HS norm of K V K on the size-K truncation, by lattice sums alone."""
+    validate_bc(bc)
+    lat = np.array(lattice_points(bc, K), dtype=float)
+    return float(np.sqrt(_lattice_double_sum(_antidiagonal_weights(spec, bc), lat, complex(lam))))
+
+
+def dominated_hs_norm(spec: PotentialSpec, bc: str, lam: complex, K: int) -> float:
+    """Same double sum with the dominating envelope r in place of p, q.
+
+    Always >= kvk_hs_norm for the same arguments, since
+    r(j)^2 >= |q(j)|^2 + |p(-j)|^2 pointwise.
+    """
+    validate_bc(bc)
+    r = r_sequence(spec, bc)
+    weights = {j: v * v for j, v in r.values.items()}
+    lat = np.array(lattice_points(bc, K), dtype=float)
+    return float(np.sqrt(_lattice_double_sum(weights, lat, complex(lam))))
 
 
 # The diagonal square root K of the free resolvent and a one-shot shifted
@@ -213,8 +258,6 @@ class TestKvkNorm:
         # independent route: build the dense coupling matrix of the envelope
         # itself (entries r(row+col)) and take Frobenius of K R K
         spec = random_potential(9, max_mode=4)
-        from diracproj.potential import r_sequence
-
         r = r_sequence(spec, DIRICHLET)
         K = 8
         lam = 3.4 + 0.2j

@@ -261,15 +261,15 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix: bool = False) -> int:
     spec = _potential_for(cfg)
     op = build_operator(spec, cfg.bc, cfg.K)
     vals, _ = eigen(op)
-    centers = disc_centers(cfg.bc, cfg.K / 2)
-    rows = []
-    for lam in vals:
-        disc = ""
-        if centers:
-            nearest = min(centers, key=lambda n: abs(lam - n))
-            if abs(lam - nearest) < cfg.radius:
-                disc = str(nearest)
-        rows.append((float(lam.real), float(lam.imag), disc))
+    centers = np.array(disc_centers(cfg.bc, cfg.K / 2))
+    # nearest center per eigenvalue; argmin keeps the first (lower) of a tie
+    dist = np.abs(vals[:, None] - centers)
+    nearest = np.argmin(dist, axis=1)
+    inside = dist.min(axis=1) < cfg.radius
+    rows = [
+        (float(lam.real), float(lam.imag), str(centers[i]) if ok else "")
+        for lam, i, ok in zip(vals, nearest, inside)
+    ]
     _write_csv(out / "spectrum.csv", ("re", "im", "disc"), rows)
     counts = localization_counts(op, cfg.radius)
     _write_csv(out / "localization.csv", ("n", "count"), sorted(counts.items()))
@@ -319,6 +319,11 @@ def cmd_deviations(cfg: RunConfig) -> int:
 
 
 def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
+    if trials < 1:
+        raise ConfigError(f"--trials must be a positive integer, got {trials}")
+    M = cfg.K // 2 if M is None else M
+    if not 1 <= M <= cfg.K // 2:
+        raise ConfigError(f"--M must lie in 1..K/2 = {cfg.K // 2}, got {M}")
     started = time.perf_counter()
     out = _outdir(cfg)
     spec = _potential_for(cfg)
@@ -327,7 +332,6 @@ def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
     N = cfg.N if cfg.N is not None else threshold
     if N < threshold:
         raise ValueError(f"N = {N} is below the verified threshold {threshold}")
-    M = int(cfg.K // 2) if M is None else M
     # seeded band-limited input spread over the low modes
     rng = np.random.default_rng([cfg.seed, 101])
     low = [(n, ch) for (n, ch) in op.basis.indices if abs(n) <= min(8, cfg.K / 4)]
@@ -414,6 +418,8 @@ def cmd_verify_bounds(cfg: RunConfig, draws: int, window: int, self_test: bool) 
 
 
 def cmd_threshold(cfg: RunConfig, samples: int) -> int:
+    if samples < 4:
+        raise ConfigError(f"--samples must be at least 4, got {samples}")
     started = time.perf_counter()
     out = _outdir(cfg)
     spec = _potential_for(cfg)

@@ -145,9 +145,9 @@ def _ordered_discs(basis: BasisIndexSet, N: int, M: int) -> list[int]:
 class DiscExpansion:
     """S_N f and the disc terms P_n f of one function over N < |n| <= M.
 
-    Each disc projection and the global one are built once; only the term
-    vectors and each disc's deviation ||P_n - P_n^0||_HS are kept, not the
-    dense projections.  discs run in the canonical (|n|, n) order.
+    Each disc projection and the global one are built once and applied to f
+    in factored form; only the term vectors and each disc's deviation
+    ||P_n - P_n^0||_HS are kept.  discs run in the canonical (|n|, n) order.
     """
 
     f: FunctionVector
@@ -173,9 +173,9 @@ def disc_expansion(
     devs = []
     for n in discs:
         p = riesz_projection(op, ContourSpec(n, radius, nodes))
-        terms.append(p.matrix @ f.coeffs)
+        terms.append(p.apply(f.coeffs))
         devs.append(deviation(p, free_projection(op.basis.bc, n, op.basis.K)))
-    start = global_projection(op, N, global_nodes).matrix @ f.coeffs
+    start = global_projection(op, N, global_nodes).apply(f.coeffs)
     return DiscExpansion(f, M, tuple(discs), start, tuple(terms), tuple(devs))
 
 

@@ -16,14 +16,27 @@ The spectral route diagonalizes L once and applies the identical quadrature
 sum to each eigenvalue (legitimate by linearity, and cheap enough to make
 large node counts free).  Only the few eigenvalues inside or near the
 contour have a filter value above roundoff, so the spectral route keeps
-those r columns and returns P as the rank-r product
-V[:, S] diag(f_S) V^{-1}[S, :], at O(dim^2 r) cost per contour.  When the
-eigenvector basis is ill-conditioned (defective truncations), the Schur
+those r columns and returns the factors V[:, S] diag(f_S) and V^{-1}[S, :]
+of P, at O(dim r) cost per contour beyond the filter itself.  When the
+eigenvector basis is ill-conditioned (defective or nearly so), the Schur
 route reorders one complex Schur form L = Z T Z^H so that S leads, solves
 one Sylvester equation for the coupling X, and filters the triangular
-r x r block, again in O(dim^2 r) per contour (Golub & Van Loan 7.6; Bai &
+r x r block, in O(dim^2 r) per contour (Golub & Van Loan 7.6; Bai &
 Demmel 1993).  The dense LU quadrature, node by node, survives only in the
 tests as the oracle for both.
+
+Both routes return P as factors left (dim x r) and right (r x dim), and P
+stays factored from there on: P f is left (right f), the trace is that of
+the r x r product right left, and the idempotency residual
+||P^2 - P||_F = ||left (right left - I) right||_F is the norm of an r x r
+matrix after thin QRs of left and right^H.  No dim x dim array is formed
+per contour.  The free projection P_n^0 is the coordinate projection onto
+the basis rows D of the lattice point n.  Its deviation is split by rows:
+the r rows in D are differenced explicitly (left[D] right minus the
+identity there), and the other rows, where P^0 vanishes, have norm
+||left[~D] R^H||_F with right^H = Q R, exact because Q^H has orthonormal
+rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead would cancel
+to about 1e-16 / dev^2 relative.
 """
 
 from __future__ import annotations
@@ -36,18 +49,21 @@ import scipy.linalg
 
 from .operator import (
     OperatorMatrix,
-    build_free,
     disc_centers,
     eigen,
     eigenbasis_condition,
     eigenbasis_inverse,
+    lattice_points,
 )
-from .potential import validate_bc
+from .potential import DIRICHLET
 from .resolvent import CONDITION_LIMIT
 
 PROXIMITY_TOL = 1e-6
 QUALITY_TOL = 1e-6
-SPECTRAL_COND_LIMIT = 1e8
+# the spectral route's error grows like 7e-17 times the eigenbasis condition
+# (against the LU oracle); above this limit the Schur route, whose error does
+# not grow with it, takes over
+SPECTRAL_COND_LIMIT = 1e5
 # eigenvalues whose quadrature filter value is at or below this floor are
 # left out of the spectral route's factors.  Far from the contour the
 # computed filter is pure roundoff (about 1e-17..5e-16 where the exact value
@@ -86,15 +102,31 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    matrix: np.ndarray
+    """A rank-r projection P = left @ right, kept as its dim x r and r x dim factors."""
+
+    left: np.ndarray
+    right: np.ndarray
     rank: int
     idempotency_residual: float
     contour: ContourSpec | None
     route: str | None = None
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The dense P, formed on demand; the library itself never asks for it."""
+        return self.left @ self.right
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.left @ (self.right @ x)
+
+    @property
     def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return _factored_norm(self.left, self.right)
+
+
+def _factored_norm(left: np.ndarray, right: np.ndarray) -> float:
+    """||left @ right||_F as ||left R^H||_F, where right^H = Q R with orthonormal Q."""
+    return float(np.linalg.norm(left @ np.linalg.qr(right.conj().T, mode="r").conj().T))
 
 
 def _filter(contour: ContourSpec, mu: np.ndarray) -> np.ndarray:
@@ -169,11 +201,11 @@ def riesz_projection(
         )
     route = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "schur"
     left, right = (_quadrature_spectral if route == "spectral" else _quadrature_schur)(op, contour)
-    matrix = left @ right
-    # P^2 = left (right left) right, with the r x r product in the middle
-    residual = float(np.linalg.norm(left @ ((right @ left) @ right) - matrix))
+    gram = right @ left
+    # P^2 - P = left (gram - I) right = Q_l [R_l (gram - I)] right with left = Q_l R_l
+    residual = _factored_norm(np.linalg.qr(left, mode="r") @ (gram - np.eye(len(gram))), right)
 
-    trace = complex(np.trace(matrix))
+    trace = complex(np.trace(gram))
     rank = int(round(trace.real))
     if quality_threshold is not None:
         if abs(trace - rank) > quality_threshold:
@@ -184,18 +216,24 @@ def riesz_projection(
             raise ProjectionQualityError(
                 f"idempotency residual {residual:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
             )
-    return ProjectionResult(matrix, rank, residual, contour, route)
+    return ProjectionResult(left, right, rank, residual, contour, route)
 
 
 def free_projection(bc: str, n: int, K: int) -> ProjectionResult:
-    """Exact spectral projection of the free operator onto the disc at n."""
-    validate_bc(bc)
-    free = build_free(bc, K)
-    if n not in free.basis.lattice:
+    """Exact spectral projection of the free operator onto the disc at n.
+
+    The free operator is diagonal, so this is the coordinate projection onto
+    the basis rows of n: one per channel, found by index arithmetic on the
+    ascending, channel-interleaved basis ordering.
+    """
+    points = lattice_points(bc, K)
+    channels = 1 if bc == DIRICHLET else 2  # also the lattice step
+    slot, offset = divmod(n - points[0], channels)
+    if offset or not 0 <= slot < len(points):
         raise ValueError(f"lattice point {n} not present in the {bc} truncation at K = {K}")
-    diag = np.array([1.0 + 0j if m == n else 0j for m, _ in free.basis.indices])
-    rank = int(diag.real.sum())
-    return ProjectionResult(np.diag(diag), rank, 0.0, None)
+    left = np.zeros((channels * len(points), channels), dtype=complex)
+    left[channels * slot + np.arange(channels), np.arange(channels)] = 1.0
+    return ProjectionResult(left, left.T, channels, 0.0, None)
 
 
 def default_global_nodes(radius: float) -> int:
@@ -217,8 +255,16 @@ def global_projection(op: OperatorMatrix, N: int, nodes: int | None = None) -> P
 
 
 def deviation(p: ProjectionResult, p0: ProjectionResult) -> float:
-    """HS distance between two projections."""
-    return float(np.linalg.norm(p.matrix - p0.matrix))
+    """HS distance ||P - P0||_F between two projections, from their factors.
+
+    The rows D where p0's left factor is nonzero are differenced explicitly;
+    on the other rows P0 vanishes and P's part is normed through a QR of
+    right^H.  For a free P0, D holds the r disc rows, so no dim x dim array
+    is formed and nothing cancels outside them.
+    """
+    rows = np.any(p0.left != 0, axis=1)
+    near = p.left[rows] @ p.right - p0.left[rows] @ p0.right
+    return float(np.hypot(np.linalg.norm(near), _factored_norm(p.left[~rows], p.right)))
 
 
 @dataclass(frozen=True)

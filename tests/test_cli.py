@@ -339,8 +339,26 @@ class TestReconstruct:
 
     def test_M_beyond_trusted_window(self, tmp_path, small_potential, capsys):
         code = self.run(tmp_path / "run", small_potential, "--M", "20")
+        assert code == EXIT_CONFIG
+        assert "--M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--trials", "-2"), ("--M", "0"), ("--M", "9"), ("--M", "100")]
+    )
+    def test_rejected_arguments(self, monkeypatch, tmp_path, small_potential, capsys, flag, value):
+        # refused before any work: no eigendecomposition, no output directory
+        eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])
+        out = tmp_path / "run"
+        assert self.run(out, small_potential, flag, value) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert eigs == []
+        assert not out.exists()
+
+    def test_no_disc_in_window_is_numerical(self, tmp_path, small_potential, capsys):
+        # a data-dependent refusal: the threshold is 2, so M = 2 leaves no disc
+        code = self.run(tmp_path / "run", small_potential, "--M", "2")
         assert code == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        assert "no discs in the window" in capsys.readouterr().err
 
     def test_N_below_threshold(self, tmp_path, small_potential, capsys):
         code = self.run(tmp_path / "run", small_potential, "--N", "1")
@@ -407,6 +425,16 @@ class TestThreshold:
         for n, val in rows:
             if abs(int(n)) > run["threshold_N"]:
                 assert float(val) <= 0.5
+
+    @pytest.mark.parametrize("value", ["3", "0", "-1"])
+    def test_too_few_samples_rejected(self, monkeypatch, tmp_path, small_potential, capsys, value):
+        scans = count_calls(monkeypatch, circle_norm_profile)
+        out = tmp_path / "run"
+        code = main(["threshold", "--K", "16", "--samples", value, "--potential", small_potential, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--samples" in capsys.readouterr().err
+        assert scans == []
+        assert not out.exists()
 
 
 def count_calls(monkeypatch, fn, owners=()):

@@ -1,12 +1,15 @@
 """Contour quadrature, Riesz projections, and deviation reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracproj import projections
+from diracproj.decomposition import FunctionVector, disc_expansion
 from diracproj.operator import (
     OperatorMatrix,
     basis_index_set,
@@ -29,6 +32,7 @@ from diracproj.projections import (
     ContourProximityError,
     ContourSpec,
     ProjectionQualityError,
+    ProjectionResult,
     SPECTRAL_COND_LIMIT,
     _quadrature_schur,
     _quadrature_spectral,
@@ -83,6 +87,17 @@ class TestFreeProjection:
     def test_off_lattice_point_rejected(self):
         with pytest.raises(ValueError):
             free_projection(PER_PLUS, 3, 8)
+
+    def test_rows_found_by_index_arithmetic(self):
+        # both ends of each lattice, against the basis' own positions
+        for bc, n, K in [(PER_PLUS, -8, 4), (PER_PLUS, 8, 4), (PER_MINUS, -9, 4), (PER_MINUS, 9, 4), (DIRICHLET, 0, 0)]:
+            p = free_projection(bc, n, K)
+            basis = basis_index_set(bc, K)
+            want = np.diag([1.0 + 0j if m == n else 0j for m, _ in basis.indices])
+            assert np.array_equal(p.matrix, want), (bc, n)
+        for bc, n in [(PER_PLUS, 10), (PER_MINUS, -11), (DIRICHLET, 5), (PER_MINUS, 0)]:
+            with pytest.raises(ValueError):
+                free_projection(bc, n, 4)
 
 
 class TestRieszProjection:
@@ -222,7 +237,14 @@ def structured_potential(seed, p_scale, q_scale):
     )
 
 
-EPSILON = st.one_of(st.just(0.0), st.floats(-10.0, -1.0).map(lambda e: 10.0**e))
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# eps = 0 is exactly defective; eps in 1e-16..1e-11 puts the per+ / per-
+# eigenbasis condition at 1e6..1e8, where the spectral route's error
+# (about 7e-17 * cond) would pass 1e-10
+EPSILON = st.one_of(st.just(0.0), _decades(-16.0, -1.0), _decades(-16.0, -11.0))
 # (P scale, Q scale): P-only, Q-only and nearly defective P-only + eps Q
 SCALES = st.one_of(st.just((1.0, 0.0)), st.just((0.0, 1.0)), EPSILON.map(lambda e: (1.0, e)))
 
@@ -273,6 +295,60 @@ class TestSchurRoute:
             assert p.route == route
             assert np.max(np.abs(p.matrix - want)) <= 1e-10
             assert p.rank == int(round(np.trace(want).real))
+
+
+class TestFactoredForm:
+    """Projections stay as rank-r factors: every library use of a disc or
+    global projection works on them, and nothing forms the dense P."""
+
+    @pytest.fixture(params=["spectral", "schur"])
+    def route(self, request, monkeypatch):
+        if request.param == "schur":
+            # every eigenbasis is above a zero limit, so each operator takes the Schur route
+            monkeypatch.setattr(projections, "SPECTRAL_COND_LIMIT", 0.0)
+        return request.param
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_deviation_matches_dense(self, bc, route):
+        op = build_operator(random_potential(3, norm=0.3), bc, 32)
+        for n in disc_centers(bc, op.basis.trusted_limit):
+            p = riesz_projection(op, ContourSpec(n, 0.5, 64))
+            p0 = free_projection(bc, n, 32)
+            assert p.route == route
+            dense = np.linalg.norm(p.matrix - p0.matrix)
+            assert abs(deviation(p, p0) - dense) <= 1e-13 * dense, n
+            assert p.hs_norm == pytest.approx(np.linalg.norm(p.matrix), rel=1e-13)
+            f = np.random.default_rng(n + 100).standard_normal(op.dim) + 0j
+            assert np.max(np.abs(p.apply(f) - p.matrix @ f)) <= 1e-13 * np.linalg.norm(f)
+
+    def test_library_never_forms_dense_p(self, route, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense projection formed")
+
+        spec = random_potential(3, norm=0.3)
+        N = find_threshold_n(spec, PER_PLUS, 16)
+        op = build_operator(spec, PER_PLUS, 16)
+        f = FunctionVector(op.basis, np.random.default_rng(0).standard_normal(op.dim) + 0j)
+        monkeypatch.setattr(ProjectionResult, "matrix", property(refuse))
+        report = deviation_report(op, N, N)
+        expansion = disc_expansion(f, op, N, 8)
+        s = global_projection(op, N)
+        assert s.route == route
+        assert expansion.deviations == tuple(report.per_n[n] for n in expansion.discs)
+
+    def test_spectral_discs_allocate_no_dim_squared_array(self):
+        spec = random_potential(3, norm=0.3)
+        N = find_threshold_n(spec, PER_PLUS, 64)
+        op = build_operator(spec, PER_PLUS, 64)
+        eigenbasis_condition(op)  # the shared decomposition, condition and V^-1
+        tracemalloc.start()
+        try:
+            report = deviation_report(op, N, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.per_n) > 20
+        assert peak < op.dim**2 * 16  # one dense complex P
 
 
 class TestGlobalProjection:

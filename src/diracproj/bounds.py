@@ -37,6 +37,17 @@ is exactly the full convolution of two reciprocal-power vectors on
 [-d T, d T], evaluated as a direct sum (no FFT).  One table per summand
 shape covers every (n, j); offsets beyond its reach 2 d T contribute
 nothing.
+
+The chain sums sample the circle l = n + z, z = e^{i theta}/2, on which
+|l - n| = 1/2, an index x = a - n (a on the support of r) has |l - x| =
+|z - u| with u = a - 2n, and an s = 1 free end k = n + d has |l - k| =
+|z - d| on every disc.  So one circle-offset table 1/|z - u| (sample x u)
+serves every disc by gather, and one (sample x d) table holds the free-end
+gaps.  The anchor's (k, m) term sees n only through u_k, as u_m - u_k =
+a_m - a_k: it reads the pair table H[t, u] = max_theta |z - u|^-2
+|z - u - t d|^-2 at u = min(u_k, u_m), t d = |a_m - a_k|.  End factors (the
+s = 0 free chain's, both of the anchor's) drop u = 0, the index x = n; the
+s = 1 closed and free chains keep their interior index j = n.
 """
 
 from __future__ import annotations
@@ -109,26 +120,29 @@ def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
         {"n_max": n_max, "worst_N": int(Ns[worst]), "truncation": top},
     )
 
-    worst_ratio = -1.0
-    worst_case = None
-    for n in range(1, n_max + 1):
-        P = max(2 * n, 100)
-        p = np.arange(0, P + 1)
-        gaps = (n * n - p * p).astype(float)
-        gaps[n] = np.inf
-        vals = 1.0 / gaps**2
-        total = vals[0] + 2.0 * vals[1:].sum()
+    # per-n sums over p in [0, P], P = max(2n, 100), in blocks of at most 64 n
+    # whose (n, p) temporaries stay near 1 MB
+    totals = np.empty(n_max)
+    lo = 1
+    while lo <= n_max:
+        rows = min(64, max(1, 2**17 // (2 * lo + 127)))
+        n = np.arange(lo, min(n_max + 1, lo + rows))[:, None]
+        P = np.maximum(2 * n, 100)
+        p = np.arange(P.max() + 1)
+        gaps = np.square(n, dtype=float) - np.square(p, dtype=float)
+        gaps[np.arange(n.size), n[:, 0]] = np.inf  # the resonance p = n
+        gaps[:, P.min() + 1 :][p[P.min() + 1 :] > P] = np.inf  # rows end at their own P
+        vals = np.reciprocal(np.square(gaps, out=gaps), out=gaps)
         # beyond P >= 2n: p^2 - n^2 >= (3/4) p^2, two signed tails
-        total += 2.0 * (16.0 / 9.0) / (3.0 * P**3)
-        ratio = total / (4.0 / n**2)
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_case = (n, total)
+        tail = 2.0 * (16.0 / 9.0) / (3.0 * P[:, 0] ** 3)
+        totals[lo - 1 : lo - 1 + n.size] = vals[:, 0] + 2.0 * vals[:, 1:].sum(axis=1) + tail
+        lo += n.size
+    worst = int(np.argmax(totals / (4.0 / Ns**2)))
     second = _check(
         "resonance_grid_sum",
-        worst_case[1],
-        4.0 / worst_case[0] ** 2,
-        {"n_max": n_max, "worst_n": worst_case[0]},
+        totals[worst],
+        4.0 / Ns[worst] ** 2,
+        {"n_max": n_max, "worst_n": int(Ns[worst])},
     )
     return [first, second]
 
@@ -271,10 +285,7 @@ def check_chain_sums(
     full operator-norm machinery, and the bound's shape changes anyway.
     For s = 0 there is no interior index, so only three sums exist.
 
-    Every index is pinned to the support of r.  An index x with r(x + n)
-    as its factor is a - n for a support point a; at s = 1 the free end of
-    the chain r(k + j) r(j + n) is k = n + d with d a nonzero difference
-    of support points, so r(k + j) = r(a + d) comes from one table.  The
+    Gaps come from the circle-offset tables of the module docstring.  The
     left- and right-free chains are term-by-term equal under renaming the
     free end, so one value serves both.  Each chain is maximized over the
     circle samples per free index before the sum over free indices.
@@ -287,36 +298,40 @@ def check_chain_sums(
     r = r_sequence(spec, bc)
     supp = np.array(r.support, dtype=int)
     ra = np.array([r(int(a)) for a in supp], dtype=float)
-    diffs = np.unique(supp[:, None] - supp)
-    diffs = diffs[diffs != 0]
-    shifted = (supp[:, None] + diffs[:, None, None] == supp) @ ra  # r(a + d)
+    wa = ra**2
     rho_sq = rho(spec, bc, N) ** 2
 
-    # axes: (disc, sample, support [, difference | support])
+    # offsets u = a - 2n on axes (disc, support); the table's range holds u = 0
     centers = np.array([n for n in disc_centers(bc, K) if abs(n) > N], dtype=int)
-    ns = centers[:, None, None]
-    lams = circle_samples(centers[:, None], 0.5, samples)[:, :, None]
-    gap_n = np.abs(lams - ns)
-    gap_a = np.abs(lams - (supp - ns))
-    # one-factor end terms (r(x + n) / |l - x|)^2 for x = a - n != n
-    ends = np.where(supp != 2 * ns, ra / gap_a, 0.0) ** 2
+    u = supp - 2 * centers[:, None]
+    lo = u.min(initial=0)
+    z = circle_samples(0, 0.5, samples)[:, None]
+    recip = 1.0 / np.abs(z - np.arange(lo, u.max(initial=0) + 1))  # (sample, u)
+    at = u - lo
+    # end factors drop u = 0; every chain carries 1/|l - n|^2 = 4
+    ends_sq = recip**2
+    ends_sq[:, -lo] = 0.0
     anchor = 0.0
     if s == 0:
-        hit = ((supp == 2 * ns) @ ra)[:, :, None]
-        closed = float(np.max(hit**2 / gap_n**2, axis=1).sum())
-        free = float((ends / gap_n**2).max(axis=1).sum())
+        closed = 4.0 * float(((u == 0) @ wa).sum())
+        free = 4.0 * float((ends_sq.max(axis=0)[at] @ wa).sum())
     else:
-        inner = (ra**2 / gap_a).sum(axis=2, keepdims=True) / gap_n**2
-        closed = float(np.max(inner**2, axis=1).sum())
-        chain = (ra / gap_a) @ shifted.T / (np.abs(lams - (ns + diffs)) * gap_n)
-        free = float((chain**2).max(axis=1).sum())
-        # the sample maximum of each (disc, k, m) pair, one sample at a time,
-        # keeps the temporary at disc x support x support
-        left = ends / gap_n**2
-        pairs = np.zeros((centers.size, supp.size, supp.size))
-        for i in range(samples):
-            np.maximum(pairs, left[:, i, :, None] * ends[:, i, None, :], out=pairs)
-        anchor = float(pairs.sum())
+        # 1/|l - j| for j = a - n on rows (sample, disc), columns support
+        g = recip[:, at].reshape(samples * centers.size, supp.size)
+        closed = float(((4.0 * (g @ wa)) ** 2).reshape(samples, -1).max(axis=0).sum())
+        diffs = np.setdiff1d(supp[:, None] - supp, [0])
+        links = ra * ((supp[:, None] + diffs[:, None, None] == supp) @ ra)  # r(a) r(a + d)
+        chain = (g @ links.T).reshape(samples, centers.size, diffs.size)
+        chain *= (2.0 / np.abs(z - diffs))[:, None, :]
+        free = float(np.square(chain, out=chain).max(axis=0).sum())
+        # pair[t, u] = max over samples of ends_sq(u) ends_sq(u + t d), zero past the table
+        width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
+        padded = np.pad(ends_sq, ((0, 0), (0, width)))
+        pair = np.array([(ends_sq * padded[:, t : t + span]).max(axis=0) for t in range(0, width + 1, r.step)])
+        # chain (k, m) reads pair[|a_k - a_m| / d, min(a_k, a_m) - 2n], summed over discs
+        per_point = pair[:, at].sum(axis=1)
+        lower = np.minimum.outer(np.arange(supp.size), np.arange(supp.size))
+        anchor = 4.0 * float(wa @ per_point[np.abs(supp[:, None] - supp) // r.step, lower] @ wa)
 
     params = {"bc": bc, "s": s, "N": N, "K": K, "samples": samples}
     rhs = r.norm_sq * rho_sq**s

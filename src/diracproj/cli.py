@@ -159,12 +159,14 @@ def load_potential_file(path: str) -> PotentialSpec:
         raise ConfigError(f"cannot read potential {path}: {exc}") from None
     if not isinstance(raw, dict) or "max_mode" not in raw:
         raise ConfigError("potential file must be a JSON object with max_mode")
-    max_mode = int(raw["max_mode"])
+    max_mode = raw["max_mode"]
+    if type(max_mode) is not int:  # JSON true and false load as bool, an int subclass
+        raise ConfigError(f"max_mode must be a JSON integer, got {json.dumps(max_mode)}")
     if "samples" in raw:
         rows = raw["samples"]
         try:
             arr = np.array(rows, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("samples rows must be [x, reP, imP, reQ, imQ]") from None
         if arr.ndim != 2 or arr.shape[1] != 5:
             raise ConfigError("samples rows must be [x, reP, imP, reQ, imQ]")
@@ -180,11 +182,15 @@ def load_potential_file(path: str) -> PotentialSpec:
             raise ConfigError(str(exc)) from None
 
     def table(key: str) -> dict[int, complex]:
+        rows = raw.get(key, [])
+        if not isinstance(rows, list):
+            raise ConfigError(f"{key} must be a list of [m, re, im] rows")
         out: dict[int, complex] = {}
-        for row in raw.get(key, []):
-            if not isinstance(row, (list, tuple)) or len(row) != 3:
-                raise ConfigError(f"{key} rows must be [m, re, im]")
-            out[int(row[0])] = complex(float(row[1]), float(row[2]))
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is int
+                    and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row[1:])):
+                raise ConfigError(f"{key} rows must be [m, re, im], m an integer, re and im finite; got {json.dumps(row)}")
+            out[row[0]] = complex(row[1], row[2])
         return out
 
     try:

@@ -142,7 +142,8 @@ class OperatorMatrix:
 
     @property
     def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        with np.errstate(over="ignore"):  # an overflow reads inf, which fails eigen's gate
+            return float(np.linalg.norm(self.entries))
 
 
 def build_free(bc: str, K: int) -> OperatorMatrix:
@@ -152,8 +153,9 @@ def build_free(bc: str, K: int) -> OperatorMatrix:
 
 def _coefficient_table(coeff, max_mode: int, sums: np.ndarray) -> np.ndarray:
     """coeff(m) at every entry of the index array sums; zero off |m| <= max_mode."""
-    table = np.array([coeff(m) for m in range(-max_mode, max_mode + 1)], dtype=complex)
-    idx = sums + max_mode
+    reach = min(max_mode, int(np.abs(sums).max(initial=0)))  # a huge max_mode costs nothing
+    table = np.array([coeff(m) for m in range(-reach, reach + 1)], dtype=complex)
+    idx = sums + reach
     inside = (idx >= 0) & (idx < table.size)
     return np.where(inside, table[np.where(inside, idx, 0)], 0j)
 
@@ -183,8 +185,8 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the truncation, cached on the operator.
 
     Returns (values, vectors) with unit-norm columns sorted by (Re, Im).
-    Raises EigenResidualError if any backward residual exceeds
-    EIGEN_RESIDUAL_TOL times the operator's HS norm.
+    Raises EigenResidualError unless every backward residual is within
+    EIGEN_RESIDUAL_TOL times the operator's HS norm, and that norm is finite.
     """
     if op._eig_cache is None:
         if op.is_diagonal:
@@ -200,9 +202,10 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
             vecs = vecs / np.linalg.norm(vecs, axis=0)
         scale = max(op.hs_norm, 1.0)
         residual = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0).max()
-        if residual > EIGEN_RESIDUAL_TOL * scale:
+        # a NaN residual fails, and so does an overflowed norm, which would pass anything
+        if not residual <= EIGEN_RESIDUAL_TOL * scale < np.inf:
             raise EigenResidualError(
-                f"eigendecomposition residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL:.0e} * ||L|| = "
+                f"eigendecomposition residual {residual:.3e} is not within {EIGEN_RESIDUAL_TOL:.0e} * ||L||_HS = "
                 f"{EIGEN_RESIDUAL_TOL * scale:.3e}"
             )
         op._eig_cache = (vals, vecs)

@@ -83,6 +83,11 @@ class PotentialSpec:
         object.__setattr__(self, "q_even", _check_coeffs("q_even", self.q_even, 0, self.max_mode))
         object.__setattr__(self, "p_odd", _check_coeffs("p_odd", self.p_odd, 1, self.max_mode))
         object.__setattr__(self, "q_odd", _check_coeffs("q_odd", self.q_odd, 1, self.max_mode))
+        names = ("p_even", "q_even", "p_odd", "q_odd")
+        sizes = {(name, m): abs(v) for name in names for m, v in getattr(self, name).items()}
+        if not math.isfinite(sum(c * c for c in sizes.values())):
+            name, m = max(sizes, key=sizes.get)
+            raise ValueError(f"{name}: the sum of |c|^2 overflows float64 (largest coefficient at mode {m})")
 
     def p(self, m: int) -> complex:
         table = self.p_even if m % 2 == 0 else self.p_odd

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from diracproj.bounds import (
     BoundCheck,
     HARD_CHECKS,
+    _check,
     check_chain_sums,
     check_circle_double_sum,
     check_elementary,
@@ -35,6 +36,8 @@ from diracproj.potential import (
     RSequence,
     r_sequence,
     random_potential,
+    rho,
+    validate_bc,
 )
 from diracproj.resolvent import circle_samples
 from test_resolvent import dominated_hs_norm
@@ -140,6 +143,87 @@ def _tail_sums_by_loop(r, N, K):
         "tail_sum_grid_sq": lhs_grid_sq,
         "tail_sum_mixed": lhs_mixed,
     }
+
+
+def _chain_sums_by_broadcast(spec, bc, s, N, K, samples=16):
+    """check_chain_sums as it stood before the circle-offset tables: every
+    gap broadcast over (disc, sample, support), the anchor's sample maximum
+    taken one sample at a time over a (disc, support, support) array."""
+    validate_bc(bc)
+    if s not in (0, 1):
+        raise ValueError("chain sums are implemented for s in {0, 1} only")
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    r = r_sequence(spec, bc)
+    supp = np.array(r.support, dtype=int)
+    ra = np.array([r(int(a)) for a in supp], dtype=float)
+    diffs = np.unique(supp[:, None] - supp)
+    diffs = diffs[diffs != 0]
+    shifted = (supp[:, None] + diffs[:, None, None] == supp) @ ra  # r(a + d)
+    rho_sq = rho(spec, bc, N) ** 2
+
+    # axes: (disc, sample, support [, difference | support])
+    centers = np.array([n for n in disc_centers(bc, K) if abs(n) > N], dtype=int)
+    ns = centers[:, None, None]
+    lams = circle_samples(centers[:, None], 0.5, samples)[:, :, None]
+    gap_n = np.abs(lams - ns)
+    gap_a = np.abs(lams - (supp - ns))
+    # one-factor end terms (r(x + n) / |l - x|)^2 for x = a - n != n
+    ends = np.where(supp != 2 * ns, ra / gap_a, 0.0) ** 2
+    anchor = 0.0
+    if s == 0:
+        hit = ((supp == 2 * ns) @ ra)[:, :, None]
+        closed = float(np.max(hit**2 / gap_n**2, axis=1).sum())
+        free = float((ends / gap_n**2).max(axis=1).sum())
+    else:
+        inner = (ra**2 / gap_a).sum(axis=2, keepdims=True) / gap_n**2
+        closed = float(np.max(inner**2, axis=1).sum())
+        chain = (ra / gap_a) @ shifted.T / (np.abs(lams - (ns + diffs)) * gap_n)
+        free = float((chain**2).max(axis=1).sum())
+        # the sample maximum of each (disc, k, m) pair, one sample at a time,
+        # keeps the temporary at disc x support x support
+        left = ends / gap_n**2
+        pairs = np.zeros((centers.size, supp.size, supp.size))
+        for i in range(samples):
+            np.maximum(pairs, left[:, i, :, None] * ends[:, i, None, :], out=pairs)
+        anchor = float(pairs.sum())
+
+    params = {"bc": bc, "s": s, "N": N, "K": K, "samples": samples}
+    rhs = r.norm_sq * rho_sq**s
+    checks = [
+        _check("chain_closed", closed, rhs, dict(params)),
+        _check("chain_left_free", free, rhs, dict(params)),
+        _check("chain_right_free", free, rhs, dict(params)),
+    ]
+    if s >= 1:
+        anchor_rhs = s * r.norm_sq**2 * rho_sq ** (s - 1)
+        checks.append(_check("chain_interior_anchor", anchor, anchor_rhs, dict(params)))
+    return checks
+
+
+def _resonance_by_loop(n_max):
+    """resonance_grid_sum's check as one explicit sum per n, in a loop."""
+    worst_ratio = -1.0
+    worst_case = None
+    for n in range(1, n_max + 1):
+        P = max(2 * n, 100)
+        p = np.arange(0, P + 1)
+        gaps = (n * n - p * p).astype(float)
+        gaps[n] = np.inf
+        vals = 1.0 / gaps**2
+        total = vals[0] + 2.0 * vals[1:].sum()
+        # beyond P >= 2n: p^2 - n^2 >= (3/4) p^2, two signed tails
+        total += 2.0 * (16.0 / 9.0) / (3.0 * P**3)
+        ratio = total / (4.0 / n**2)
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            worst_case = (n, total)
+    return _check(
+        "resonance_grid_sum",
+        worst_case[1],
+        4.0 / worst_case[0] ** 2,
+        {"n_max": n_max, "worst_n": worst_case[0]},
+    )
 
 
 def _assert_rel(got, want, tol, label):
@@ -320,6 +404,55 @@ class TestOffsetKernelOracles:
         for r in self.EDGE_ENVELOPES:
             for N, K in self.CASES[:3]:
                 self._assert_matches_loops(r, N, K, (r.support[0],))
+
+
+class TestChainSumOracles:
+    """The circle-offset and pair tables against the broadcast chain sums,
+    and the blocked resonance sums against the per-n loop."""
+
+    CASES = [(1, 8), (1, 12), (2, 16), (4, 64), (8, 256)]
+    # r(+-12) and r(+-10) put a = 2n on the support at n = +-6 and +-5, so
+    # the u = 0 exclusions bite under every bc
+    POINT_MASSES = [
+        PotentialSpec(p_even={12: 1.0}, q_even={}, p_odd={}, q_odd={}, max_mode=12),
+        PotentialSpec(p_even={10: 1.0}, q_even={}, p_odd={}, q_odd={}, max_mode=10),
+    ]
+
+    @staticmethod
+    def _assert_rows_match(got, want, label):
+        assert [c.name for c in got] == [c.name for c in want], label
+        for g, w in zip(got, want):
+            assert g.parameters == w.parameters, label
+            for field in ("lhs", "rhs_without_constant", "ratio"):
+                _assert_rel(getattr(g, field), getattr(w, field), 1e-12, (*label, g.name, field))
+
+    def _assert_chains_match(self, spec, bc, s, label):
+        for N, K in self.CASES:
+            got = check_chain_sums(spec, bc, s, N, K)
+            self._assert_rows_match(got, _chain_sums_by_broadcast(spec, bc, s, N, K), (*label, N, K))
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("s", (0, 1))
+    def test_random_envelopes(self, bc, s):
+        for seed in range(3):
+            self._assert_chains_match(random_potential(seed), bc, s, (bc, s, seed))
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("s", (0, 1))
+    def test_zero_and_point_mass_envelopes(self, bc, s):
+        self._assert_chains_match(PotentialSpec.zero(8), bc, s, (bc, s, "zero"))
+        hit = 0
+        for spec in self.POINT_MASSES:
+            self._assert_chains_match(spec, bc, s, (bc, s, spec.max_mode))
+            support = r_sequence(spec, bc).support
+            hit += sum(2 * n in support for n in disc_centers(bc, 8) if abs(n) > 1)
+        assert hit > 0
+
+    @pytest.mark.parametrize("n_max", (1, 63, 64, 65, 1000))
+    def test_resonance_blocks_match_loop(self, n_max):
+        # blocks hold 64 n, so 63, 64 and 65 end inside, on and past an edge
+        got = check_elementary(n_max)[1]
+        self._assert_rows_match([got], [_resonance_by_loop(n_max)], (n_max,))
 
 
 class TestChainSums:

@@ -7,11 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracproj.cli import (
     ConfigError,
@@ -164,6 +167,91 @@ class TestPotentialFiles:
         path.write_text(json.dumps({"max_mode": 2, "p_even": [[2, 1.0]]}))
         with pytest.raises(ConfigError, match="p_even rows"):
             load_potential_file(str(path))
+
+
+# malformed potential files, each with the field its error message must name
+BAD_POTENTIALS = [
+    pytest.param({"max_mode": None}, "max_mode", id="max_mode-null"),
+    pytest.param({"max_mode": "x"}, "max_mode", id="max_mode-string"),
+    pytest.param({"max_mode": 8.7}, "max_mode", id="max_mode-fraction"),
+    pytest.param({"max_mode": True}, "max_mode", id="max_mode-bool"),
+    pytest.param({"max_mode": 2, "p_even": [[0, None, 0]]}, "p_even", id="null-coefficient"),
+    pytest.param({"max_mode": 2, "p_even": [[None, 1, 0]]}, "p_even", id="null-mode"),
+    pytest.param({"max_mode": 2, "p_even": 5}, "p_even", id="table-not-a-list"),
+    pytest.param({"max_mode": 2, "q_odd": [[1, 0.5, True]]}, "q_odd", id="bool-coefficient"),
+    pytest.param({"max_mode": 2, "q_even": [[2.0, 0.5, 0]]}, "q_even", id="float-mode"),
+    pytest.param({"max_mode": 2, "p_odd": [[1, 10**400, 0]]}, "p_odd", id="int-beyond-float"),
+    pytest.param({"max_mode": 4, "p_even": [[2, 0.3, 0], [-4, 1e200, 0]]}, "mode -4", id="energy-overflow"),
+]
+
+# arbitrary JSON for the loader's property test
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, 8.7, -0.5]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+ROWS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(-4, 4), JSON_LEAVES, JSON_LEAVES).map(list),
+        st.lists(JSON_VALUES, max_size=4),
+        JSON_VALUES,
+    ),
+    max_size=3,
+)
+TABLE = st.one_of(ROWS, JSON_VALUES)
+POTENTIAL_FILES = st.fixed_dictionaries(
+    {"max_mode": st.one_of(st.integers(0, 4), JSON_VALUES)},
+    optional={key: TABLE for key in ("p_even", "q_even", "p_odd", "q_odd")},
+)
+
+
+class TestMalformedPotentialFiles:
+    @pytest.mark.parametrize("content, field", BAD_POTENTIALS)
+    def test_exits_two_naming_the_field(self, tmp_path, capsys, content, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        code = main(["spectrum", "--K", "8", "--potential", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "deviations", "threshold"])
+    def test_energy_overflow_rejected_before_any_work(self, tmp_path, capsys, command):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"max_mode": 2, "p_even": [[2, 1e200, 0]]}), encoding="utf-8")
+        code = main([command, "--K", "8", "--potential", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "p_even" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run.json").exists()
+
+    def test_overflowing_operator_norm_is_a_numerical_failure(self, tmp_path, capsys):
+        # sum |c|^2 is finite, ||L||_HS is not: the eigen gate refuses
+        path = tmp_path / "edge.json"
+        path.write_text(
+            json.dumps({"max_mode": 2, "p_even": [[2, 9e153, 0]], "q_even": [[0, 9e153, 0]]}),
+            encoding="utf-8",
+        )
+        code = main(["spectrum", "--K", "32", "--potential", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert "||L||_HS = inf" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(content=POTENTIAL_FILES)
+    def test_arbitrary_json_never_raises(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "potential.json"
+            path.write_text(json.dumps(content), encoding="utf-8")
+            code = main(["spectrum", "--K", "8", "--potential", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
 
 
 class TestClassifyBc:

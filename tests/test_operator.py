@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import diracproj.operator as operator_module
 from diracproj.cli import load_potential_file
 from diracproj.operator import (
+    EigenResidualError,
     basis_index_set,
     bc_quadruple,
     build_free,
@@ -205,6 +207,13 @@ class TestCouplingMatrix:
             want = _per_entry_coupling(spec, bc, K)
             assert np.array_equal(build_v(spec, bc, K).entries, want), K
 
+    @pytest.mark.parametrize("bc", (PER_PLUS, PER_MINUS, DIRICHLET))
+    def test_huge_max_mode_reads_only_reachable_modes(self, bc):
+        tables = {"p_even": {2: 1.0}, "q_even": {0: 1j}, "p_odd": {1: 0.5}, "q_odd": {}}
+        huge = PotentialSpec(**tables, max_mode=10**12)
+        want = build_v(PotentialSpec(**tables, max_mode=2), bc, 8).entries
+        assert np.array_equal(build_v(huge, bc, 8).entries, want)
+
     def test_build_operator_is_sum(self):
         spec = PotentialSpec(p_even={2: 1.0}, q_even={0: 1j}, p_odd={}, q_odd={}, max_mode=2)
         for bc in (PER_PLUS, PER_MINUS, DIRICHLET):
@@ -231,6 +240,23 @@ class TestEigen:
         vals, vecs = eigen(op)
         residual = np.linalg.norm(op.entries @ vecs - vecs * vals)
         assert residual < 1e-10 * max(op.hs_norm, 1.0)
+
+    def test_refuses_overflowing_hs_norm(self):
+        # sum |c|^2 is finite, but each coefficient fills a Hankel block, so
+        # ||L||_HS overflows and a residual gate relative to it would be void
+        spec = PotentialSpec(p_even={2: 9e153}, q_even={0: 9e153}, p_odd={}, q_odd={}, max_mode=2)
+        op = build_operator(spec, PER_PLUS, 32)
+        assert op.hs_norm == math.inf
+        with pytest.raises(EigenResidualError, match=r"\|\|L\|\|_HS = inf"):
+            eigen(op)
+
+    def test_nan_residual_fails_the_gate(self, monkeypatch):
+        op = build_operator(random_potential(0), PER_PLUS, 8)
+        vals, vecs = operator_module.scipy.linalg.eig(op.entries)
+        vals[3] = np.nan  # a comparison with NaN is false, so "residual > bound" let it through
+        monkeypatch.setattr(operator_module.scipy.linalg, "eig", lambda a: (vals, vecs))
+        with pytest.raises(EigenResidualError, match="nan"):
+            eigen(op)
 
     def test_eigen_cached(self):
         op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)

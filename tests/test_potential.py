@@ -51,6 +51,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             PotentialSpec(p_even={0: float("inf")}, q_even={}, p_odd={}, q_odd={}, max_mode=0)
 
+    def test_overflowing_energy_rejected_naming_largest_mode(self):
+        # each |c|^2 alone is finite; their sum is not, and potential_norm
+        # would have raised OverflowError on the 1e200 one
+        with pytest.raises(ValueError, match=r"q_odd.*mode -1"):
+            PotentialSpec(p_even={}, q_even={}, p_odd={}, q_odd={1: 1e154, -1: 1.1e154}, max_mode=1)
+        with pytest.raises(ValueError, match=r"p_even.*mode -4"):
+            PotentialSpec(p_even={2: 1e100, -4: 1e200j}, q_even={}, p_odd={}, q_odd={}, max_mode=4)
+        spec = PotentialSpec(p_even={2: 1e150}, q_even={}, p_odd={}, q_odd={}, max_mode=2)
+        assert potential_norm(spec) == pytest.approx(1e150)
+
     def test_lookup_defaults_to_zero(self):
         spec = PotentialSpec(p_even={2: 1.0}, q_even={}, p_odd={}, q_odd={}, max_mode=2)
         assert spec.p(2) == 1.0

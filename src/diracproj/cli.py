@@ -25,10 +25,10 @@ bound was violated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Effective knobs of one run after merging defaults, file, and flags."""
 
@@ -119,7 +119,7 @@ class RunConfig:
             raise ConfigError("seed must be a nonnegative integer")
 
 
-_CONFIG_KEYS = ("bc", "K", "radius", "nodes", "N", "seed", "out", "potential")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "command")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -145,6 +145,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool or a string) that fits a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_potential_file(path: str) -> PotentialSpec:
     """Read a potential from JSON: coefficient lists or a sample table.
 
@@ -164,12 +169,10 @@ def load_potential_file(path: str) -> PotentialSpec:
         raise ConfigError(f"max_mode must be a JSON integer, got {json.dumps(max_mode)}")
     if "samples" in raw:
         rows = raw["samples"]
-        try:
-            arr = np.array(rows, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("samples rows must be [x, reP, imP, reQ, imQ]") from None
-        if arr.ndim != 2 or arr.shape[1] != 5:
-            raise ConfigError("samples rows must be [x, reP, imP, reQ, imQ]")
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) and len(row) == 5 and all(map(_finite_number, row)) for row in rows)):
+            raise ConfigError("samples rows must be [x, reP, imP, reQ, imQ], five finite JSON numbers")
+        arr = np.array(rows, dtype=float)
         count = arr.shape[0]
         grid = np.arange(count) * (np.pi / count)
         if np.max(np.abs(arr[:, 0] - grid)) > 1e-9:
@@ -188,8 +191,10 @@ def load_potential_file(path: str) -> PotentialSpec:
         out: dict[int, complex] = {}
         for row in rows:
             if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is int
-                    and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row[1:])):
+                    and all(map(_finite_number, row[1:]))):
                 raise ConfigError(f"{key} rows must be [m, re, im], m an integer, re and im finite; got {json.dumps(row)}")
+            if row[0] in out:
+                raise ConfigError(f"{key} repeats mode {row[0]}")
             out[row[0]] = complex(row[1], row[2])
         return out
 
@@ -228,17 +233,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _write_run_json(out: Path, cfg: RunConfig, started: float, extra: dict) -> None:
     payload = {
-        "config": {
-            "command": cfg.command,
-            "bc": cfg.bc,
-            "K": cfg.K,
-            "radius": cfg.radius,
-            "nodes": cfg.nodes,
-            "N": cfg.N,
-            "seed": cfg.seed,
-            "out": cfg.out,
-            "potential": cfg.potential,
-        },
+        "config": dataclasses.asdict(cfg),
         "versions": {
             "diracproj": __version__,
             "numpy": np.__version__,
@@ -302,9 +297,7 @@ def cmd_deviations(cfg: RunConfig) -> int:
     N = cfg.N if cfg.N is not None else threshold
     op = build_operator(spec, cfg.bc, cfg.K)
     report = deviation_report(op, N, threshold, cfg.radius, cfg.nodes)
-    rows = []
-    for n, cum in zip(report.ordered_discs, report.cumulative):
-        rows.append((n, report.ranks[n], report.per_n[n], cum))
+    rows = zip(report.discs, report.ranks, report.deviations, report.cumulative)
     _write_csv(out / "deviations.csv", ("n", "rank", "deviation_hs", "cumulative_sum"), rows)
     counts = localization_counts(op, cfg.radius)
     expected = 1 if cfg.bc == "dir" else 2
@@ -336,8 +329,6 @@ def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
     op = build_operator(spec, cfg.bc, cfg.K)
     threshold = find_threshold_n(spec, cfg.bc, cfg.K)
     N = cfg.N if cfg.N is not None else threshold
-    if N < threshold:
-        raise ValueError(f"N = {N} is below the verified threshold {threshold}")
     # seeded band-limited input spread over the low modes
     rng = np.random.default_rng([cfg.seed, 101])
     low = [(n, ch) for (n, ch) in op.basis.indices if abs(n) <= min(8, cfg.K / 4)]
@@ -345,11 +336,8 @@ def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
         {idx: complex(a, b) for idx, a, b in zip(low, rng.standard_normal(len(low)), rng.standard_normal(len(low)))},
         op.basis,
     )
-    shells = sorted({abs(n) for n in disc_centers(cfg.bc, M) if abs(n) > N})
-    if not shells:
-        raise ValueError(f"no discs in the window N={N} < |n| <= M={M}")
-    expansion = disc_expansion(f, op, N, M, cfg.radius, cfg.nodes)
-    curve = reconstruction_curve(expansion, shells)
+    expansion = disc_expansion(f, op, N, threshold, M, cfg.radius, cfg.nodes)
+    curve = reconstruction_curve(expansion)
     _write_csv(out / "reconstruction.csv", ("M", "error"), curve)
     report = unconditionality_test(expansion, trials=trials, seed=cfg.seed)
     _write_csv(

@@ -22,14 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import BasisIndexSet, OperatorMatrix, disc_centers
-from .projections import (
-    ContourSpec,
-    deviation,
-    free_projection,
-    global_projection,
-    riesz_projection,
-)
+from .operator import BasisIndexSet, OperatorMatrix
+from .projections import DeviationReport, _disc_sweep, global_projection
 
 SQRT2 = np.sqrt(2.0)
 
@@ -132,57 +126,47 @@ def synthesize(f: FunctionVector, x) -> tuple[np.ndarray, np.ndarray]:
     return f1, f2
 
 
-def _ordered_discs(basis: BasisIndexSet, N: int, M: int) -> list[int]:
-    if M > basis.trusted_limit:
-        raise ValueError(f"M = {M} exceeds the trusted window |n| <= {basis.trusted_limit}")
-    return sorted(
-        (n for n in disc_centers(basis.bc, M) if abs(n) > N),
-        key=lambda n: (abs(n), n),
-    )
-
-
 @dataclass(frozen=True)
 class DiscExpansion:
     """S_N f and the disc terms P_n f of one function over N < |n| <= M.
 
-    Each disc projection and the global one are built once and applied to f
-    in factored form; only the term vectors and each disc's deviation
-    ||P_n - P_n^0||_HS are kept.  discs run in the canonical (|n|, n) order.
+    report is the disc sweep that built the terms: its discs, in the
+    canonical (|n|, n) order, and their deviations ||P_n - P_n^0||_HS.
+    terms[i] is P_n f for n = report.discs[i]; the projections themselves,
+    built once each and applied in factored form, are not kept.
     """
 
     f: FunctionVector
     M: int
-    discs: tuple[int, ...]
+    report: DeviationReport
     start: np.ndarray
     terms: tuple[np.ndarray, ...]
-    deviations: tuple[float, ...]
 
 
 def disc_expansion(
     f: FunctionVector,
     op: OperatorMatrix,
     N: int,
+    threshold: int,
     M: int,
     radius: float = 0.5,
     nodes: int = 64,
     global_nodes: int | None = None,
 ) -> DiscExpansion:
-    """Apply S_N and every window disc projection to f, one contour each."""
-    discs = _ordered_discs(op.basis, N, M)
-    terms = []
-    devs = []
-    for n in discs:
-        p = riesz_projection(op, ContourSpec(n, radius, nodes))
-        terms.append(p.apply(f.coeffs))
-        devs.append(deviation(p, free_projection(op.basis.bc, n, op.basis.K)))
+    """Apply S_N and every window disc projection to f, one contour each.
+
+    N must be at or above the verified `threshold`, and M at most K/2.
+    """
+    report, terms = _disc_sweep(op, N, threshold, M, radius, nodes, f.coeffs)
     start = global_projection(op, N, global_nodes).apply(f.coeffs)
-    return DiscExpansion(f, M, tuple(discs), start, tuple(terms), tuple(devs))
+    return DiscExpansion(f, M, report, start, terms)
 
 
 def reconstruct(
     f: FunctionVector,
     op: OperatorMatrix,
     N: int,
+    threshold: int,
     M: int,
     radius: float = 0.5,
     nodes: int = 64,
@@ -192,7 +176,7 @@ def reconstruct(
 
     Returns the reconstruction and its L2 error against f.
     """
-    expansion = disc_expansion(f, op, N, M, radius, nodes, global_nodes)
+    expansion = disc_expansion(f, op, N, threshold, M, radius, nodes, global_nodes)
     acc = expansion.start
     for term in expansion.terms:
         acc = acc + term
@@ -200,9 +184,15 @@ def reconstruct(
     return f_hat, float(np.linalg.norm(acc - f.coeffs))
 
 
-def reconstruction_curve(expansion: DiscExpansion, Ms) -> list[tuple[int, float]]:
-    """Reconstruction error as the disc window M grows, reusing every term."""
-    Ms = sorted(int(m) for m in Ms)
+def reconstruction_curve(expansion: DiscExpansion, Ms=None) -> list[tuple[int, float]]:
+    """Reconstruction error as the disc window M grows, reusing every term.
+
+    Ms defaults to every shell |n| of the expansion's discs.
+    """
+    discs = expansion.report.discs
+    Ms = sorted({abs(n) for n in discs} if Ms is None else (int(m) for m in Ms))
+    if not Ms:
+        raise ValueError(f"no discs in the window |n| <= M = {expansion.M} past the cutoff")
     if Ms[-1] > expansion.M:
         raise ValueError(f"window M = {Ms[-1]} exceeds the expansion's M = {expansion.M}")
     target = expansion.f.coeffs
@@ -210,7 +200,7 @@ def reconstruction_curve(expansion: DiscExpansion, Ms) -> list[tuple[int, float]
     out = []
     i = 0
     for M in Ms:
-        while i < len(expansion.discs) and abs(expansion.discs[i]) <= M:
+        while i < len(discs) and abs(discs[i]) <= M:
             acc = acc + expansion.terms[i]
             i += 1
         out.append((M, float(np.linalg.norm(acc - target))))
@@ -283,7 +273,7 @@ def unconditionality_test(expansion: DiscExpansion, trials: int = 16, seed: int 
         base_error=base_error,
         max_reordered_error=max(terminals + [base_error]),
         max_partial_sum_spread=max(excursions + [base_error]),
-        bari_markus_tail=float(sum(d * d for d in expansion.deviations)),
+        bari_markus_tail=expansion.report.tail_sum,
         f_norm=expansion.f.norm,
         trial_excursions=tuple(excursions),
         trial_terminals=tuple(terminals),

@@ -97,6 +97,16 @@ class PotentialSpec:
         table = self.q_even if m % 2 == 0 else self.q_odd
         return table.get(m, 0j)
 
+    def coupled_modes(self, bc: str) -> list[int]:
+        """Ascending modes m of bc's coefficient lattice with m or -m stored.
+
+        Every envelope and weight built from the coefficients vanishes off
+        these modes, so sums over them never visit all |m| <= max_mode.
+        """
+        tables = (self.p_even, self.q_even, self.p_odd, self.q_odd) if bc == DIRICHLET else (self.p_even, self.q_even)
+        modes = set().union(*tables)
+        return sorted(modes | {-m for m in modes})
+
     def scaled(self, t: complex) -> "PotentialSpec":
         return PotentialSpec(
             p_even={m: t * v for m, v in self.p_even.items()},
@@ -205,13 +215,10 @@ class RSequence:
 
 def r_sequence(spec: PotentialSpec, bc: str) -> RSequence:
     validate_bc(bc)
+    modes = spec.coupled_modes(bc)
     if bc == DIRICHLET:
-        vals = {m: abs(dirichlet_w(spec, m)) for m in range(-spec.max_mode, spec.max_mode + 1)}
-        return RSequence(vals, step=1)
-    top = spec.max_mode - (spec.max_mode % 2)
-    vals = {}
-    for m in range(-top, top + 1, 2):
-        vals[m] = max(abs(spec.p(m)), abs(spec.p(-m))) + max(abs(spec.q(m)), abs(spec.q(-m)))
+        return RSequence({m: abs(dirichlet_w(spec, m)) for m in modes}, step=1)
+    vals = {m: max(abs(spec.p(m)), abs(spec.p(-m))) + max(abs(spec.q(m)), abs(spec.q(-m))) for m in modes}
     return RSequence(vals, step=2)
 
 

@@ -41,6 +41,7 @@ to about 1e-16 / dev^2 relative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -269,26 +270,59 @@ def deviation(p: ProjectionResult, p0: ProjectionResult) -> float:
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Per-disc deviations ||P_n - P_n^0||_HS beyond a cutoff N.
+    """Per-disc deviations ||P_n - P_n^0||_HS over a window N < |n| <= M.
 
-    per_n is keyed by disc center; cumulative holds the running partial sums
-    of the squared deviations in (|n|, n) order, so the last entry is the
-    full tail sum that the quadratic-closeness criterion bounds.
+    discs run in the canonical (|n|, n) order; ranks and deviations follow
+    them, and cumulative holds the running partial sums of the squared
+    deviations, so the last entry is the tail sum that the
+    quadratic-closeness criterion bounds.
     """
 
-    per_n: dict[int, float]
+    discs: tuple[int, ...]
+    ranks: tuple[int, ...]
+    deviations: tuple[float, ...]
     cumulative: tuple[float, ...]
-    N_used: int
-    K_used: int
-    ranks: dict[int, int]
-
-    @property
-    def ordered_discs(self) -> tuple[int, ...]:
-        return tuple(sorted(self.per_n, key=lambda n: (abs(n), n)))
 
     @property
     def tail_sum(self) -> float:
         return self.cumulative[-1] if self.cumulative else 0.0
+
+
+def _disc_sweep(
+    op: OperatorMatrix,
+    N: int,
+    threshold: int,
+    M: float | None,
+    radius: float,
+    nodes: int,
+    f: np.ndarray | None = None,
+) -> tuple[DeviationReport, tuple[np.ndarray, ...]]:
+    """The one pass over the disc window N < |n| <= M (M defaults to K/2).
+
+    `threshold` is the verified threshold of the operator's potential
+    (find_threshold_n).  N below it is refused, so every contour integrated
+    over satisfies the smallness test, and so is M beyond the trusted window
+    K/2.  Each disc gets one contour projection P_n and its deviation from
+    the free P_n^0; with f given, P_n f is kept too.  P_n itself is dropped
+    before the next disc.
+    """
+    if N < threshold:
+        raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")
+    bc, K = op.basis.bc, op.basis.K
+    limit = op.basis.trusted_limit
+    M = limit if M is None else M
+    if M > limit:
+        raise ValueError(f"M = {M} exceeds the trusted window |n| <= {limit}")
+    discs = tuple(sorted((n for n in disc_centers(bc, M) if abs(n) > N), key=lambda n: (abs(n), n)))
+    ranks, devs, terms = [], [], []
+    for n in discs:
+        p = riesz_projection(op, ContourSpec(n, radius, nodes))
+        ranks.append(p.rank)
+        devs.append(deviation(p, free_projection(bc, n, K)))
+        if f is not None:
+            terms.append(p.apply(f))
+    cumulative = tuple(itertools.accumulate(d * d for d in devs))
+    return DeviationReport(discs, tuple(ranks), tuple(devs), cumulative), tuple(terms)
 
 
 def deviation_report(
@@ -299,30 +333,11 @@ def deviation_report(
     nodes: int = 64,
     max_disc: float | None = None,
 ) -> DeviationReport:
-    """Deviations for every trusted disc N < |n| <= K/2 (optionally capped).
+    """Deviations for every trusted disc N < |n| <= max_disc (default K/2).
 
-    `threshold` is the verified threshold of the operator's potential
-    (find_threshold_n).  N must be at or above it, so every contour the
-    report integrates over satisfies the smallness test.
+    N must be at or above the verified `threshold`, and max_disc at most K/2.
     """
-    if N < threshold:
-        raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")
-    bc, K = op.basis.bc, op.basis.K
-    limit = K / 2 if max_disc is None else min(max_disc, K / 2)
-    discs = sorted((n for n in disc_centers(bc, limit) if abs(n) > N), key=lambda n: (abs(n), n))
-    per_n: dict[int, float] = {}
-    ranks: dict[int, int] = {}
-    cumulative: list[float] = []
-    running = 0.0
-    for n in discs:
-        p = riesz_projection(op, ContourSpec(n, radius, nodes))
-        p0 = free_projection(bc, n, K)
-        dev = deviation(p, p0)
-        per_n[n] = dev
-        ranks[n] = p.rank
-        running += dev * dev
-        cumulative.append(running)
-    return DeviationReport(per_n, tuple(cumulative), N, K, ranks)
+    return _disc_sweep(op, N, threshold, max_disc, radius, nodes)[0]
 
 
 def localization_counts(op: OperatorMatrix, radius: float = 0.5) -> dict[int, int]:

@@ -91,16 +91,10 @@ def shifted_solve(op: OperatorMatrix, lam: complex) -> ShiftedSolve:
 
 def _antidiagonal_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
     """w(j) = squared coefficient mass coupling mode pairs with i + k = j."""
+    modes = spec.coupled_modes(bc)
     if bc == DIRICHLET:
-        return {
-            j: abs(dirichlet_w(spec, j)) ** 2
-            for j in range(-spec.max_mode, spec.max_mode + 1)
-        }
-    top = spec.max_mode - (spec.max_mode % 2)
-    return {
-        j: abs(spec.q(j)) ** 2 + abs(spec.p(-j)) ** 2
-        for j in range(-top, top + 1, 2)
-    }
+        return {j: abs(dirichlet_w(spec, j)) ** 2 for j in modes}
+    return {j: abs(spec.q(j)) ** 2 + abs(spec.p(-j)) ** 2 for j in modes}
 
 
 def circle_samples(center: complex, radius: float, count: int) -> np.ndarray:

@@ -120,8 +120,8 @@ def test_criterion_03a_deviations_halve_across_window():
                 "the inner window's edge 16, so N < |n| <= 16 holds no disc"
             )
             rep = deviation_report(build_operator(spec, bc, 64), N, N)
-            first = sum(d for n, d in rep.per_n.items() if N < abs(n) <= 16)
-            second = sum(d for n, d in rep.per_n.items() if 16 < abs(n) <= 32)
+            first = sum(d for n, d in zip(rep.discs, rep.deviations) if N < abs(n) <= 16)
+            second = sum(d for n, d in zip(rep.discs, rep.deviations) if 16 < abs(n) <= 32)
             if not second <= 0.5 * first:
                 failures.append((seed, bc, N, round(first, 6), round(second, 6)))
     assert not failures, (
@@ -142,7 +142,8 @@ def test_criterion_03b_deviations_stable_under_truncation_doubling():
                 continue  # threshold consumed the whole K = 64 window
             r64 = deviation_report(build_operator(spec, bc, 64), N, t64)
             r128 = deviation_report(build_operator(spec, bc, 128), N, t128)
-            drift = max(abs(r64.per_n[n] - r128.per_n[n]) for n in shared)
+            d64, d128 = (dict(zip(r.discs, r.deviations)) for r in (r64, r128))
+            drift = max(abs(d64[n] - d128[n]) for n in shared)
             assert drift <= 1e-6, (seed, bc, drift)
 
 
@@ -187,7 +188,7 @@ def test_criterion_06_projection_algebra():
         for q in projs[i + 1 :]:
             assert np.linalg.norm(p.matrix @ q.matrix) <= 1e-6
     f = band_limited(op, 8, 42)
-    _, err = reconstruct(f, op, N, 64)
+    _, err = reconstruct(f, op, N, N, 64)
     assert err <= 1e-5
 
 
@@ -200,7 +201,7 @@ def test_criterion_07_reconstruction():
         N = find_threshold_n(spec, "per+", 96)
         f = band_limited(op, 8, 7)
         shells = sorted({abs(n) for n in disc_centers("per+", 32) if abs(n) > N})
-        curve = reconstruction_curve(disc_expansion(f, op, N, shells[-1]), shells)
+        curve = reconstruction_curve(disc_expansion(f, op, N, N, shells[-1]), shells)
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:])), (seed, errs)
         assert curve[-1][0] == 32
@@ -210,7 +211,7 @@ def test_criterion_07_reconstruction():
         i0 = int(np.argmin(np.abs(vals - n0)))
         y = vecs[:, i0]
         fe = FunctionVector(op.basis, y / np.linalg.norm(y))
-        _, err_e = reconstruct(fe, op, N, 32)
+        _, err_e = reconstruct(fe, op, N, N, 32)
         assert err_e <= 1e-6, (seed, err_e)
 
 
@@ -226,7 +227,7 @@ def test_criterion_08_unconditional_reordering():
     vals = rng.standard_normal(len(win)) + 1j * rng.standard_normal(len(win))
     vals /= np.linalg.norm(vals)
     f = expand({i: v for i, v in zip(win, vals)}, op.basis)
-    expansion = disc_expansion(f, op, N, M)
+    expansion = disc_expansion(f, op, N, N, M)
     constants = []
     for s in (0, 1, 2):
         rep = unconditionality_test(expansion, trials=10, seed=s)

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, file outputs, determinism."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -22,6 +23,7 @@ from diracproj.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    RunConfig,
     load_potential_file,
     main,
 )
@@ -112,6 +114,14 @@ class TestConfigHandling:
         code = main(["threshold", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_run_json_echoes_every_config_field(self, tmp_path, small_potential):
+        out = tmp_path / "run"
+        assert main(["threshold", "--K", "8", "--potential", small_potential, "--out", str(out)]) == EXIT_OK
+        config = read_run(out)["config"]
+        assert set(config) == {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(config) == {"command", "bc", "K", "radius", "nodes", "N", "seed", "out", "potential"}
+        assert config["command"] == "threshold" and config["K"] == 8 and config["potential"] == small_potential
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -182,6 +192,9 @@ BAD_POTENTIALS = [
     pytest.param({"max_mode": 2, "q_even": [[2.0, 0.5, 0]]}, "q_even", id="float-mode"),
     pytest.param({"max_mode": 2, "p_odd": [[1, 10**400, 0]]}, "p_odd", id="int-beyond-float"),
     pytest.param({"max_mode": 4, "p_even": [[2, 0.3, 0], [-4, 1e200, 0]]}, "mode -4", id="energy-overflow"),
+    pytest.param({"max_mode": 2, "p_even": [[2, 0.3, 0], [2, 5.0, 0]]}, "p_even", id="repeated-mode"),
+    pytest.param({"max_mode": 0, "samples": [[0.0, "0.25", True, 0, 0]]}, "samples", id="sample-string-and-bool"),
+    pytest.param({"max_mode": 0, "samples": [[0.0, float("inf"), 0, 0, 0]]}, "samples", id="sample-infinite"),
 ]
 
 # arbitrary JSON for the loader's property test
@@ -447,6 +460,17 @@ class TestReconstruct:
         code = self.run(tmp_path / "run", small_potential, "--M", "2")
         assert code == EXIT_NUMERICAL
         assert "no discs in the window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bc", ["per+", "dir"])
+    def test_tail_matches_deviations(self, tmp_path, small_potential, bc):
+        # both jobs read the same disc sweep over N < |n| <= K/2
+        common = ["--bc", bc, "--K", "32", "--potential", small_potential]
+        assert main(["deviations", *common, "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert main(["reconstruct", *common, "--trials", "2", "--out", str(tmp_path / "r")]) == EXIT_OK
+        tail = read_run(tmp_path / "d")["tail_sum"]
+        report = json.loads((tmp_path / "r" / "unconditionality.json").read_text())
+        assert tail > 0
+        assert report["bari_markus_tail"] == tail
 
     def test_N_below_threshold(self, tmp_path, small_potential, capsys):
         code = self.run(tmp_path / "run", small_potential, "--N", "1")

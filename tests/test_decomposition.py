@@ -145,7 +145,7 @@ class TestReconstruct:
     def test_free_dirichlet(self):
         op = build_free(DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
-        f_hat, err = reconstruct(f, op, 1, 8, nodes=64, global_nodes=256)
+        f_hat, err = reconstruct(f, op, 1, 1, 8, nodes=64, global_nodes=256)
         assert err < 1e-9
         assert np.max(np.abs(f_hat.coeffs - f.coeffs)) < 1e-9
 
@@ -153,23 +153,47 @@ class TestReconstruct:
         op = build_free(DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         with pytest.raises(ValueError):
-            reconstruct(f, op, 1, 12)
+            reconstruct(f, op, 1, 1, 12)
+
+    def test_below_threshold_rejected(self):
+        spec = random_potential(0)  # threshold around 20 at unit norm
+        op = build_operator(spec, PER_PLUS, 64)
+        threshold = find_threshold_n(spec, PER_PLUS, 64)
+        f = random_vector(op.basis, seed=1, max_abs_n=4)
+        for build in (disc_expansion, reconstruct):
+            with pytest.raises(ValueError, match="below the verified threshold"):
+                build(f, op, 2, threshold, 32)
+
+    def test_curve_defaults_to_every_shell(self):
+        op = build_free(DIRICHLET, 16)
+        f = random_vector(op.basis, seed=1, max_abs_n=4)
+        expansion = disc_expansion(f, op, 2, 1, 6, global_nodes=256)
+        assert expansion.report.discs == (-3, 3, -4, 4, -5, 5, -6, 6)
+        assert reconstruction_curve(expansion) == reconstruction_curve(expansion, [3, 4, 5, 6])
+
+    def test_curve_of_empty_window_rejected(self):
+        op = build_free(DIRICHLET, 16)
+        f = random_vector(op.basis, seed=1, max_abs_n=4)
+        expansion = disc_expansion(f, op, 3, 1, 3, global_nodes=256)
+        assert expansion.report.discs == () and expansion.terms == ()
+        with pytest.raises(ValueError, match="no discs in the window"):
+            reconstruction_curve(expansion)
 
     def test_curve_nonincreasing_and_consistent(self):
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=2, max_abs_n=6)
         Ms = [2, 4, 6, 8]
-        curve = reconstruction_curve(disc_expansion(f, op, 1, max(Ms), nodes=64, global_nodes=256), Ms)
+        curve = reconstruction_curve(disc_expansion(f, op, 1, 1, max(Ms), nodes=64, global_nodes=256), Ms)
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         for M, err in curve:
-            _, single = reconstruct(f, op, 1, M, nodes=64, global_nodes=256)
+            _, single = reconstruct(f, op, 1, 1, M, nodes=64, global_nodes=256)
             assert err == pytest.approx(single, abs=1e-12)
 
     def test_curve_rejects_window_beyond_expansion(self):
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=2, max_abs_n=6)
-        expansion = disc_expansion(f, op, 1, 4, global_nodes=256)
+        expansion = disc_expansion(f, op, 1, 1, 4, global_nodes=256)
         with pytest.raises(ValueError):
             reconstruction_curve(expansion, [2, 6])
 
@@ -178,7 +202,7 @@ class TestReconstruct:
         op = build_operator(spec, PER_PLUS, 32)
         N = find_threshold_n(spec, PER_PLUS, 32)
         f = random_vector(op.basis, seed=4, max_abs_n=4)
-        curve = reconstruction_curve(disc_expansion(f, op, N, 16), [N + 2, 8, 16])
+        curve = reconstruction_curve(disc_expansion(f, op, N, N, 16), [N + 2, 8, 16])
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 0.05 * f.norm
@@ -188,7 +212,7 @@ class TestUnconditionality:
     def test_free_case_terminals_agree(self):
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
-        rep = unconditionality_test(disc_expansion(f, op, 1, 8, nodes=64, global_nodes=256), trials=6)
+        rep = unconditionality_test(disc_expansion(f, op, 1, 1, 8, nodes=64, global_nodes=256), trials=6)
         assert rep.base_error < 1e-9
         assert rep.max_reordered_error < 1e-9
         assert rep.bari_markus_tail < 1e-20
@@ -199,8 +223,8 @@ class TestUnconditionality:
     def test_deterministic_in_seed(self):
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
-        a = unconditionality_test(disc_expansion(f, op, 1, 8, global_nodes=256), trials=3, seed=9)
-        b = unconditionality_test(disc_expansion(f, op, 1, 8, global_nodes=256), trials=3, seed=9)
+        a = unconditionality_test(disc_expansion(f, op, 1, 1, 8, global_nodes=256), trials=3, seed=9)
+        b = unconditionality_test(disc_expansion(f, op, 1, 1, 8, global_nodes=256), trials=3, seed=9)
         assert a == b
 
     def test_perturbed_terminals_agree(self):
@@ -208,7 +232,7 @@ class TestUnconditionality:
         op = build_operator(spec, PER_PLUS, 32)
         N = find_threshold_n(spec, PER_PLUS, 32)
         f = random_vector(op.basis, seed=8, max_abs_n=4)
-        rep = unconditionality_test(disc_expansion(f, op, N, 16), trials=8)
+        rep = unconditionality_test(disc_expansion(f, op, N, N, 16), trials=8)
         worst = max(abs(t - rep.base_error) for t in rep.trial_terminals)
         assert worst < 1e-10
         assert rep.bari_markus_tail > 0
@@ -220,4 +244,4 @@ class TestUnconditionality:
         op = build_free(PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         with pytest.raises(ValueError):
-            unconditionality_test(disc_expansion(f, op, 1, 8), trials=0)
+            unconditionality_test(disc_expansion(f, op, 1, 1, 8), trials=0)

@@ -331,10 +331,10 @@ class TestFactoredForm:
         f = FunctionVector(op.basis, np.random.default_rng(0).standard_normal(op.dim) + 0j)
         monkeypatch.setattr(ProjectionResult, "matrix", property(refuse))
         report = deviation_report(op, N, N)
-        expansion = disc_expansion(f, op, N, 8)
+        expansion = disc_expansion(f, op, N, N, 8)
         s = global_projection(op, N)
         assert s.route == route
-        assert expansion.deviations == tuple(report.per_n[n] for n in expansion.discs)
+        assert expansion.report == report  # one sweep over the same window K/2 = 8
 
     def test_spectral_discs_allocate_no_dim_squared_array(self):
         spec = random_potential(3, norm=0.3)
@@ -347,7 +347,7 @@ class TestFactoredForm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(report.per_n) > 20
+        assert len(report.discs) > 20
         assert peak < op.dim**2 * 16  # one dense complex P
 
 
@@ -380,18 +380,20 @@ class TestDeviationReport:
         spec = random_potential(0, norm=0.3)
         N = find_threshold_n(spec, PER_PLUS, 32)
         report = deviation_report(build_operator(spec, PER_PLUS, 32), N, N, max_disc=10)
-        discs = report.ordered_discs
-        assert discs == tuple(sorted(discs, key=lambda n: (abs(n), n)))
-        assert all(abs(n) > N for n in discs)
-        assert max(abs(n) for n in discs) <= 10
-        assert report.N_used == N
-        assert report.K_used == 32
-        assert all(report.ranks[n] == 2 for n in discs)
+        discs = report.discs
+        assert discs == tuple(sorted((n for n in disc_centers(PER_PLUS, 10) if abs(n) > N), key=lambda n: (abs(n), n)))
+        assert len(report.ranks) == len(report.deviations) == len(report.cumulative) == len(discs)
+        assert report.ranks == (2,) * len(discs)
         cums = report.cumulative
         assert all(b >= a for a, b in zip(cums, cums[1:]))
-        assert report.tail_sum == pytest.approx(
-            sum(d * d for d in report.per_n.values())
-        )
+        assert report.tail_sum == pytest.approx(sum(d * d for d in report.deviations))
+
+    def test_window_beyond_trusted_rejected(self):
+        spec = random_potential(0, norm=0.3)
+        op = build_operator(spec, PER_PLUS, 32)
+        N = find_threshold_n(spec, PER_PLUS, 32)
+        with pytest.raises(ValueError, match="trusted window"):
+            deviation_report(op, N, N, max_disc=17)
 
     def test_free_potential_deviations_vanish(self):
         zero = PotentialSpec.zero()
@@ -403,8 +405,7 @@ class TestDeviationReport:
         spec = random_potential(2, norm=0.3)
         N = find_threshold_n(spec, PER_PLUS, 64)
         report = deviation_report(build_operator(spec, PER_PLUS, 64), N, N)
-        inner = report.per_n[report.ordered_discs[0]]
-        outer = report.per_n[report.ordered_discs[-1]]
+        inner, outer = report.deviations[0], report.deviations[-1]
         assert outer < inner
 
 

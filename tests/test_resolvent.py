@@ -21,6 +21,7 @@ from diracproj.potential import (
     PER_PLUS,
     BC_TAGS,
     PotentialSpec,
+    dirichlet_w,
     r_sequence,
     random_potential,
     validate_bc,
@@ -29,6 +30,7 @@ from diracproj.resolvent import (
     IllConditionedError,
     ThresholdNotFoundError,
     _antidiagonal_weights,
+    _circle_double_sums,
     circle_norm_profile,
     circle_samples,
     find_threshold_n,
@@ -310,6 +312,41 @@ class TestCircleSampling:
     def test_profile_rejects_few_samples(self):
         with pytest.raises(ValueError):
             circle_norm_profile(PotentialSpec.zero(), PER_PLUS, 16, samples_per_circle=2)
+
+
+def _every_mode_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
+    """Anti-diagonal weights on every lattice mode |j| <= max_mode, zeros included."""
+    if bc == DIRICHLET:
+        return {j: abs(dirichlet_w(spec, j)) ** 2 for j in range(-spec.max_mode, spec.max_mode + 1)}
+    top = spec.max_mode - spec.max_mode % 2
+    return {j: abs(spec.q(j)) ** 2 + abs(spec.p(-j)) ** 2 for j in range(-top, top + 1, 2)}
+
+
+class TestStoredModes:
+    """Envelope and weights visit the stored modes only, whatever max_mode says."""
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_huge_max_mode_costs_nothing(self, bc):
+        spec = PotentialSpec(p_even={2: 0.5}, q_even={}, p_odd={}, q_odd={}, max_mode=10**6)
+        assert set(r_sequence(spec, bc).values) <= {-2, 2}
+        assert set(_antidiagonal_weights(spec, bc)) <= {-2, 2}
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_sums_match_every_mode_enumeration(self, bc):
+        # sparse coefficients under a wide max_mode: the dropped modes carry
+        # exact zeros, so every sum agrees bitwise with the full enumeration
+        spec = PotentialSpec(p_even={-4: 0.3, 2: 0.2j}, q_even={2: 0.1}, p_odd={3: 0.05}, q_odd={-1: 0.2}, max_mode=9)
+        full, stored = _every_mode_weights(spec, bc), _antidiagonal_weights(spec, bc)
+        assert list(stored) == sorted(stored)
+        assert all(full[j] == w for j, w in stored.items())
+        assert all(w == 0.0 for j, w in full.items() if j not in stored)
+        centers = np.array([n for n in lattice_points(bc, 24) if 0 < abs(n) <= 12], dtype=float)
+        assert np.array_equal(_circle_double_sums(full, bc, 24, centers, 8), _circle_double_sums(stored, bc, 24, centers, 8))
+        r = r_sequence(spec, bc)
+        assert list(r.values) == sorted(r.values)
+        every = [r(m) for m in range(-9, 10) if m % r.step == 0]
+        assert r.norm_sq == sum(v * v for v in every)
+        assert r.support == tuple(m for m in range(-9, 10) if r(m) != 0.0)
 
 
 class TestThreshold:

@@ -191,9 +191,7 @@ def reconstruction_curve(expansion: DiscExpansion, Ms=None) -> list[tuple[int, f
     """
     discs = expansion.report.discs
     Ms = sorted({abs(n) for n in discs} if Ms is None else (int(m) for m in Ms))
-    if not Ms:
-        raise ValueError(f"no discs in the window |n| <= M = {expansion.M} past the cutoff")
-    if Ms[-1] > expansion.M:
+    if Ms and Ms[-1] > expansion.M:
         raise ValueError(f"window M = {Ms[-1]} exceeds the expansion's M = {expansion.M}")
     target = expansion.f.coeffs
     acc = expansion.start

@@ -20,6 +20,7 @@ becomes the single Toeplitz-like family W(k + n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,13 +138,15 @@ class OperatorMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        off = self.entries - np.diag(np.diagonal(self.entries))
-        return not np.any(off)
+        # nonzeros counted in place: no dim x dim temporary
+        return np.count_nonzero(self.entries) == np.count_nonzero(np.diagonal(self.entries))
 
     @property
     def hs_norm(self) -> float:
-        with np.errstate(over="ignore"):  # an overflow reads inf, which fails eigen's gate
-            return float(np.linalg.norm(self.entries))
+        # an unthreaded in-place sum of squares; an overflow reads inf, which fails eigen's gate
+        flat = self.entries.reshape(-1).view(float)
+        with np.errstate(over="ignore"):
+            return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
 def build_free(bc: str, K: int) -> OperatorMatrix:

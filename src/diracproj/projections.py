@@ -15,28 +15,34 @@ Two evaluation routes are kept; both apply the same filter rule and gates.
 The spectral route diagonalizes L once and applies the identical quadrature
 sum to each eigenvalue (legitimate by linearity, and cheap enough to make
 large node counts free).  Only the few eigenvalues inside or near the
-contour have a filter value above roundoff, so the spectral route keeps
-those r columns and returns the factors V[:, S] diag(f_S) and V^{-1}[S, :]
-of P, at O(dim r) cost per contour beyond the filter itself.  When the
-eigenvector basis is ill-conditioned (defective or nearly so), the Schur
-route reorders one complex Schur form L = Z T Z^H so that S leads, solves
-one Sylvester equation for the coupling X, and filters the triangular
-r x r block, in O(dim^2 r) per contour (Golub & Van Loan 7.6; Bai &
+contour have a filter value above roundoff, so the filter is summed only
+for the eigenvalues within reach of the contour, and the spectral route
+keeps those r columns and returns the factors V[:, S] diag(f_S) and
+V^{-1}[S, :] of P, at O(dim r) cost per contour.  When the eigenvector
+basis is ill-conditioned (defective or nearly so), the Schur route works on
+one complex Schur form L = Z T Z^H, decoupled once per operator: one
+reorder moves the w eigenvalues of the window |lambda| < K/2 + 1/2, which
+holds every trusted disc, to the leading block TW, and one Sylvester
+solve for its coupling Y splits TW off the rest (Bavely & Stewart 1979).
+Each contour then reorders only TW so that S leads, solves one r x (w - r)
+Sylvester equation for the coupling X, and filters the triangular r x r
+block, in O(w^2 r + dim w r); a contour whose S leaves the window takes
+the same steps on the whole form, w = dim (Golub & Van Loan 7.6; Bai &
 Demmel 1993).  The dense LU quadrature, node by node, survives only in the
 tests as the oracle for both.
 
 Both routes return P as factors left (dim x r) and right (r x dim), and P
 stays factored from there on: P f is left (right f), the trace is that of
 the r x r product right left, and the idempotency residual
-||P^2 - P||_F = ||left (right left - I) right||_F is the norm of an r x r
-matrix after thin QRs of left and right^H.  No dim x dim array is formed
-per contour.  The free projection P_n^0 is the coordinate projection onto
-the basis rows D of the lattice point n.  Its deviation is split by rows:
-the r rows in D are differenced explicitly (left[D] right minus the
-identity there), and the other rows, where P^0 vanishes, have norm
-||left[~D] R^H||_F with right^H = Q R, exact because Q^H has orthonormal
-rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead would cancel
-to about 1e-16 / dev^2 relative.
+||P^2 - P||_F = ||left A right||_F, A = right left - I, is read from
+the r x r Gram matrices left^H left and right right^H.  No dim x dim
+array is formed per contour.  The free projection P_n^0 is the coordinate
+projection onto the basis rows D of the lattice point n.  Its deviation is
+split by rows: the r rows in D are differenced explicitly (left[D] right
+minus the identity there), and the other rows, where P^0 vanishes, have
+norm ||left[~D] R^H||_F with right^H = Q R, exact because Q^H has
+orthonormal rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead
+would cancel to about 1e-16 / dev^2 relative.
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ SPECTRAL_COND_LIMIT = 1e5
 # computed filter is pure roundoff (about 1e-17..5e-16 where the exact value
 # is below 1e-30), so dropping those terms leaves P as accurate as before.
 FILTER_FLOOR = 1e-15
+# the filter is summed only within R * FILTER_REACH^(1/M) of the center,
+# where the exact filter falls below 1 / FILTER_REACH.  The full sum beyond
+# is roundoff, which on wide global circles passed FILTER_FLOOR at 1e17
+FILTER_REACH = 1e28
 
 
 class ContourProximityError(Exception):
@@ -131,10 +141,15 @@ def _factored_norm(left: np.ndarray, right: np.ndarray) -> float:
 
 
 def _filter(contour: ContourSpec, mu: np.ndarray) -> np.ndarray:
-    """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) at each value of mu."""
+    """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) at each value of mu;
+    0 beyond the reach set by FILTER_REACH."""
     phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
     lams = contour.center + contour.radius * phases
-    return (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - mu[:, None])).sum(axis=1)
+    reach = contour.radius * FILTER_REACH ** (1 / contour.nodes)
+    near = np.flatnonzero(np.abs(mu - contour.center) < reach)
+    filt = np.zeros(len(mu), dtype=complex)
+    filt[near] = (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - mu[near, None])).sum(axis=1)
+    return filt
 
 
 def _quadrature_spectral(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -150,34 +165,58 @@ def _quadrature_spectral(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.n
     return vecs[:, keep] * filt[keep], eigenbasis_inverse(op)[keep, :]
 
 
-def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, float]:
+    """L = Z T Z^H decoupled at the window |lambda| < K/2 + 1/2, once per operator.
+
+    Returns (T, Z, w, right, y_norm).  The w window eigenvalues lead diag(T),
+    TW Y - Y TR = -TWR splits the leading w x w block TW from the rest TR,
+    and right = [I, -Y] Z^H (w x dim) maps into the window's invariant
+    subspace, spanned by Z[:, :w].  When the window cannot be split off,
+    w = dim, right = Z^H and y_norm = 0.
+    """
     if "schur" not in op._aux_cache:
-        op._aux_cache["schur"] = scipy.linalg.schur(op.entries, output="complex")
+        T, Z = scipy.linalg.schur(op.entries, output="complex")
+        window = np.abs(np.diagonal(T)) < op.basis.trusted_limit + 0.5
+        T, Z, _, w, _, _, info = scipy.linalg.lapack.ztrsen(window, T, Z, job="N")
+        Y, scale = np.zeros((w, op.dim - w), dtype=complex), 1.0
+        if info == 0 and 0 < w < op.dim:
+            Y, scale, info = scipy.linalg.lapack.ztrsyl(T[:w, :w], T[w:, w:], -T[:w, w:], isgn=-1)
+        if info != 0 or scale < 1.0 or w == 0:
+            w, Y = op.dim, np.zeros((op.dim, 0), dtype=complex)
+        right = Z[:, :w].conj().T - Y @ Z[:, w:].conj().T
+        op._aux_cache["schur"] = (T, Z, w, right, float(np.linalg.norm(Y)))
     return op._aux_cache["schur"]
 
 
 def _quadrature_schur(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (Z1 F, [I, -X] Z^H): S from diag(T) moved to the leading block
-    T11, T11 X - X T22 = -T12, F the trapezoid filter of T11 itself.  Refuses
-    when LAPACK fails or the projector norm sqrt(1 + ||X||_F^2) exceeds
+    """Factors (Z_W Q1 F, [I, -X] Q^H [I, -Y] Z^H) from the decoupled Schur form.
+
+    S from diag(T) is moved to the leading block T11 of the window block
+    TW = Q [[T11, T12], [0, T22]] Q^H, T11 X - X T22 = -T12, and F is the
+    trapezoid filter of T11 itself.  When S reaches outside the window, the
+    whole form is the window (w = dim, Y = 0).  Refuses when LAPACK fails or
+    the projector norm bound hypot(1, ||X||_F) hypot(1, ||Y||_F) exceeds
     CONDITION_LIMIT.
     """
-    T, Z = _schur_form(op)
+    T, Z, w, right, y_norm = _schur_form(op)
     select = np.abs(_filter(contour, np.diagonal(T))) > FILTER_FLOOR
-    T, Z, _, r, _, _, info = scipy.linalg.lapack.ztrsen(select, T, Z, job="N")
-    X, scale = np.zeros((r, op.dim - r), dtype=complex), 1.0
-    if info == 0 and 0 < r < op.dim:
-        X, scale, info = scipy.linalg.lapack.ztrsyl(T[:r, :r], T[r:, r:], -T[:r, r:], isgn=-1)
-    norm = math.hypot(1.0, float(np.linalg.norm(X)))
+    if select[w:].any():
+        w, right, y_norm = op.dim, Z.conj().T, 0.0
+    TW, Q, _, r, _, _, info = scipy.linalg.lapack.ztrsen(select[:w], T[:w, :w], np.eye(w, dtype=complex), job="N")
+    X, scale = np.zeros((r, w - r), dtype=complex), 1.0
+    if info == 0 and 0 < r < w:
+        X, scale, info = scipy.linalg.lapack.ztrsyl(TW[:r, :r], TW[r:, r:], -TW[:r, r:], isgn=-1)
+    norm = math.hypot(1.0, float(np.linalg.norm(X))) * math.hypot(1.0, y_norm)
     if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
         raise ProjectionQualityError(
             f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
             f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
         )
     phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
-    shifted = contour.points()[:, None, None] * np.eye(r) - T[:r, :r]
+    shifted = contour.points()[:, None, None] * np.eye(r) - TW[:r, :r]
     filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
-    return Z[:, :r] @ filt, Z[:, :r].conj().T - X @ Z[:, r:].conj().T
+    coupling = Q[:, :r].conj().T - X @ Q[:, r:].conj().T
+    return Z[:, :w] @ Q[:, :r] @ filt, coupling @ right
 
 
 def riesz_projection(
@@ -203,8 +242,9 @@ def riesz_projection(
     route = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "schur"
     left, right = (_quadrature_spectral if route == "spectral" else _quadrature_schur)(op, contour)
     gram = right @ left
-    # P^2 - P = left (gram - I) right = Q_l [R_l (gram - I)] right with left = Q_l R_l
-    residual = _factored_norm(np.linalg.qr(left, mode="r") @ (gram - np.eye(len(gram))), right)
+    # ||P^2 - P||_F^2 = ||left A right||_F^2 = tr(A^H (left^H left) A (right right^H)), A = gram - I
+    defect = gram - np.eye(len(gram))
+    residual = math.sqrt(max(np.vdot(defect, (left.conj().T @ left) @ defect @ (right @ right.conj().T)).real, 0.0))
 
     trace = complex(np.trace(gram))
     rank = int(round(trace.real))
@@ -301,10 +341,10 @@ def _disc_sweep(
 
     `threshold` is the verified threshold of the operator's potential
     (find_threshold_n).  N below it is refused, so every contour integrated
-    over satisfies the smallness test, and so is M beyond the trusted window
-    K/2.  Each disc gets one contour projection P_n and its deviation from
-    the free P_n^0; with f given, P_n f is kept too.  P_n itself is dropped
-    before the next disc.
+    over satisfies the smallness test; so are M beyond the trusted window
+    K/2 and a window with no disc in it.  Each disc gets one contour
+    projection P_n and its deviation from the free P_n^0; with f given,
+    P_n f is kept too.  P_n itself is dropped before the next disc.
     """
     if N < threshold:
         raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")
@@ -314,6 +354,8 @@ def _disc_sweep(
     if M > limit:
         raise ValueError(f"M = {M} exceeds the trusted window |n| <= {limit}")
     discs = tuple(sorted((n for n in disc_centers(bc, M) if abs(n) > N), key=lambda n: (abs(n), n)))
+    if not discs:
+        raise ValueError(f"no discs in the window |n| <= M = {M} past the cutoff")
     ranks, devs, terms = [], [], []
     for n in discs:
         p = riesz_projection(op, ContourSpec(n, radius, nodes))

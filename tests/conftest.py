@@ -6,11 +6,18 @@ riesz_projection is also checked against the 2-norm condition number
 (an SVD): both must fall on the same side of SPECTRAL_COND_LIMIT.
 """
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diracproj import projections
 from diracproj.operator import eigen
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(autouse=True)
@@ -30,3 +37,29 @@ def route_choice_agrees_with_svd_condition(monkeypatch):
         return value
 
     monkeypatch.setattr(projections, "eigenbasis_condition", choose)
+
+
+@pytest.fixture
+def benchmark_cases(monkeypatch, tmp_path):
+    """cases(workload, seeds): the sorted (potential path, bc, K) of every
+    operator the benchmark workload builds on those seeds, with its inputs
+    written by the benchmark's own generator."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+
+    def cases(workload, seeds):
+        found = set()
+        for seed in seeds:
+            files, _, jobs = module.WORKLOADS[workload](seed)
+            for name, payload in files.items():
+                path = tmp_path / f"{workload}-{seed}-{name}.json"
+                path.write_text(json.dumps(payload), encoding="utf-8")
+                for job in jobs:
+                    if job.potential == name:
+                        found.add((str(path), job.bc, int(job.args[job.args.index("--K") + 1])))
+        assert found
+        return sorted(found)
+
+    return cases

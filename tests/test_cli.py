@@ -395,6 +395,17 @@ class TestDeviations:
         _, rows = read_csv(out / "deviations.csv")
         assert len(rows) == 8
 
+    def test_no_disc_in_window_is_numerical(self, tmp_path, small_potential, capsys):
+        # N = K/2 leaves no disc: nothing is verified, so no report is written
+        out = tmp_path / "run"
+        code = main(
+            ["deviations", "--bc", "dir", "--K", "16", "--N", "8",
+             "--potential", small_potential, "--out", str(out)]
+        )
+        assert code == EXIT_NUMERICAL
+        assert "no discs in the window" in capsys.readouterr().err
+        assert not (out / "deviations.csv").exists() and not (out / "run.json").exists()
+
     def test_threshold_not_found_is_numerical(self, tmp_path, capsys):
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(HUGE), encoding="utf-8")
@@ -620,15 +631,27 @@ class TestWorkPerJob:
             assert contours == []
 
     def test_defective_deviations_use_one_schur_form(self, monkeypatch, tmp_path):
+        # one Schur form, one full-size reorder and one Sylvester solve split off
+        # the window |z| < K/2 + 1/2 (w = 34 of dim 130); each contour then
+        # works inside the window only
         path = tmp_path / "p_only.json"
         path.write_text(json.dumps(P_ONLY), encoding="utf-8")
         schurs = count_calls(monkeypatch, scipy.linalg.schur, owners=[scipy.linalg])
+        reorders = count_calls(monkeypatch, scipy.linalg.lapack.ztrsen, owners=[scipy.linalg.lapack])
+        sylvesters = count_calls(monkeypatch, scipy.linalg.lapack.ztrsyl, owners=[scipy.linalg.lapack])
         solves = []
         post_init = ShiftedSolve.__post_init__
         monkeypatch.setattr(ShiftedSolve, "__post_init__", lambda self: solves.append(self) or post_init(self))
         argv = ["deviations", "--bc", "per+", "--K", "32", "--potential", str(path), "--out", str(tmp_path / "run")]
         assert main(argv) == EXIT_OK
         assert (len(solves), len(schurs)) == (0, 1)
+        dim, w = 130, 34
+        _, rows = read_csv(tmp_path / "run" / "deviations.csv")
+        reordered = [len(args[1]) for args in reorders]
+        assert reordered == [dim] + [w] * len(rows)
+        shapes = [(len(a), len(b)) for a, b, *_ in sylvesters]
+        assert shapes[0] == (w, dim - w) and len(shapes) == 1 + len(rows)
+        assert all(m + n == w for m, n in shapes[1:])
 
     def test_classify_bc_does_no_spectral_work(self, monkeypatch, capsys):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])

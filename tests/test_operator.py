@@ -1,10 +1,6 @@
 """Truncation lattices, free/coupling matrices, and quadruple classification."""
 
-import importlib.util
-import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +29,6 @@ from diracproj.potential import (
     random_potential,
 )
 from diracproj.projections import SPECTRAL_COND_LIMIT
-
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
 
 def _per_entry_coupling(spec, bc, K):
     """Coupling matrix filled one entry at a time from the coefficient maps."""
@@ -117,24 +110,10 @@ class TestEigenbasisCondition:
         assert eigenbasis_condition(build_operator(random_potential(0, norm=0.3), DIRICHLET, 4)) == np.inf
 
     @pytest.mark.parametrize("workload", ["spectral", "defective"])
-    def test_condition_estimate_keeps_benchmark_routes(self, monkeypatch, tmp_path, workload):
+    def test_condition_estimate_keeps_benchmark_routes(self, benchmark_cases, workload):
         # the 1-norm estimate and the SVD condition number put every operator
         # the benchmark builds (seeds 0-9) on the same side of the route limit
-        spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
-        spec.loader.exec_module(module)
-        cases = set()
-        for seed in range(10):
-            files, _, jobs = module.WORKLOADS[workload](seed)
-            for name, payload in files.items():
-                path = tmp_path / f"{seed}-{name}.json"
-                path.write_text(json.dumps(payload), encoding="utf-8")
-                for job in jobs:
-                    if job.potential == name:
-                        cases.add((str(path), job.bc, int(job.args[job.args.index("--K") + 1])))
-        assert cases
-        for path, bc, K in sorted(cases):
+        for path, bc, K in benchmark_cases(workload, range(10)):
             op = build_operator(load_potential_file(path), bc, K)
             exact = float(np.linalg.cond(eigen(op)[1]))
             assert (exact > SPECTRAL_COND_LIMIT) == (eigenbasis_condition(op) > SPECTRAL_COND_LIMIT), (path, bc, K)

@@ -1,14 +1,17 @@
 """Contour quadrature, Riesz projections, and deviation reports."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracproj import projections
+from diracproj.cli import load_potential_file
 from diracproj.decomposition import FunctionVector, disc_expansion
 from diracproj.operator import (
     OperatorMatrix,
@@ -33,9 +36,12 @@ from diracproj.projections import (
     ContourSpec,
     ProjectionQualityError,
     ProjectionResult,
+    FILTER_FLOOR,
     SPECTRAL_COND_LIMIT,
+    _filter,
     _quadrature_schur,
     _quadrature_spectral,
+    _schur_form,
     default_global_nodes,
     deviation,
     deviation_report,
@@ -44,7 +50,7 @@ from diracproj.projections import (
     localization_counts,
     riesz_projection,
 )
-from diracproj.resolvent import IllConditionedError, find_threshold_n, shifted_solve
+from diracproj.resolvent import CONDITION_LIMIT, IllConditionedError, find_threshold_n, shifted_solve
 
 CONST = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
 
@@ -171,13 +177,17 @@ class TestRieszProjection:
         assert np.max(np.abs(total - np.eye(op.dim))) < 1e-12
 
 
+def full_filter(contour, mu):
+    """The trapezoid filter summed at every value of mu: a len(mu) x nodes array."""
+    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
+    lams = contour.center + contour.radius * phases
+    return (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - mu[:, None])).sum(axis=1)
+
+
 def dense_spectral_projection(op, contour):
     """The full filter over every eigenvalue: (V diag(f)) V^{-1}."""
     vals, vecs = eigen(op)
-    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
-    lams = contour.center + contour.radius * phases
-    filt = (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - vals[:, None])).sum(axis=1)
-    return (vecs * filt) @ eigenbasis_inverse(op)
+    return (vecs * full_filter(contour, vals)) @ eigenbasis_inverse(op)
 
 
 class TestLowRankSpectralRoute:
@@ -295,6 +305,112 @@ class TestSchurRoute:
             assert p.route == route
             assert np.max(np.abs(p.matrix - want)) <= 1e-10
             assert p.rank == int(round(np.trace(want).real))
+
+
+def full_reorder_schur(form, contour):
+    """The Schur route that reorders per contour: `form` = (T, Z) is the
+    operator's Schur form as scipy returns it, and every contour moves S to
+    the front of the whole dim x dim T and solves a full-size Sylvester
+    equation."""
+    T, Z = form
+    dim = len(T)
+    select = np.abs(full_filter(contour, np.diagonal(T))) > FILTER_FLOOR
+    T, Z, _, r, _, _, info = scipy.linalg.lapack.ztrsen(select, T, Z, job="N")
+    X, scale = np.zeros((r, dim - r), dtype=complex), 1.0
+    if info == 0 and 0 < r < dim:
+        X, scale, info = scipy.linalg.lapack.ztrsyl(T[:r, :r], T[r:, r:], -T[:r, r:], isgn=-1)
+    norm = math.hypot(1.0, float(np.linalg.norm(X)))
+    if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
+        raise ProjectionQualityError(
+            f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
+            f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
+        )
+    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
+    shifted = contour.points()[:, None, None] * np.eye(r) - T[:r, :r]
+    filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
+    return Z[:, :r] @ filt, Z[:, :r].conj().T - X @ Z[:, r:].conj().T
+
+
+def _leaves_window(op, contour):
+    """Whether the contour selects an eigenvalue outside the decoupled window."""
+    T, _, w, _, _ = _schur_form(op)
+    return bool(np.any(np.abs(_filter(contour, np.diagonal(T)))[w:] > FILTER_FLOOR))
+
+
+def _window_cases():
+    """name -> (potential, bc, K, extra contours whose selection leaves the window)."""
+    cases = {}
+    for (p, q), bc, K in itertools.product(((1.0, 0.0), (0.0, 1.0)), (PER_PLUS, PER_MINUS), (32, 64)):
+        cases[f"{'P' if p else 'Q'}-only-{bc}-K{K}"] = (structured_potential(0, p, q), bc, K, [])
+    # 8 nodes leak the filter across the spectrum; radius 1.5 at K/2 reaches the next lattice point
+    cases["P-only-per+-K32"] = cases["P-only-per+-K32"][:3] + ([ContourSpec(8, 0.5, 8), ContourSpec(16, 1.5, 64)],)
+    cases["P-only+1e-10Q-per+-K32"] = (structured_potential(0, 1.0, 1e-10), PER_PLUS, 32, [])
+    return cases
+
+
+WINDOW_CASES = _window_cases()
+
+
+class TestSchurWindow:
+    """The Schur route decouples a window form once per operator; its
+    factors must match the per-contour full reorder entrywise."""
+
+    def check(self, op, contour):
+        got = np.matmul(*_quadrature_schur(op, contour))
+        want = np.matmul(*full_reorder_schur(scipy.linalg.schur(op.entries, output="complex"), contour))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(want), contour
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_matches_full_reorder(self, case):
+        spec, bc, K, leaving = WINDOW_CASES[case]
+        op = build_operator(spec, bc, K)
+        N = find_threshold_n(spec, bc, K)
+        # the window holds one eigenvalue per basis row of the trusted discs
+        assert _schur_form(op)[2] == np.count_nonzero(np.abs(op.basis.free_diagonal()) <= K / 2) < op.dim
+        discs = [ContourSpec(n, 0.5, 64) for n in disc_centers(bc, K / 2)]
+        radius = N + 0.5
+        for contour in discs + [ContourSpec(0, radius, default_global_nodes(radius))]:
+            assert not _leaves_window(op, contour)
+            self.check(op, contour)
+        for contour in leaving:
+            assert _leaves_window(op, contour)
+            self.check(op, contour)
+
+    def test_coupled_triangle(self):
+        op = coupled_triangle(1e2)
+        assert _schur_form(op)[2] == 2  # 0 and 0.9 lie in the window |z| < 1
+        for contour, leaves in [(ContourSpec(0, 0.5, 64), False), (ContourSpec(0.9, 0.3, 64), False),
+                                (ContourSpec(2, 0.5, 64), True)]:
+            assert _leaves_window(op, contour) == leaves
+            self.check(op, contour)
+
+
+class TestFilterReach:
+    """_filter sums only the values within reach of the contour.  On every
+    operator of the benchmark's spectral and defective workloads it keeps the
+    eigenvalues the full len(mu) x nodes evaluation keeps, and the spectral
+    route's factors are those of the full evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("workload", ["spectral", "defective"])
+    def test_keeps_the_full_evaluation_set(self, benchmark_cases, workload):
+        for path, bc, K in benchmark_cases(workload, range(3)):
+            spec = load_potential_file(path)
+            N = find_threshold_n(spec, bc, K)
+            op = build_operator(spec, bc, K)
+            vals, vecs = eigen(op)
+            spectral = eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT
+            values = [vals] if spectral else [vals, np.diagonal(_schur_form(op)[0])]
+            radius = N + 0.5
+            contours = [ContourSpec(n, 0.5, 64) for n in disc_centers(bc, K / 2) if abs(n) > N]
+            for contour in contours + [ContourSpec(0, radius, default_global_nodes(radius))]:
+                for mu in values:
+                    full = full_filter(contour, mu)
+                    keep = np.flatnonzero(np.abs(full) > FILTER_FLOOR)
+                    assert np.array_equal(np.flatnonzero(np.abs(_filter(contour, mu)) > FILTER_FLOOR), keep)
+                if spectral:
+                    left, right = _quadrature_spectral(op, contour)
+                    assert np.array_equal(left, vecs[:, keep] * full[keep])
+                    assert np.array_equal(right, eigenbasis_inverse(op)[keep, :])
 
 
 class TestFactoredForm:

@@ -180,8 +180,10 @@ def build_v(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
 
 
 def build_operator(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
-    free = build_free(bc, K)
-    return OperatorMatrix(free.basis, free.entries + build_v(spec, bc, K).entries)
+    op = build_v(spec, bc, K)
+    # the free part is diagonal: added in place, no dense free matrix or sum
+    np.einsum("ii->i", op.entries)[...] += op.basis.free_diagonal()
+    return op
 
 
 def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +206,8 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
             vecs = vecs[:, order]
             vecs = vecs / np.linalg.norm(vecs, axis=0)
         scale = max(op.hs_norm, 1.0)
-        residual = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0).max()
+        # in scipy's BLAS, next to eig (see eigenbasis_inverse)
+        residual = np.linalg.norm(scipy.linalg.blas.zgemm(1.0, op.entries, vecs) - vecs * vals, axis=0).max()
         # a NaN residual fails, and so does an overflowed norm, which would pass anything
         if not residual <= EIGEN_RESIDUAL_TOL * scale < np.inf:
             raise EigenResidualError(
@@ -227,9 +230,17 @@ def eigenbasis_condition(op: OperatorMatrix) -> float:
 
 
 def eigenbasis_inverse(op: OperatorMatrix) -> np.ndarray:
+    """V^{-1} by one zgesv against the identity, as numpy's inv computes it,
+    but in scipy's OpenBLAS, whose thread pool eig already holds; raises
+    np.linalg.LinAlgError when V is singular."""
     if "vinv" not in op._aux_cache:
         _, vecs = eigen(op)
-        op._aux_cache["vinv"] = np.linalg.inv(vecs)
+        eye = np.eye(op.dim, dtype=complex, order="F")
+        _, _, vinv, info = scipy.linalg.lapack.zgesv(vecs, eye, overwrite_b=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"eigenvector basis is singular (zgesv info {info})")
+        # row-major, as numpy's inv returns it, so norms and row slices sum in the same order
+        op._aux_cache["vinv"] = np.ascontiguousarray(vinv)
     return op._aux_cache["vinv"]
 
 

@@ -183,7 +183,8 @@ def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int, np.nda
             Y, scale, info = scipy.linalg.lapack.ztrsyl(T[:w, :w], T[w:, w:], -T[:w, w:], isgn=-1)
         if info != 0 or scale < 1.0 or w == 0:
             w, Y = op.dim, np.zeros((op.dim, 0), dtype=complex)
-        right = Z[:, :w].conj().T - Y @ Z[:, w:].conj().T
+        # Y Z_R^H in scipy's BLAS, next to schur, oriented as numpy's row-major product so the bits match
+        right = Z[:, :w].conj().T - scipy.linalg.blas.zgemm(1.0, Z[:, w:].conj(), Y.T).T
         op._aux_cache["schur"] = (T, Z, w, right, float(np.linalg.norm(Y)))
     return op._aux_cache["schur"]
 

@@ -27,6 +27,7 @@ from diracproj.cli import (
     load_potential_file,
     main,
 )
+from diracproj.operator import basis_index_set
 from diracproj.projections import riesz_projection
 from diracproj.resolvent import ShiftedSolve, circle_norm_profile
 
@@ -582,8 +583,8 @@ def count_calls(monkeypatch, fn, owners=()):
 
 
 class TestWorkPerJob:
-    """Each job diagonalizes its operator once, scans the smallness test once
-    and integrates over each contour once."""
+    """Each job diagonalizes its operator once, inverts its eigenbasis at most
+    once, scans the smallness test once and integrates over each contour once."""
 
     JOBS = {
         "spectrum": ["spectrum"],
@@ -592,13 +593,13 @@ class TestWorkPerJob:
         "reconstruct": ["reconstruct", "--trials", "2"],
         "verify-bounds": ["verify-bounds", "--draws", "1", "--window", "32"],
     }
-    # (eig, smallness scans) per job
+    # (eig, smallness scans, V^-1 solves) per job
     EXPECTED = {
-        "spectrum": (1, 0),
-        "threshold": (0, 1),
-        "deviations": (1, 1),
-        "reconstruct": (1, 1),
-        "verify-bounds": (0, 0),
+        "spectrum": (1, 0, 0),
+        "threshold": (0, 1, 0),
+        "deviations": (1, 1, 1),
+        "reconstruct": (1, 1, 1),
+        "verify-bounds": (0, 0, 0),
     }
 
     @pytest.mark.parametrize("bc", ["per+", "dir"])
@@ -607,12 +608,17 @@ class TestWorkPerJob:
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])
         scans = count_calls(monkeypatch, circle_norm_profile)
         riesz = count_calls(monkeypatch, riesz_projection)
+        # numpy and scipy each ship an OpenBLAS with its own thread pool: V^-1 is
+        # one zgesv in scipy's, next to eig, and no dim x dim inverse goes to numpy's
+        solves = count_calls(monkeypatch, scipy.linalg.lapack.zgesv, owners=[scipy.linalg.lapack])
+        inverses = count_calls(monkeypatch, np.linalg.inv, owners=[np.linalg])
         out = tmp_path / "run"
         argv = self.JOBS[command] + ["--out", str(out)]
         if command != "verify-bounds":
             argv += ["--bc", bc, "--K", "16", "--potential", small_potential]
         assert main(argv) == EXIT_OK
-        assert (len(eigs), len(scans)) == self.EXPECTED[command]
+        assert (len(eigs), len(scans), len(solves)) == self.EXPECTED[command]
+        assert all(args[0].shape[-1] < basis_index_set(bc, 16).dim for args in inverses)
         contours = [args[1] for args in riesz]
         if command == "deviations":
             _, rows = read_csv(out / "deviations.csv")
@@ -639,6 +645,8 @@ class TestWorkPerJob:
         schurs = count_calls(monkeypatch, scipy.linalg.schur, owners=[scipy.linalg])
         reorders = count_calls(monkeypatch, scipy.linalg.lapack.ztrsen, owners=[scipy.linalg.lapack])
         sylvesters = count_calls(monkeypatch, scipy.linalg.lapack.ztrsyl, owners=[scipy.linalg.lapack])
+        inverses = count_calls(monkeypatch, np.linalg.inv, owners=[np.linalg])
+        eigenbasis_solves = count_calls(monkeypatch, scipy.linalg.lapack.zgesv, owners=[scipy.linalg.lapack])
         solves = []
         post_init = ShiftedSolve.__post_init__
         monkeypatch.setattr(ShiftedSolve, "__post_init__", lambda self: solves.append(self) or post_init(self))
@@ -652,6 +660,9 @@ class TestWorkPerJob:
         shapes = [(len(a), len(b)) for a, b, *_ in sylvesters]
         assert shapes[0] == (w, dim - w) and len(shapes) == 1 + len(rows)
         assert all(m + n == w for m, n in shapes[1:])
+        # V^-1 still sets the route; each contour inverts its r x r filter nodes in one batch
+        assert len(eigenbasis_solves) == 1
+        assert len(inverses) == len(rows) and all(args[0].ndim == 3 and args[0].shape[-1] < w for args in inverses)
 
     def test_classify_bc_does_no_spectral_work(self, monkeypatch, capsys):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])

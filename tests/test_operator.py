@@ -1,5 +1,6 @@
 """Truncation lattices, free/coupling matrices, and quadruple classification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from diracproj.operator import (
     disc_centers,
     eigen,
     eigenbasis_condition,
+    eigenbasis_inverse,
     lattice_points,
 )
 from diracproj.potential import (
@@ -102,12 +104,24 @@ class TestFreeOperator:
 
 
 class TestEigenbasisCondition:
-    def test_singular_basis_reads_as_infinite(self, monkeypatch):
-        def singular(op):
-            raise np.linalg.LinAlgError("Singular matrix")
+    def test_singular_basis_reads_as_infinite(self):
+        # two equal columns of the identity: zgesv meets an exact zero pivot (info > 0)
+        op = build_free(DIRICHLET, 4)
+        vals, vecs = eigen(op)
+        vecs = vecs.copy()
+        vecs[:, 1] = vecs[:, 0]
+        op._eig_cache = (vals, vecs)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            eigenbasis_inverse(op)
+        assert eigenbasis_condition(op) == np.inf
 
-        monkeypatch.setattr(operator_module, "eigenbasis_inverse", singular)
-        assert eigenbasis_condition(build_operator(random_potential(0, norm=0.3), DIRICHLET, 4)) == np.inf
+    @pytest.mark.parametrize("bc", [PER_PLUS, DIRICHLET])
+    def test_inverse_matches_numpy(self, bc):
+        # the same zgesv against the identity as numpy's inv, run in scipy's LAPACK
+        op = build_operator(random_potential(0), bc, 32)
+        got, want = eigenbasis_inverse(op), np.linalg.inv(eigen(op)[1])
+        assert got.flags.c_contiguous
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("workload", ["spectral", "defective"])
     def test_condition_estimate_keeps_benchmark_routes(self, benchmark_cases, workload):
@@ -194,11 +208,13 @@ class TestCouplingMatrix:
         assert np.array_equal(build_v(huge, bc, 8).entries, want)
 
     def test_build_operator_is_sum(self):
-        spec = PotentialSpec(p_even={2: 1.0}, q_even={0: 1j}, p_odd={}, q_odd={}, max_mode=2)
-        for bc in (PER_PLUS, PER_MINUS, DIRICHLET):
-            op = build_operator(spec, bc, 4)
-            free = build_free(bc, 4)
-            v = build_v(spec, bc, 4)
+        # build_operator adds the free diagonal onto the coupling in place
+        tiny = PotentialSpec(p_even={2: 1.0}, q_even={0: 1j}, p_odd={}, q_odd={}, max_mode=2)
+        cases = [(tiny, 4), (random_potential(0), 128)]
+        for (spec, K), bc in itertools.product(cases, (PER_PLUS, PER_MINUS, DIRICHLET)):
+            op = build_operator(spec, bc, K)
+            free = build_free(bc, K)
+            v = build_v(spec, bc, K)
             assert np.array_equal(op.entries, free.entries + v.entries)
 
 

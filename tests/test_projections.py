@@ -384,6 +384,25 @@ class TestSchurWindow:
             assert _leaves_window(op, contour) == leaves
             self.check(op, contour)
 
+    def test_coupling_matches_numpy_product(self):
+        # right = Z_W^H - Y Z_R^H is formed in scipy's BLAS; it must equal numpy's product
+        op = build_operator(structured_potential(0, 1.0, 0.0), PER_PLUS, 32)
+        T, Z, w, right, y_norm = _schur_form(op)
+        assert 0 < w < op.dim
+        Y, scale, info = scipy.linalg.lapack.ztrsyl(T[:w, :w], T[w:, w:], -T[:w, w:], isgn=-1)
+        assert (info, scale, y_norm) == (0, 1.0, np.linalg.norm(Y))
+        want = Z[:, :w].conj().T - Y @ Z[:, w:].conj().T
+        assert np.max(np.abs(right - want)) <= 1e-14 * (1.0 + y_norm)
+
+    def test_coupling_without_window(self):
+        # every eigenvalue lies outside |z| < 1: w = dim, and the empty product Y Z_R^H adds nothing
+        entries = np.diag([5.0, 6.0, 7.0]).astype(complex)
+        entries[0, 1:] = 1.0
+        op = OperatorMatrix(basis_index_set(DIRICHLET, 1), entries)
+        T, Z, w, right, y_norm = _schur_form(op)
+        assert (w, y_norm) == (op.dim, 0.0)
+        assert np.array_equal(right, Z.conj().T)
+
 
 class TestFilterReach:
     """_filter sums only the values within reach of the contour.  On every

@@ -48,11 +48,28 @@ a_m - a_k: it reads the pair table H[t, u] = max_theta |z - u|^-2
 |z - u - t d|^-2 at u = min(u_k, u_m), t d = |a_m - a_k|.  End factors (the
 s = 0 free chain's, both of the anchor's) drop u = 0, the index x = n; the
 s = 1 closed and free chains keep their interior index j = n.
+
+None of those tables depends on the potential: the convolution tables see
+(d, T, a, b), the tail and chain tables see the lattice (bc, N, K, samples)
+and the support of r, which every draw of the battery shares.  So
+run_battery opens one _Tables memo for its draws and closes it on return:
+each table is built on first use, and each draw only reads r(a), r(a)^2
+and the links r(a) r(a + d) and forms the products.  A check_* call outside
+a battery builds the same tables for itself alone, so a battery row and a
+lone call run the same arithmetic.
+
+The resonance sums come in closed form from the partial fractions
+
+  1/(n^2-p^2)^2 = [1/(n-p)^2 + 1/(n+p)^2 + (1/(n-p) + 1/(n+p))/n] / (4n^2),
+
+so the sum over 1 <= p <= P, p != n reads four prefix sums of 1/k and 1/k^2
+per n; p = n drops out of both the (n-p) and the (n+p) family.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +111,36 @@ def _check(name: str, lhs: float, rhs: float, parameters: dict) -> BoundCheck:
     return BoundCheck(name, float(lhs), float(rhs), float(ratio), parameters)
 
 
+class _Tables:
+    """Potential-free tables, each built on its first use.
+
+    tables(build, *key) returns build(tables, *key), built once per key;
+    builders take the memo first so that one table can read another.  The
+    arrays are shared by every later call, so they are made read-only.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict = {}
+
+    def __call__(self, build, *key):
+        if (build, *key) not in self._built:
+            built = build(self, *key)
+            for table in built if isinstance(built, tuple) else (built,):
+                table.flags.writeable = False
+            self._built[(build, *key)] = built
+        return self._built[(build, *key)]
+
+
+# the running battery's memo; unset outside run_battery
+_BATTERY_TABLES: ContextVar[_Tables | None] = ContextVar("battery_tables", default=None)
+
+
+def _tables() -> _Tables:
+    """The running battery's tables, or fresh ones for a lone check call."""
+    tables = _BATTERY_TABLES.get()
+    return _Tables() if tables is None else tables
+
+
 # -- elementary numeric sums ------------------------------------------------
 
 def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
@@ -101,7 +148,9 @@ def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
 
     Left sides are upper estimates: explicit partial sums plus an analytic
     bound on the discarded tail, so a pass is a pass for the infinite sums.
-    Each check reports its worst case over the whole range.
+    Each check reports its worst case over the whole range.  The resonance
+    partial sums over 0 <= p <= P = max(2n, 100) come from the partial-
+    fraction identity of the module docstring, O(n_max) in all.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -120,23 +169,18 @@ def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
         {"n_max": n_max, "worst_N": int(Ns[worst]), "truncation": top},
     )
 
-    # per-n sums over p in [0, P], P = max(2n, 100), in blocks of at most 64 n
-    # whose (n, p) temporaries stay near 1 MB
-    totals = np.empty(n_max)
-    lo = 1
-    while lo <= n_max:
-        rows = min(64, max(1, 2**17 // (2 * lo + 127)))
-        n = np.arange(lo, min(n_max + 1, lo + rows))[:, None]
-        P = np.maximum(2 * n, 100)
-        p = np.arange(P.max() + 1)
-        gaps = np.square(n, dtype=float) - np.square(p, dtype=float)
-        gaps[np.arange(n.size), n[:, 0]] = np.inf  # the resonance p = n
-        gaps[:, P.min() + 1 :][p[P.min() + 1 :] > P] = np.inf  # rows end at their own P
-        vals = np.reciprocal(np.square(gaps, out=gaps), out=gaps)
-        # beyond P >= 2n: p^2 - n^2 >= (3/4) p^2, two signed tails
-        tail = 2.0 * (16.0 / 9.0) / (3.0 * P[:, 0] ** 3)
-        totals[lo - 1 : lo - 1 + n.size] = vals[:, 0] + 2.0 * vals[:, 1:].sum(axis=1) + tail
-        lo += n.size
+    # p = 0 once, +-p for 1 <= p <= P: n - p runs over 1..n-1 and -(1..P-n),
+    # n + p over n+1..n+P less the resonance 2n
+    P = np.maximum(2 * Ns, 100)
+    k = np.arange(1, (Ns + P).max() + 1, dtype=float)
+    h1 = np.concatenate([[0.0], np.cumsum(1.0 / k)])
+    h2 = np.concatenate([[0.0], np.cumsum(1.0 / k**2)])
+    n = Ns.astype(float)
+    squares = h2[Ns - 1] + h2[P - Ns] + h2[Ns + P] - h2[Ns] - 1.0 / (2.0 * n) ** 2
+    linear = h1[Ns - 1] - h1[P - Ns] + h1[Ns + P] - h1[Ns] - 1.0 / (2.0 * n)
+    # beyond P >= 2n: p^2 - n^2 >= (3/4) p^2, two signed tails
+    tail = 2.0 * (16.0 / 9.0) / (3.0 * P**3)
+    totals = 1.0 / n**4 + (squares + linear / n) / (2.0 * n**2) + tail
     worst = int(np.argmax(totals / (4.0 / Ns**2)))
     second = _check(
         "resonance_grid_sum",
@@ -155,17 +199,18 @@ def _support_arrays(r: RSequence) -> tuple[np.ndarray, np.ndarray]:
     return js, ws
 
 
-def _offset_kernel(d: int, T: int, a: int, b: int, u: np.ndarray) -> np.ndarray:
-    """g(u) = sum_t (d|t|)^-a |u - dt|^-b over 0 < |t| <= T, 0 < |u - dt| <= dT.
-
-    One convolution table (see the module docstring); offsets beyond its
-    reach 2dT read as 0.
-    """
+def _offset_table(tables: _Tables, d: int, T: int, a: int, b: int) -> np.ndarray:
+    """g(u) = sum_t (d|t|)^-a |u - dt|^-b over 0 < |t| <= T, 0 < |u - dt| <= dT,
+    for -2dT <= u <= 2dT: one convolution table (see the module docstring)."""
     x = np.arange(-d * T, d * T + 1)
     recip = np.zeros(x.size)
     recip[x != 0] = 1.0 / np.abs(x[x != 0])
-    table = np.convolve(np.where(x % d == 0, recip, 0.0) ** a, recip**b)
-    reach = 2 * d * T
+    return np.convolve(np.where(x % d == 0, recip, 0.0) ** a, recip**b)
+
+
+def _offset_kernel(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The table's g at offsets u; offsets beyond its reach 2dT read as 0."""
+    reach = table.size // 2
     inside = np.abs(u) <= reach
     return np.where(inside, table[np.where(inside, u + reach, 0)], 0.0)
 
@@ -202,7 +247,7 @@ def check_shift_sums(r: RSequence, n: int, window: int = 512) -> tuple[BoundChec
     )
 
     js, ws = _support_arrays(r)
-    lhs_grid = float(ws @ _offset_kernel(d, window, 1, 1, js - 2 * n))
+    lhs_grid = float(ws @ _offset_kernel(_tables()(_offset_table, d, window, 1, 1), js - 2 * n))
     grid = _check(
         "grid_shift_sum",
         lhs_grid,
@@ -232,6 +277,22 @@ def check_circle_double_sum(
 
 # -- summed-over-n tail sums ---------------------------------------------------
 
+def _tail_tables(tables: _Tables, d: int, N: int, K: int, support: tuple) -> tuple:
+    """(1/|2n - j|^2, 1/|2n - j|, g_22(j - 2n), g_12(j - 2n)) on (n, j) axes,
+    N < |n| <= K and j on the support; 1/0 reads as 0."""
+    ns = np.array([n for n in range(-K, K + 1) if abs(n) > N])
+    js = np.array(support, dtype=int)
+    # exact inner sums: |n - k| = |2n - j| along the support anti-diagonals
+    gaps = np.abs(2 * ns[:, None] - js[None, :]).astype(float)
+    live = gaps > 0
+    inv = np.where(live, 1.0 / np.where(live, gaps, 1.0), 0.0)
+    # windowed grids: the inner sums depend on (n, j) only through j - 2n
+    offsets = js[None, :] - 2 * ns[:, None]
+    grid_sq = _offset_kernel(tables(_offset_table, d, 2 * K, 2, 2), offsets)
+    mixed = _offset_kernel(tables(_offset_table, d, 2 * K, 1, 2), offsets)
+    return inv**2, inv, grid_sq, mixed
+
+
 def check_tail_sums(r: RSequence, N: int, K: int) -> list[BoundCheck]:
     """Audit the four tail sums over N < |n| <= K.
 
@@ -244,23 +305,16 @@ def check_tail_sums(r: RSequence, N: int, K: int) -> list[BoundCheck]:
     if K <= N:
         raise ValueError("K must exceed N")
     d = r.step
-    ns = np.array([n for n in range(-K, K + 1) if abs(n) > N])
-    js, ws = _support_arrays(r)
+    _, ws = _support_arrays(r)
     base_rhs = r.norm_sq / N + tail_norm(r, N) ** 2
     params = {"N": N, "K": K, "step": d, "window_steps": 2 * K}
 
-    # exact inner sums: |n - k| = |2n - j| along the support anti-diagonals
-    gaps = np.abs(2 * ns[:, None] - js[None, :]).astype(float)
-    live = gaps > 0
-    inv = np.where(live, 1.0 / np.where(live, gaps, 1.0), 0.0)
-    lhs_sq = float((inv**2 @ ws).sum())
+    inv_sq, inv, grid_sq, mixed = _tables()(_tail_tables, d, N, K, r.support)
+    lhs_sq = float((inv_sq @ ws).sum())
     row_sums = inv @ ws
     lhs_pair = float((row_sums**2).sum())
-
-    # windowed grids: the inner sums depend on (n, j) only through j - 2n
-    offsets = js[None, :] - 2 * ns[:, None]
-    lhs_grid_sq = float((_offset_kernel(d, 2 * K, 2, 2, offsets) @ ws).sum())
-    lhs_mixed = float(row_sums @ (_offset_kernel(d, 2 * K, 1, 2, offsets) @ ws))
+    lhs_grid_sq = float((grid_sq @ ws).sum())
+    lhs_mixed = float(row_sums @ (mixed @ ws))
 
     return [
         _check("tail_sum_sq", lhs_sq, base_rhs, dict(params)),
@@ -271,6 +325,53 @@ def check_tail_sums(r: RSequence, N: int, K: int) -> list[BoundCheck]:
 
 
 # -- squared chains through the discs -----------------------------------------
+
+def _circle_offsets(tables: _Tables, bc: str, N: int, K: int, samples: int, support: tuple) -> tuple:
+    """(u, at, z, recip, ends_sq) for the discs N < |n| <= K.
+
+    u = a - 2n on axes (disc, support); recip[:, at] = 1/|z - u| with z on
+    the sample axis, the table's range holding u = 0; ends_sq is recip^2
+    with u = 0 dropped, for the end factors.
+    """
+    supp = np.array(support, dtype=int)
+    centers = np.array([n for n in disc_centers(bc, K) if abs(n) > N], dtype=int)
+    u = supp - 2 * centers[:, None]
+    lo = u.min(initial=0)
+    z = circle_samples(0, 0.5, samples)[:, None]
+    recip = 1.0 / np.abs(z - np.arange(lo, u.max(initial=0) + 1))  # (sample, u)
+    ends_sq = recip**2
+    ends_sq[:, -lo] = 0.0
+    return u, u - lo, z, recip, ends_sq
+
+
+def _chain_tables(
+    tables: _Tables, bc: str, s: int, N: int, K: int, samples: int, support: tuple, step: int
+) -> tuple:
+    """What the order-s chain sums read besides r.
+
+    s = 0: the hits a = 2n and the sample maxima of the end factors on
+    (disc, support).  s = 1: the gathered gaps g, the shift indicator whose
+    product with r(a) gives r(a + d), the free-end factors 2/|z - d| and
+    the anchor's pair table summed over discs, on (support, support).
+    """
+    u, at, z, recip, ends_sq = tables(_circle_offsets, bc, N, K, samples, support)
+    if s == 0:
+        return u == 0, ends_sq.max(axis=0)[at]
+    supp = np.array(support, dtype=int)
+    # 1/|l - j| for j = a - n on rows (sample, disc), columns support
+    g = recip[:, at].reshape(samples * at.shape[0], supp.size)
+    diffs = np.setdiff1d(supp[:, None] - supp, [0])
+    shift = supp[:, None] + diffs[:, None, None] == supp
+    free_ends = (2.0 / np.abs(z - diffs))[:, None, :]
+    # pair[t, u] = max over samples of ends_sq(u) ends_sq(u + t d), zero past the table
+    width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
+    padded = np.pad(ends_sq, ((0, 0), (0, width)))
+    pair = np.array([(ends_sq * padded[:, t : t + span]).max(axis=0) for t in range(0, width + 1, step)])
+    # chain (k, m) reads pair[|a_k - a_m| / d, min(a_k, a_m) - 2n], summed over discs
+    per_point = pair[:, at].sum(axis=1)
+    lower = np.minimum.outer(np.arange(supp.size), np.arange(supp.size))
+    return g, shift, free_ends, per_point[np.abs(supp[:, None] - supp) // step, lower]
+
 
 def check_chain_sums(
     spec: PotentialSpec, bc: str, s: int, N: int, K: int, samples: int = 16
@@ -296,42 +397,25 @@ def check_chain_sums(
     if N < 1:
         raise ValueError("N must be a positive integer")
     r = r_sequence(spec, bc)
-    supp = np.array(r.support, dtype=int)
-    ra = np.array([r(int(a)) for a in supp], dtype=float)
+    ra = np.array([r(a) for a in r.support], dtype=float)
     wa = ra**2
     rho_sq = rho(spec, bc, N) ** 2
 
-    # offsets u = a - 2n on axes (disc, support); the table's range holds u = 0
-    centers = np.array([n for n in disc_centers(bc, K) if abs(n) > N], dtype=int)
-    u = supp - 2 * centers[:, None]
-    lo = u.min(initial=0)
-    z = circle_samples(0, 0.5, samples)[:, None]
-    recip = 1.0 / np.abs(z - np.arange(lo, u.max(initial=0) + 1))  # (sample, u)
-    at = u - lo
-    # end factors drop u = 0; every chain carries 1/|l - n|^2 = 4
-    ends_sq = recip**2
-    ends_sq[:, -lo] = 0.0
+    # every chain carries 1/|l - n|^2 = 4
+    built = _tables()(_chain_tables, bc, s, N, K, samples, r.support, r.step)
     anchor = 0.0
     if s == 0:
-        closed = 4.0 * float(((u == 0) @ wa).sum())
-        free = 4.0 * float((ends_sq.max(axis=0)[at] @ wa).sum())
+        hits, end_maxima = built
+        closed = 4.0 * float((hits @ wa).sum())
+        free = 4.0 * float((end_maxima @ wa).sum())
     else:
-        # 1/|l - j| for j = a - n on rows (sample, disc), columns support
-        g = recip[:, at].reshape(samples * centers.size, supp.size)
+        g, shift, free_ends, anchor_pairs = built
         closed = float(((4.0 * (g @ wa)) ** 2).reshape(samples, -1).max(axis=0).sum())
-        diffs = np.setdiff1d(supp[:, None] - supp, [0])
-        links = ra * ((supp[:, None] + diffs[:, None, None] == supp) @ ra)  # r(a) r(a + d)
-        chain = (g @ links.T).reshape(samples, centers.size, diffs.size)
-        chain *= (2.0 / np.abs(z - diffs))[:, None, :]
+        links = ra * (shift @ ra)  # r(a) r(a + d)
+        chain = (g @ links.T).reshape(samples, g.shape[0] // samples, free_ends.shape[2])
+        chain *= free_ends
         free = float(np.square(chain, out=chain).max(axis=0).sum())
-        # pair[t, u] = max over samples of ends_sq(u) ends_sq(u + t d), zero past the table
-        width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
-        padded = np.pad(ends_sq, ((0, 0), (0, width)))
-        pair = np.array([(ends_sq * padded[:, t : t + span]).max(axis=0) for t in range(0, width + 1, r.step)])
-        # chain (k, m) reads pair[|a_k - a_m| / d, min(a_k, a_m) - 2n], summed over discs
-        per_point = pair[:, at].sum(axis=1)
-        lower = np.minimum.outer(np.arange(supp.size), np.arange(supp.size))
-        anchor = 4.0 * float(wa @ per_point[np.abs(supp[:, None] - supp) // r.step, lower] @ wa)
+        anchor = 4.0 * float(wa @ anchor_pairs @ wa)
 
     params = {"bc": bc, "s": s, "N": N, "K": K, "samples": samples}
     rhs = r.norm_sq * rho_sq**s
@@ -368,22 +452,28 @@ def run_battery(
     Each draw builds one random potential (independent complex Gaussian
     coefficients on all modes |m| <= max_mode, normalized to unit size) and
     audits all families for each boundary condition and each cutoff in Ns.
+    The potential-free tables are built once for all draws and dropped on
+    return (see the module docstring).
     """
     checks: list[BoundCheck] = []
-    for i in range(draws):
-        spec = random_potential([seed, i], max_mode=max_mode)
-        for bc in bcs:
-            r = r_sequence(spec, bc)
-            probe = next(n for n in disc_centers(bc, 4 * max(Ns)) if n > max(Ns))
-            for check in check_shift_sums(r, probe, window=K):
-                checks.append(_tag(check, i))
-            checks.append(_tag(check_circle_double_sum(spec, bc, probe, operator_K, samples), i))
-            for N in Ns:
-                for check in check_tail_sums(r, N, K):
+    token = _BATTERY_TABLES.set(_Tables())
+    try:
+        for i in range(draws):
+            spec = random_potential([seed, i], max_mode=max_mode)
+            for bc in bcs:
+                r = r_sequence(spec, bc)
+                probe = next(n for n in disc_centers(bc, 4 * max(Ns)) if n > max(Ns))
+                for check in check_shift_sums(r, probe, window=K):
                     checks.append(_tag(check, i))
-                for s in (0, 1):
-                    for check in check_chain_sums(spec, bc, s, N, K, samples):
+                checks.append(_tag(check_circle_double_sum(spec, bc, probe, operator_K, samples), i))
+                for N in Ns:
+                    for check in check_tail_sums(r, N, K):
                         checks.append(_tag(check, i))
+                    for s in (0, 1):
+                        for check in check_chain_sums(spec, bc, s, N, K, samples):
+                            checks.append(_tag(check, i))
+    finally:
+        _BATTERY_TABLES.reset(token)
     return checks
 
 

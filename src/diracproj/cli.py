@@ -18,8 +18,8 @@ library versions and wall-clock timings (the one file allowed to differ
 between reruns).
 
 Exit codes: 0 success, 2 unusable config or arguments, 3 numerical failure
-(ill-conditioned solve, quadrature quality, residual gates), 4 a verified
-bound was violated.
+(residual, contour-proximity and quadrature-quality gates, no verified
+threshold within the truncation), 4 a verified bound was violated.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .projections import (
     localization_counts,
 )
 from .resolvent import (
-    IllConditionedError,
     ThresholdNotFoundError,
     circle_norm_profile,
     find_threshold_n,
@@ -79,7 +78,6 @@ EXIT_BOUNDS = 4
 
 NUMERICAL_ERRORS = (
     EigenResidualError,
-    IllConditionedError,
     ContourProximityError,
     ProjectionQualityError,
     ThresholdNotFoundError,

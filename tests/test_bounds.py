@@ -14,6 +14,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracproj import bounds
 from diracproj.bounds import (
     BoundCheck,
     HARD_CHECKS,
@@ -408,7 +409,7 @@ class TestOffsetKernelOracles:
 
 class TestChainSumOracles:
     """The circle-offset and pair tables against the broadcast chain sums,
-    and the blocked resonance sums against the per-n loop."""
+    and the closed-form resonance sums against the per-n loop."""
 
     CASES = [(1, 8), (1, 12), (2, 16), (4, 64), (8, 256)]
     # r(+-12) and r(+-10) put a = 2n on the support at n = +-6 and +-5, so
@@ -448,9 +449,10 @@ class TestChainSumOracles:
             hit += sum(2 * n in support for n in disc_centers(bc, 8) if abs(n) > 1)
         assert hit > 0
 
-    @pytest.mark.parametrize("n_max", (1, 63, 64, 65, 1000))
-    def test_resonance_blocks_match_loop(self, n_max):
-        # blocks hold 64 n, so 63, 64 and 65 end inside, on and past an edge
+    @pytest.mark.parametrize("n_max", (1, 49, 50, 51, 1000, 5000))
+    def test_resonance_closed_form_matches_loop(self, n_max):
+        # the window P = max(2n, 100) leaves its floor at n = 50, so 49, 50
+        # and 51 end below, on and past that edge
         got = check_elementary(n_max)[1]
         self._assert_rows_match([got], [_resonance_by_loop(n_max)], (n_max,))
 
@@ -568,6 +570,50 @@ class TestBattery:
         a = run_battery(seed=3, draws=1, Ns=(4,), K=32, operator_K=16)
         b = run_battery(seed=3, draws=1, Ns=(4,), K=32, operator_K=16)
         assert a == b
+
+    def test_reuse_matches_lone_calls(self):
+        # the battery's shared tables must give every row bit for bit what
+        # one check_* call per draw gives with tables built for that call
+        seed, draws, Ns = 2, 3, (4, 8)
+        got = run_battery(seed=seed, draws=draws, Ns=Ns)
+        want = []
+        for i in range(draws):
+            spec = random_potential([seed, i])
+            for bc in BC_TAGS:
+                r = r_sequence(spec, bc)
+                probe = next(n for n in disc_centers(bc, 4 * max(Ns)) if n > max(Ns))
+                rows = [*check_shift_sums(r, probe, window=256)]
+                rows.append(check_circle_double_sum(spec, bc, probe, 64))
+                for N in Ns:
+                    rows += check_tail_sums(r, N, 256)
+                    rows += check_chain_sums(spec, bc, 0, N, 256)
+                    rows += check_chain_sums(spec, bc, 1, N, 256)
+                want += [(c.name, {**c.parameters, "draw": i}, c.lhs, c.rhs_without_constant, c.ratio) for c in rows]
+        assert [(c.name, c.parameters, c.lhs, c.rhs_without_constant, c.ratio) for c in got] == want
+
+    def test_tables_built_once_per_battery(self, monkeypatch):
+        # np.convolve builds the offset tables, circle_samples the chains'
+        # circle-offset tables: their counts must not grow with the draws,
+        # and a second battery must build them all again
+        builds = {"convolve": 0, "circle": 0}
+        convolve, samples = np.convolve, bounds.circle_samples
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                builds[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np, "convolve", counted("convolve", convolve))
+        monkeypatch.setattr(bounds, "circle_samples", counted("circle", samples))
+        counts = []
+        for draws in (1, 3, 3):
+            builds.update(convolve=0, circle=0)
+            run_battery(seed=1, draws=draws, Ns=(4, 8), K=32, operator_K=16)
+            counts.append(dict(builds))
+        assert counts[0]["convolve"] > 0 and counts[0]["circle"] > 0
+        assert counts[1] == counts[0] and counts[2] == counts[0]
 
     def test_violation_gates(self):
         hard = BoundCheck(HARD_CHECKS[0], 1.5, 1.0, 1.5, {})

@@ -34,7 +34,10 @@ is an offset kernel g(u) = sum_t (d|t|)^-a |u - d t|^-b.  The window keeps
 0 < |u - d t| <= d T, a condition on y = u - d t alone, and t ranges over
 the nonzero multiples x = d t in [-d T, d T], a condition on x alone; so g
 is exactly the full convolution of two reciprocal-power vectors on
-[-d T, d T], evaluated as a direct sum (no FFT).  One table per summand
+[-d T, d T], evaluated as a direct sum (no FFT).  Since x is a multiple
+of d, y = u - x lies in u's residue class mod d, so each class of u is one
+convolution on the compressed grid (every d-th point), which sums the same
+nonzero terms as the full grid with 1/d of the work.  One table per summand
 shape covers every (n, j); offsets beyond its reach 2 d T contribute
 nothing.
 
@@ -43,11 +46,16 @@ The chain sums sample the circle l = n + z, z = e^{i theta}/2, on which
 |z - u| with u = a - 2n, and an s = 1 free end k = n + d has |l - k| =
 |z - d| on every disc.  So one circle-offset table 1/|z - u| (sample x u)
 serves every disc by gather, and one (sample x d) table holds the free-end
-gaps.  The anchor's (k, m) term sees n only through u_k, as u_m - u_k =
-a_m - a_k: it reads the pair table H[t, u] = max_theta |z - u|^-2
-|z - u - t d|^-2 at u = min(u_k, u_m), t d = |a_m - a_k|.  End factors (the
-s = 0 free chain's, both of the anchor's) drop u = 0, the index x = n; the
-s = 1 closed and free chains keep their interior index j = n.
+gaps.  The s = 1 free chains are formed one circle sample's (disc x d)
+block at a time and folded into running maxima over the samples, so no
+per-draw array outgrows one block.  The anchor's (k, m) term sees n only
+through u_k, as u_m - u_k = a_m - a_k: it reads the pair table
+H[t, u] = max_theta |z - u|^-2 |z - u - t d|^-2 at u = min(u_k, u_m),
+t d = |a_m - a_k|.  Its sum over discs is a matvec per support point
+against the number of discs at each offset (a bincount), because u_k and
+u_0 differ by a_k - a_0 on every disc.  End factors (the s = 0 free
+chain's, both of the anchor's) drop u = 0, the index x = n; the s = 1
+closed and free chains keep their interior index j = n.
 
 None of those tables depends on the potential: the convolution tables see
 (d, T, a, b), the tail and chain tables see the lattice (bc, N, K, samples)
@@ -56,7 +64,9 @@ run_battery opens one _Tables memo for its draws and closes it on return:
 each table is built on first use, and each draw only reads r(a), r(a)^2
 and the links r(a) r(a + d) and forms the products.  A check_* call outside
 a battery builds the same tables for itself alone, so a battery row and a
-lone call run the same arithmetic.
+lone call run the same arithmetic.  The envelope r itself is built once per
+(potential, bc) and cached on the PotentialSpec, with its support arrays
+(j, r(j), r(j)^2); every check of a draw, and rho_N, reads that one r.
 
 The resonance sums come in closed form from the partial fractions
 
@@ -193,19 +203,18 @@ def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
 
 # -- single-disc shift sums ---------------------------------------------------
 
-def _support_arrays(r: RSequence) -> tuple[np.ndarray, np.ndarray]:
-    js = np.array(r.support, dtype=int)
-    ws = np.array([r(int(j)) ** 2 for j in js], dtype=float)
-    return js, ws
-
-
 def _offset_table(tables: _Tables, d: int, T: int, a: int, b: int) -> np.ndarray:
     """g(u) = sum_t (d|t|)^-a |u - dt|^-b over 0 < |t| <= T, 0 < |u - dt| <= dT,
-    for -2dT <= u <= 2dT: one convolution table (see the module docstring)."""
+    for -2dT <= u <= 2dT: one convolution per residue class of u mod d (see
+    the module docstring)."""
     x = np.arange(-d * T, d * T + 1)
     recip = np.zeros(x.size)
     recip[x != 0] = 1.0 / np.abs(x[x != 0])
-    return np.convolve(np.where(x % d == 0, recip, 0.0) ** a, recip**b)
+    # x = dt runs over recip[::d]; u = dt + y with y = u - dt in u's class
+    table = np.empty(2 * x.size - 1)
+    for c in range(d):
+        table[c::d] = np.convolve(recip[::d] ** a, recip[c::d] ** b)
+    return table
 
 
 def _offset_kernel(table: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -217,7 +226,7 @@ def _offset_kernel(table: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _row_shift_sum(r: RSequence, n: int) -> float:
     """Exact sum_{k != n} r(n+k)^2 / |n-k| along the support of r."""
-    js, ws = _support_arrays(r)
+    js, _, ws = r.support_arrays
     if js.size == 0:
         return 0.0
     gaps = np.abs(2 * n - js).astype(float)
@@ -246,7 +255,7 @@ def check_shift_sums(r: RSequence, n: int, window: int = 512) -> tuple[BoundChec
         {"n": n, "step": d, "support": len(r.support)},
     )
 
-    js, ws = _support_arrays(r)
+    js, _, ws = r.support_arrays
     lhs_grid = float(ws @ _offset_kernel(_tables()(_offset_table, d, window, 1, 1), js - 2 * n))
     grid = _check(
         "grid_shift_sum",
@@ -305,7 +314,7 @@ def check_tail_sums(r: RSequence, N: int, K: int) -> list[BoundCheck]:
     if K <= N:
         raise ValueError("K must exceed N")
     d = r.step
-    _, ws = _support_arrays(r)
+    ws = r.support_arrays[2]
     base_rhs = r.norm_sq / N + tail_norm(r, N) ** 2
     params = {"N": N, "K": K, "step": d, "window_steps": 2 * K}
 
@@ -338,7 +347,7 @@ def _circle_offsets(tables: _Tables, bc: str, N: int, K: int, samples: int, supp
     u = supp - 2 * centers[:, None]
     lo = u.min(initial=0)
     z = circle_samples(0, 0.5, samples)[:, None]
-    recip = 1.0 / np.abs(z - np.arange(lo, u.max(initial=0) + 1))  # (sample, u)
+    recip = 1.0 / np.sqrt((z.real - np.arange(lo, u.max(initial=0) + 1)) ** 2 + z.imag**2)  # (sample, u)
     ends_sq = recip**2
     ends_sq[:, -lo] = 0.0
     return u, u - lo, z, recip, ends_sq
@@ -350,25 +359,31 @@ def _chain_tables(
     """What the order-s chain sums read besides r.
 
     s = 0: the hits a = 2n and the sample maxima of the end factors on
-    (disc, support).  s = 1: the gathered gaps g, the shift indicator whose
-    product with r(a) gives r(a + d), the free-end factors 2/|z - d| and
-    the anchor's pair table summed over discs, on (support, support).
+    (disc, support).  s = 1: the gaps g on (sample, disc, support), the
+    shift indicator whose product with r(a) gives r(a + d), the free-end
+    factors 2/|z - d| on (sample, d) and the anchor's pair table summed
+    over discs, on (support, support).
     """
     u, at, z, recip, ends_sq = tables(_circle_offsets, bc, N, K, samples, support)
     if s == 0:
         return u == 0, ends_sq.max(axis=0)[at]
     supp = np.array(support, dtype=int)
-    # 1/|l - j| for j = a - n on rows (sample, disc), columns support
-    g = recip[:, at].reshape(samples * at.shape[0], supp.size)
+    g = np.take(recip, at, axis=1)  # 1/|l - j| for j = a - n
     diffs = np.setdiff1d(supp[:, None] - supp, [0])
     shift = supp[:, None] + diffs[:, None, None] == supp
-    free_ends = (2.0 / np.abs(z - diffs))[:, None, :]
+    free_ends = 2.0 / np.abs(z - diffs)
     # pair[t, u] = max over samples of ends_sq(u) ends_sq(u + t d), zero past the table
     width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
-    padded = np.pad(ends_sq, ((0, 0), (0, width)))
-    pair = np.array([(ends_sq * padded[:, t : t + span]).max(axis=0) for t in range(0, width + 1, step)])
-    # chain (k, m) reads pair[|a_k - a_m| / d, min(a_k, a_m) - 2n], summed over discs
-    per_point = pair[:, at].sum(axis=1)
+    pair = np.zeros((width // step + 1, span))
+    for row, t in zip(pair, range(0, width + 1, step)):
+        np.max(ends_sq[:, : span - t] * ends_sq[:, t:], axis=0, out=row[: span - t])
+    # chain (k, m) reads pair[|a_k - a_m| / d, min(a_k, a_m) - 2n], summed over
+    # discs; at[n, k] = at[n, 0] + a_k - a_0, so that sum is a matvec against
+    # the number of discs at each offset at[n, 0]
+    discs = np.bincount(at[:, :1].ravel()).astype(float)
+    per_point = np.empty((pair.shape[0], supp.size))
+    for k, offset in enumerate(supp - supp[:1]):
+        per_point[:, k] = pair[:, offset : offset + discs.size] @ discs
     lower = np.minimum.outer(np.arange(supp.size), np.arange(supp.size))
     return g, shift, free_ends, per_point[np.abs(supp[:, None] - supp) // step, lower]
 
@@ -386,10 +401,13 @@ def check_chain_sums(
     full operator-norm machinery, and the bound's shape changes anyway.
     For s = 0 there is no interior index, so only three sums exist.
 
-    Gaps come from the circle-offset tables of the module docstring.  The
-    left- and right-free chains are term-by-term equal under renaming the
-    free end, so one value serves both.  Each chain is maximized over the
-    circle samples per free index before the sum over free indices.
+    Gaps come from the circle-offset tables of the module docstring, and r
+    and rho_N from the envelope cached on spec.  The left- and right-free
+    chains are term-by-term equal under renaming the free end, so one value
+    serves both.  Each chain is maximized over the circle samples per free
+    index before the sum over free indices; at s = 1 the free chains are
+    streamed one sample's (disc x d) block at a time into those maxima,
+    and the anchor reads its disc sums from the bincount pair table.
     """
     validate_bc(bc)
     if s not in (0, 1):
@@ -397,9 +415,8 @@ def check_chain_sums(
     if N < 1:
         raise ValueError("N must be a positive integer")
     r = r_sequence(spec, bc)
-    ra = np.array([r(a) for a in r.support], dtype=float)
-    wa = ra**2
-    rho_sq = rho(spec, bc, N) ** 2
+    _, ra, wa = r.support_arrays
+    rho_sq = rho(spec, bc, N) ** 2  # read from the same cached r
 
     # every chain carries 1/|l - n|^2 = 4
     built = _tables()(_chain_tables, bc, s, N, K, samples, r.support, r.step)
@@ -410,11 +427,16 @@ def check_chain_sums(
         free = 4.0 * float((end_maxima @ wa).sum())
     else:
         g, shift, free_ends, anchor_pairs = built
-        closed = float(((4.0 * (g @ wa)) ** 2).reshape(samples, -1).max(axis=0).sum())
-        links = ra * (shift @ ra)  # r(a) r(a + d)
-        chain = (g @ links.T).reshape(samples, g.shape[0] // samples, free_ends.shape[2])
-        chain *= free_ends
-        free = float(np.square(chain, out=chain).max(axis=0).sum())
+        # every factor is nonnegative, so squaring commutes with the sample maxima
+        closed = float(np.square(4.0 * (g @ wa).max(axis=0)).sum())
+        # 2 r(a) r(a + d) / |z - d| on (sample, support, d)
+        links = (ra * (shift @ ra)).T * free_ends[:, None, :]
+        # one sample's (disc, d) block at a time, folded into the sample maxima
+        free_max = np.zeros((g.shape[1], links.shape[2]))
+        block = np.empty_like(free_max)
+        for gaps, sample_links in zip(g, links):
+            np.maximum(free_max, np.matmul(gaps, sample_links, out=block), out=free_max)
+        free = float(np.square(free_max, out=free_max).sum())
         anchor = 4.0 * float(wa @ anchor_pairs @ wa)
 
     params = {"bc": bc, "s": s, "N": N, "K": K, "samples": samples}

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,7 +69,8 @@ class PotentialSpec:
     """Finite coefficient maps for P and Q on both integer parity classes.
 
     max_mode bounds the support: every stored mode m satisfies |m| <= max_mode.
-    Missing modes are zero.
+    Missing modes are zero.  r_sequence caches each bc's envelope on the
+    spec, so every reader of one potential shares one RSequence.
     """
 
     p_even: Mapping[int, complex]
@@ -75,6 +78,7 @@ class PotentialSpec:
     p_odd: Mapping[int, complex]
     q_odd: Mapping[int, complex]
     max_mode: int
+    _envelopes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_mode < 0:
@@ -177,7 +181,8 @@ class RSequence:
 
     values maps lattice points to r(m) >= 0; step is the lattice spacing
     (2 for the periodic/antiperiodic couplings, 1 for the Dirichlet-type
-    one).  Points outside the map are zero.
+    one).  Points outside the map are zero.  values is read-only, so the
+    derived quantities below are computed once per envelope.
     """
 
     values: Mapping[int, float]
@@ -195,12 +200,12 @@ class RSequence:
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"r({m}) must be finite and nonnegative")
             clean[m] = v
-        object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "values", MappingProxyType(clean))
 
     def __call__(self, m: int) -> float:
         return self.values.get(m, 0.0)
 
-    @property
+    @cached_property
     def norm_sq(self) -> float:
         return sum(v * v for v in self.values.values())
 
@@ -208,18 +213,33 @@ class RSequence:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(m for m, v in self.values.items() if v != 0.0))
 
+    @cached_property
+    def support_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (j, r(j), r(j)^2) over the support, ascending in j."""
+        js = np.array(self.support, dtype=int)
+        rs = np.array([self(int(j)) for j in js], dtype=float)
+        arrays = (js, rs, rs**2)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
 
 def r_sequence(spec: PotentialSpec, bc: str) -> RSequence:
+    """bc's envelope r of spec, built on the first call and cached on spec."""
     validate_bc(bc)
-    modes = spec.coupled_modes(bc)
-    if bc == DIRICHLET:
-        return RSequence({m: abs(dirichlet_w(spec, m)) for m in modes}, step=1)
-    vals = {m: max(abs(spec.p(m)), abs(spec.p(-m))) + max(abs(spec.q(m)), abs(spec.q(-m))) for m in modes}
-    return RSequence(vals, step=2)
+    if bc not in spec._envelopes:
+        modes = spec.coupled_modes(bc)
+        if bc == DIRICHLET:
+            r = RSequence({m: abs(dirichlet_w(spec, m)) for m in modes}, step=1)
+        else:
+            vals = {m: max(abs(spec.p(m)), abs(spec.p(-m))) + max(abs(spec.q(m)), abs(spec.q(-m))) for m in modes}
+            r = RSequence(vals, step=2)
+        spec._envelopes[bc] = r
+    return spec._envelopes[bc]
 
 
 def tail_norm(x, m: int) -> float:

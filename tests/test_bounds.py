@@ -7,6 +7,7 @@ inequalities.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,29 @@ def _chain_sums_by_broadcast(spec, bc, s, N, K, samples=16):
         anchor_rhs = s * r.norm_sq**2 * rho_sq ** (s - 1)
         checks.append(_check("chain_interior_anchor", anchor, anchor_rhs, dict(params)))
     return checks
+
+
+def _offset_table_full_grid(d, T, a, b):
+    """_offset_table as one convolution over the whole grid [-dT, dT], the
+    off-class entries of the t factor zeroed."""
+    x = np.arange(-d * T, d * T + 1)
+    recip = np.zeros(x.size)
+    recip[x != 0] = 1.0 / np.abs(x[x != 0])
+    return np.convolve(np.where(x % d == 0, recip, 0.0) ** a, recip**b)
+
+
+def _anchor_pairs_by_gather(bc, N, K, samples, support, step):
+    """The anchor's pair table summed over discs by gathering the pair table
+    at every (disc, support) offset, as _chain_tables did before the
+    bincount matvec."""
+    _, at, _, recip, ends_sq = bounds._circle_offsets(bounds._Tables(), bc, N, K, samples, support)
+    supp = np.array(support, dtype=int)
+    width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
+    padded = np.pad(ends_sq, ((0, 0), (0, width)))
+    pair = np.array([(ends_sq * padded[:, t : t + span]).max(axis=0) for t in range(0, width + 1, step)])
+    per_point = pair[:, at].sum(axis=1)
+    lower = np.minimum.outer(np.arange(supp.size), np.arange(supp.size))
+    return per_point[np.abs(supp[:, None] - supp) // step, lower]
 
 
 def _resonance_by_loop(n_max):
@@ -406,6 +430,18 @@ class TestOffsetKernelOracles:
             for N, K in self.CASES[:3]:
                 self._assert_matches_loops(r, N, K, (r.support[0],))
 
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    @pytest.mark.parametrize("T", (1, 2, 3, 8, 512))
+    def test_residue_classes_match_full_grid(self, d, T):
+        # every entry, u = 0 and the reach u = +-2dT included
+        for a, b in ((1, 1), (2, 2), (1, 2)):
+            got = bounds._offset_table(bounds._Tables(), d, T, a, b)
+            want = _offset_table_full_grid(d, T, a, b)
+            assert got.shape == want.shape == (4 * d * T + 1,)
+            for u in (0, -2 * d * T, 2 * d * T):
+                assert want[u + 2 * d * T] > 0.0
+            assert np.all(np.abs(got - want) <= 2e-15 * want), (d, T, a, b)
+
 
 class TestChainSumOracles:
     """The circle-offset and pair tables against the broadcast chain sums,
@@ -448,6 +484,19 @@ class TestChainSumOracles:
             support = r_sequence(spec, bc).support
             hit += sum(2 * n in support for n in disc_centers(bc, 8) if abs(n) > 1)
         assert hit > 0
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_anchor_disc_sums_match_gather(self, bc):
+        envelopes = [random_potential(seed) for seed in range(3)]
+        envelopes += [PotentialSpec.zero(8), *self.POINT_MASSES]
+        for spec in envelopes:
+            r = r_sequence(spec, bc)
+            for N, K in self.CASES:
+                tables = bounds._Tables()
+                got = bounds._chain_tables(tables, bc, 1, N, K, 16, r.support, r.step)[3]
+                want = _anchor_pairs_by_gather(bc, N, K, 16, r.support, r.step)
+                assert got.shape == want.shape == (len(r.support),) * 2
+                assert np.all(np.abs(got - want) <= 1e-14 * want), (bc, spec.max_mode, N, K)
 
     @pytest.mark.parametrize("n_max", (1, 49, 50, 51, 1000, 5000))
     def test_resonance_closed_form_matches_loop(self, n_max):
@@ -612,8 +661,47 @@ class TestBattery:
             builds.update(convolve=0, circle=0)
             run_battery(seed=1, draws=draws, Ns=(4, 8), K=32, operator_K=16)
             counts.append(dict(builds))
-        assert counts[0]["convolve"] > 0 and counts[0]["circle"] > 0
+        # three offset tables per step d (the shift grid and the two tail
+        # grids), each one convolution per residue class: 3 * (2 + 1)
+        assert counts[0]["convolve"] == 9 and counts[0]["circle"] > 0
         assert counts[1] == counts[0] and counts[2] == counts[0]
+
+    def test_one_envelope_per_draw_and_bc(self, monkeypatch):
+        built = []
+        post_init = RSequence.__post_init__
+
+        def counted(self):
+            built.append(self.step)
+            post_init(self)
+
+        monkeypatch.setattr(RSequence, "__post_init__", counted)
+        run_battery(seed=2, draws=3, Ns=(4, 8))
+        assert len(built) == 3 * len(BC_TAGS)
+
+    @staticmethod
+    def _peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_chain_sum_streams_its_samples(self):
+        # with the battery's tables built, a dir s = 1 call at K = 256 holds
+        # (disc, d) arrays of one sample's size, 496 x 32 doubles, never all
+        # 16 samples' at once
+        token = bounds._BATTERY_TABLES.set(bounds._Tables())
+        try:
+            check_chain_sums(random_potential(0), DIRICHLET, 1, 8, 256)
+            peak = self._peak_bytes(lambda: check_chain_sums(random_potential(1), DIRICHLET, 1, 8, 256))
+        finally:
+            bounds._BATTERY_TABLES.reset(token)
+        assert peak < 512 * 1024
+
+    def test_battery_peak_memory(self):
+        run_battery(seed=0, draws=1, K=256)
+        assert self._peak_bytes(lambda: run_battery(seed=0, draws=2, K=256)) < 4 * 1024 * 1024
 
     def test_violation_gates(self):
         hard = BoundCheck(HARD_CHECKS[0], 1.5, 1.0, 1.5, {})

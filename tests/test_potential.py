@@ -174,6 +174,29 @@ class TestRSequence:
         assert r.norm_sq == pytest.approx(25.0)
         assert r.norm == pytest.approx(5.0)
         assert r.support == (-4, 2)
+        js, rs, ws = r.support_arrays
+        assert js.tolist() == [-4, 2] and rs.tolist() == [4.0, 3.0] and ws.tolist() == [16.0, 9.0]
+
+    def test_read_only(self):
+        r = RSequence({2: 3.0}, step=2)
+        with pytest.raises(TypeError):
+            r.values[2] = 5.0
+        for a in r.support_arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0
+        empty = RSequence({}, step=1)
+        assert empty.support == () and all(a.size == 0 for a in empty.support_arrays)
+
+    def test_envelope_built_once_per_spec_and_bc(self):
+        spec = random_potential(1)
+        for bc in BC_TAGS:
+            assert r_sequence(spec, bc) is r_sequence(spec, bc)
+        assert r_sequence(spec, PER_PLUS) is not r_sequence(spec, PER_MINUS)
+        # a fresh spec builds its own envelope, equal to the first
+        twin = random_potential(1)
+        assert r_sequence(twin, DIRICHLET) is not r_sequence(spec, DIRICHLET)
+        assert r_sequence(twin, DIRICHLET) == r_sequence(spec, DIRICHLET)
+        assert twin == spec
 
     def test_periodic_envelope_symmetrizes(self):
         spec = PotentialSpec(p_even={2: 1.0}, q_even={2: 1j}, p_odd={}, q_odd={}, max_mode=2)

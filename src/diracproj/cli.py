@@ -15,7 +15,9 @@ floats are printed with 17 significant digits, and rows are emitted in a
 deterministic order, so identical config + seed gives byte-identical CSV
 files.  The run.json metadata echoes the effective config along with
 library versions and wall-clock timings (the one file allowed to differ
-between reruns).
+between reruns); for deviations and reconstruct its `gates` block holds
+the projection route and the worst disc gate margins (largest idempotency
+residual and |trace - rank|, smallest contour offset).
 
 Exit codes: 0 success, 2 unusable config or arguments, 3 numerical failure
 (residual, contour-proximity and quadrature-quality gates, no verified
@@ -310,6 +312,7 @@ def cmd_deviations(cfg: RunConfig) -> int:
             "tail_sum": report.tail_sum,
             "localization_verified_beyond_N": verified,
             "potential_norm": potential_norm(spec),
+            "gates": report.gates,
         },
     )
     return EXIT_OK
@@ -360,7 +363,9 @@ def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
             sort_keys=True,
         )
         fh.write("\n")
-    _write_run_json(out, cfg, started, {"threshold_N": threshold, "N_used": N, "M_used": M})
+    _write_run_json(
+        out, cfg, started, {"threshold_N": threshold, "N_used": N, "M_used": M, "gates": expansion.report.gates}
+    )
     return EXIT_OK
 
 

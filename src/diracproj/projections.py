@@ -11,25 +11,33 @@ which for each eigenvalue mu of L is a scalar filter: exactly
 -1/(d^M - 1) when outside.  Both tails die geometrically in M, which is
 why node-doubling checks are a meaningful convergence diagnostic.
 
-Two evaluation routes are kept; both apply the same filter rule and gates.
-The spectral route diagonalizes L once and applies the identical quadrature
-sum to each eigenvalue (legitimate by linearity, and cheap enough to make
-large node counts free).  Only the few eigenvalues inside or near the
-contour have a filter value above roundoff, so the filter is summed only
-for the eigenvalues within reach of the contour, and the spectral route
-keeps those r columns and returns the factors V[:, S] diag(f_S) and
-V^{-1}[S, :] of P, at O(dim r) cost per contour.  When the eigenvector
-basis is ill-conditioned (defective or nearly so), the Schur route works on
-one complex Schur form L = Z T Z^H, decoupled once per operator: one
-reorder moves the w eigenvalues of the window |lambda| < K/2 + 1/2, which
-holds every trusted disc, to the leading block TW, and one Sylvester
-solve for its coupling Y splits TW off the rest (Bavely & Stewart 1979).
-Each contour then reorders only TW so that S leads, solves one r x (w - r)
-Sylvester equation for the coupling X, and filters the triangular r x r
-block, in O(w^2 r + dim w r); a contour whose S leaves the window takes
-the same steps on the whole form, w = dim (Golub & Van Loan 7.6; Bai &
-Demmel 1993).  The dense LU quadrature, node by node, survives only in the
-tests as the oracle for both.
+Projections are computed in batches.  One pass (_project) takes circles of
+one radius and node count and computes, as stacked array operations, each
+circle's proximity offset, the set S of eigenvalues its filter keeps, the
+factors of its projection and its trace and idempotency gates.  The disc
+sweep sends the window's disc contours through it in chunks of DISC_CHUNK
+and, in the same pass, takes each disc's deviation from the free P_n^0 and,
+with f given, P_n f; riesz_projection is the pass on a batch of one
+contour.  The filter is summed only for the eigenvalues within reach of a
+contour, and S holds those whose filter value is above roundoff.
+
+Two routes build the factors; both apply the same filter rule and gates.
+The spectral route diagonalizes L once and filters each eigenvalue
+(legitimate by linearity); its factors V[:, S] diag(f_S) and V^{-1}[S, :]
+are gathers, at O(dim r) per contour.  When the eigenvector basis is
+ill-conditioned (defective or nearly so), the Schur route works on one
+complex Schur form L = Z T Z^H, decoupled once per operator: one reorder
+moves the w eigenvalues of the window |lambda| < K/2 + 1/2, which holds
+every trusted disc, to the leading block TW, and one Sylvester solve for
+its coupling Y splits TW off the rest (Bavely & Stewart 1979).  S comes
+from one filter over diag(T) for the whole batch.  Each contour then
+reorders only TW so that S leads and solves one r x (w - r) Sylvester
+equation for the coupling X; the r x r node filters of every contour are
+inverted in one batched call, in O(w^2 r + dim w r) per contour.  A
+contour whose S leaves the window takes the same steps on the whole form,
+w = dim (Golub & Van Loan 7.6; Bai & Demmel 1993).  The dense LU
+quadrature, node by node, survives only in the tests as the oracle for
+both, next to the per-contour bodies the batched pass replaced.
 
 Both routes return P as factors left (dim x r) and right (r x dim), and P
 stays factored from there on: P f is left (right f), the trace is that of
@@ -37,12 +45,20 @@ the r x r product right left, and the idempotency residual
 ||P^2 - P||_F = ||left A right||_F, A = right left - I, is read from
 the r x r Gram matrices left^H left and right right^H.  No dim x dim
 array is formed per contour.  The free projection P_n^0 is the coordinate
-projection onto the basis rows D of the lattice point n.  Its deviation is
-split by rows: the r rows in D are differenced explicitly (left[D] right
-minus the identity there), and the other rows, where P^0 vanishes, have
-norm ||left[~D] R^H||_F with right^H = Q R, exact because Q^H has
-orthonormal rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead
-would cancel to about 1e-16 / dev^2 relative.
+projection onto the basis rows D of the lattice point n, found by index
+arithmetic.  Its deviation is split by rows: the r rows in D are
+differenced explicitly (left[D] right minus the identity there), and the
+other rows, where P^0 vanishes, have norm ||left[~D] R^H||_F with
+right^H = Q R, exact because Q^H has orthonormal rows.  Expanding
+||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead would cancel to about
+1e-16 / dev^2 relative.  In a batch the factors are zero-padded to the
+largest r; the padding adds nothing to any of these.
+
+numpy and scipy each load their own OpenBLAS with its own thread pool,
+and eig runs in scipy's.  A single contour's products (the global circle
+holds r = 40-50 eigenvalues at K = 128) run in scipy's BLAS, oriented as
+numpy's row-major calls; a chunk's stacked disc products have inner size
+r and stay in numpy's matmul, too small to wake its threads.
 """
 
 from __future__ import annotations
@@ -80,6 +96,9 @@ FILTER_FLOOR = 1e-15
 # where the exact filter falls below 1 / FILTER_REACH.  The full sum beyond
 # is roundoff, which on wide global circles passed FILTER_FLOOR at 1e17
 FILTER_REACH = 1e28
+# discs per batched pass: at dim 514 and r = 2 a chunk's stacked factors
+# are about 0.26 MB each
+DISC_CHUNK = 16
 
 
 class ContourProximityError(Exception):
@@ -128,41 +147,105 @@ class ProjectionResult:
         return self.left @ self.right
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.left @ (self.right @ x)
+        return _apply(self.left[None], self.right[None], x)[0]
 
     @property
     def hs_norm(self) -> float:
-        return _factored_norm(self.left, self.right)
+        # the deviation from the zero projection: no rows to difference
+        return float(_split_deviation(self.left[None], self.right[None], np.zeros((1, 0), dtype=np.intp))[0])
 
 
-def _factored_norm(left: np.ndarray, right: np.ndarray) -> float:
-    """||left @ right||_F as ||left R^H||_F, where right^H = Q R with orthonormal Q."""
-    return float(np.linalg.norm(left @ np.linalg.qr(right.conj().T, mode="r").conj().T))
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in scipy's BLAS, oriented as numpy's row-major call."""
+    return scipy.linalg.blas.zgemm(1.0, b.T, a.T).T
 
 
-def _filter(contour: ContourSpec, mu: np.ndarray) -> np.ndarray:
-    """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) at each value of mu;
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked a @ b.  A stack of one runs in scipy's BLAS; a longer stack
+    is a chunk of small disc products, left to numpy."""
+    return _gemm(a[0], b[0])[None] if len(a) == 1 else a @ b
+
+
+def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x in scipy's BLAS, in the orientation numpy's matmul picks for a's layout."""
+    if a.flags.f_contiguous:
+        return scipy.linalg.blas.zgemv(1.0, a, x)
+    return scipy.linalg.blas.zgemv(1.0, a.T, x, trans=1)
+
+
+def _apply(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """left[k] @ (right[k] @ x) for every k of a stack, x one vector."""
+    if len(left) == 1:
+        return _gemv(left[0], _gemv(right[0], x))[None]
+    return (left @ (right @ x)[:, :, None])[:, :, 0]
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, read through real views: no temporaries."""
+    x = x.reshape(len(x), -1)
+    return np.sqrt(np.einsum("ki,ki->k", x.real, x.real) + np.einsum("ki,ki->k", x.imag, x.imag))
+
+
+def _split_deviation(
+    left: np.ndarray, right: np.ndarray, rows: np.ndarray, target: np.ndarray | None = None
+) -> np.ndarray:
+    """||left[k] @ right[k] - P0_k||_F for every k of a stack, where P0_k
+    vanishes off the rows rows[k] and is target[k] on them (the identity
+    there when target is None, as for a free P0).
+
+    The rows are differenced explicitly; off them the norm is
+    ||left[~rows] R^H||_F with right^H = Q R, exact because Q^H has
+    orthonormal rows.
+    """
+    at = np.arange(len(left))[:, None]
+    r = np.linalg.qr(right.conj().transpose(0, 2, 1), mode="r")
+    far = left.copy()
+    far[at, rows] = 0.0
+    far_norm = _frobenius(_mm(far, r.conj().transpose(0, 2, 1)))
+    del far
+    near = _mm(left[at, rows], right)
+    if target is None:
+        near[at, np.arange(rows.shape[1]), rows] -= 1.0
+    else:
+        near -= target
+    return np.hypot(_frobenius(near), far_norm)
+
+
+def _filter(centers: np.ndarray, radius: float, nodes: int, mu: np.ndarray) -> np.ndarray:
+    """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) of each circle
+    c + R z_j at each value of mu, as a len(centers) x len(mu) array;
     0 beyond the reach set by FILTER_REACH."""
-    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
-    lams = contour.center + contour.radius * phases
-    reach = contour.radius * FILTER_REACH ** (1 / contour.nodes)
-    near = np.flatnonzero(np.abs(mu - contour.center) < reach)
-    filt = np.zeros(len(mu), dtype=complex)
-    filt[near] = (contour.radius / contour.nodes) * (phases[None, :] / (lams[None, :] - mu[near, None])).sum(axis=1)
+    phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    lams = centers[:, None] + radius * phases
+    reach = radius * FILTER_REACH ** (1 / nodes)
+    disc, near = np.nonzero(np.abs(mu - centers[:, None]) < reach)
+    filt = np.zeros((len(centers), len(mu)), dtype=complex)
+    filt[disc, near] = (radius / nodes) * (phases / (lams[disc] - mu[near, None])).sum(axis=1)
     return filt
 
 
-def _quadrature_spectral(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (left, right) with P = left @ right, of inner size r = |S|.
+def _spectral_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes: int):
+    """Stacked factors V[:, S] diag(f_S) and V^{-1}[S, :], padded to the largest |S|.
 
     S holds the eigenvalues whose filter value exceeds FILTER_FLOOR, chosen
     by magnitude rather than position so that coarse contours, whose filter
-    leaks to far eigenvalues, keep everything that matters.
+    leaks to far eigenvalues, keep everything that matters.  Returns
+    (left, right, valid), valid marking the slots that are not padding.
     """
     vals, vecs = eigen(op)
-    filt = _filter(contour, vals)
-    keep = np.flatnonzero(np.abs(filt) > FILTER_FLOOR)
-    return vecs[:, keep] * filt[keep], eigenbasis_inverse(op)[keep, :]
+    filt = _filter(centers, radius, nodes, vals)
+    keep = np.abs(filt) > FILTER_FLOOR
+    counts = keep.sum(axis=1)
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    idx = np.zeros(valid.shape, dtype=np.intp)
+    idx[valid] = np.nonzero(keep)[1]
+    weights = np.where(valid, np.take_along_axis(filt, idx, axis=1), 0.0)
+    del filt
+    left = vecs[:, idx]
+    left *= weights
+    right = eigenbasis_inverse(op)[idx]
+    right *= valid[:, :, None]
+    return left.transpose(1, 0, 2), right, valid
 
 
 def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, float]:
@@ -189,35 +272,138 @@ def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int, np.nda
     return op._aux_cache["schur"]
 
 
-def _quadrature_schur(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (Z_W Q1 F, [I, -X] Q^H [I, -Y] Z^H) from the decoupled Schur form.
+def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes: int):
+    """Stacked factors (Z_W Q1 F, [I, -X] Q^H [I, -Y] Z^H) from the decoupled Schur form.
 
-    S from diag(T) is moved to the leading block T11 of the window block
-    TW = Q [[T11, T12], [0, T22]] Q^H, T11 X - X T22 = -T12, and F is the
-    trapezoid filter of T11 itself.  When S reaches outside the window, the
-    whole form is the window (w = dim, Y = 0).  Refuses when LAPACK fails or
-    the projector norm bound hypot(1, ||X||_F) hypot(1, ||Y||_F) exceeds
-    CONDITION_LIMIT.
+    One filter over diag(T) selects S for every contour.  Per contour, S is
+    moved to the leading block T11 of the window block
+    TW = Q [[T11, T12], [0, T22]] Q^H and T11 X - X T22 = -T12 is solved;
+    when S reaches outside the window, the whole form is the window
+    (w = dim, Y = 0).  The trapezoid filters F of every T11 come from one
+    batched inverse.  Returns (left, right, valid, refusal) for the contours
+    before the first one that LAPACK fails on, or whose projector norm bound
+    hypot(1, ||X||_F) hypot(1, ||Y||_F) exceeds CONDITION_LIMIT; refusal is
+    the ProjectionQualityError for that contour, None if every contour passed.
     """
-    T, Z, w, right, y_norm = _schur_form(op)
-    select = np.abs(_filter(contour, np.diagonal(T))) > FILTER_FLOOR
-    if select[w:].any():
-        w, right, y_norm = op.dim, Z.conj().T, 0.0
-    TW, Q, _, r, _, _, info = scipy.linalg.lapack.ztrsen(select[:w], T[:w, :w], np.eye(w, dtype=complex), job="N")
-    X, scale = np.zeros((r, w - r), dtype=complex), 1.0
-    if info == 0 and 0 < r < w:
-        X, scale, info = scipy.linalg.lapack.ztrsyl(TW[:r, :r], TW[r:, r:], -TW[:r, r:], isgn=-1)
-    norm = math.hypot(1.0, float(np.linalg.norm(X))) * math.hypot(1.0, y_norm)
-    if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
-        raise ProjectionQualityError(
-            f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
-            f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
+    T, Z, w, right_w, y_norm = _schur_form(op)
+    select = np.abs(_filter(centers, radius, nodes, np.diagonal(T))) > FILTER_FLOOR
+    counts = select.sum(axis=1)  # r of each contour: ztrsen moves every selected eigenvalue
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    count, width = valid.shape
+    t11 = np.zeros((count, width, width), dtype=complex)
+    basis = np.zeros((count, op.dim, width), dtype=complex)
+    right = np.zeros((count, width, op.dim), dtype=complex)
+    forms, refusal = {}, None
+    for k, sel in enumerate(select):
+        whole = bool(sel[w:].any())
+        if whole not in forms:
+            n = op.dim if whole else w
+            rows = Z.conj().T if whole else right_w
+            forms[whole] = (np.asfortranarray(T[:n, :n]), np.eye(n, dtype=complex, order="F"), Z[:, :n], rows)
+        TW, eye, Z_W, rows = forms[whole]
+        TW, Q, _, r, _, _, info = scipy.linalg.lapack.ztrsen(sel[: len(TW)], TW, eye, job="N")
+        X, scale = np.zeros((r, len(TW) - r), dtype=complex), 1.0
+        if info == 0 and 0 < r < len(TW):
+            X, scale, info = scipy.linalg.lapack.ztrsyl(TW[:r, :r], TW[r:, r:], -TW[:r, r:], isgn=-1)
+        norm = math.hypot(1.0, float(np.linalg.norm(X))) * math.hypot(1.0, 0.0 if whole else y_norm)
+        if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
+            refusal = ProjectionQualityError(
+                f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
+                f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
+            )
+            count = k
+            break
+        t11[k, :r, :r] = TW[:r, :r]
+        basis[k, :, :r] = _gemm(Z_W, Q[:, :r])
+        right[k, :r] = _gemm(Q[:, :r].conj().T - _gemm(X, Q[:, r:].conj().T), rows)
+
+    # lambda_j - T11 at every node (as ContourSpec.points); padding slots invert the identity and are masked out of F
+    valid = valid[:count]
+    points = centers[:count, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+    shifted = np.repeat(-t11[:count, None], nodes, axis=1)
+    np.einsum("kjaa->kja", shifted)[...] += np.where(valid[:, None, :], points[:, :, None], 1.0)
+    phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    filt = (radius / nodes) * np.einsum("j,kjab->kab", phases, np.linalg.inv(shifted))
+    filt *= valid[:, :, None] & valid[:, None, :]
+    return _mm(basis[:count], filt), right[:count], valid, refusal
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Projections of a batch of contours: stacked factors, zero-padded to the
+    batch's largest r, and each contour's gate values."""
+
+    left: np.ndarray  # count x dim x r
+    right: np.ndarray  # count x r x dim
+    ranks: np.ndarray
+    traces: np.ndarray
+    residuals: np.ndarray
+    offsets: np.ndarray
+    route: str
+
+
+def _project(
+    op: OperatorMatrix, contours: list[ContourSpec], quality_threshold: float | None = QUALITY_TOL
+) -> _Batch:
+    """Contour-quadrature projections of circles sharing one radius and node count.
+
+    Refuses the first contour, in the given order, that has an eigenvalue of
+    the truncation within PROXIMITY_TOL, that the Schur route cannot
+    certify, or (unless quality_threshold is None) whose trace is not
+    within quality_threshold of an integer or whose idempotency residual
+    exceeds it; no contour past a proximity refusal is integrated.  Schur
+    route above SPECTRAL_COND_LIMIT.
+    """
+    radius, nodes = contours[0].radius, contours[0].nodes
+    assert all((c.radius, c.nodes) == (radius, nodes) for c in contours)
+    centers = np.array([c.center for c in contours])
+    vals, _ = eigen(op)
+    gaps = np.abs(np.abs(vals - centers[:, None]) - radius)
+    nearest = np.argmin(gaps, axis=1)
+    offsets = gaps[np.arange(len(contours)), nearest]
+    close = np.flatnonzero(offsets < PROXIMITY_TOL)
+    stop = int(close[0]) if close.size else len(contours)
+    proximity = None
+    if stop < len(contours):
+        proximity = ContourProximityError(
+            f"eigenvalue {vals[nearest[stop]]} lies within {PROXIMITY_TOL:.0e} of the contour "
+            f"|z - {contours[stop].center}| = {contours[stop].radius}"
         )
-    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
-    shifted = contour.points()[:, None, None] * np.eye(r) - TW[:r, :r]
-    filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
-    coupling = Q[:, :r].conj().T - X @ Q[:, r:].conj().T
-    return Z[:, :w] @ Q[:, :r] @ filt, coupling @ right
+        if stop == 0:
+            raise proximity
+    route = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "schur"
+    if route == "spectral":
+        left, right, valid = _spectral_factors(op, centers[:stop], radius, nodes)
+        refusal = None
+    else:
+        left, right, valid, refusal = _schur_factors(op, centers[:stop], radius, nodes)
+
+    gram = _mm(right, left)
+    # ||P^2 - P||_F^2 = ||left A right||_F^2 = tr(A^H (left^H left) A (right right^H)), A = gram - I
+    defect = gram - valid[:, :, None] * np.eye(valid.shape[1])
+    lhl = _mm(left.conj().transpose(0, 2, 1), left)
+    rrh = _mm(right, right.conj().transpose(0, 2, 1))
+    chain = _mm(_mm(lhl, defect), rrh)
+    residuals = np.sqrt(np.maximum(np.einsum("kab,kab->k", defect.conj(), chain).real, 0.0))
+    traces = np.trace(gram, axis1=1, axis2=2)
+    ranks = np.rint(traces.real).astype(int)
+    if quality_threshold is not None:
+        off_rank = np.abs(traces - ranks) > quality_threshold
+        failed = np.flatnonzero(off_rank | (residuals > quality_threshold))
+        if failed.size:
+            k = failed[0]
+            if off_rank[k]:
+                raise ProjectionQualityError(
+                    f"projection trace {complex(traces[k])} is not close to an integer rank; increase contour nodes"
+                )
+            raise ProjectionQualityError(
+                f"idempotency residual {residuals[k]:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
+            )
+    if refusal is not None:
+        raise refusal
+    if proximity is not None:
+        raise proximity
+    return _Batch(left, right, ranks, traces, residuals, offsets, route)
 
 
 def riesz_projection(
@@ -227,55 +413,40 @@ def riesz_projection(
 ) -> ProjectionResult:
     """Contour-quadrature spectral projection with proximity/quality gates.
 
-    Refuses when an eigenvalue of the truncation lies within PROXIMITY_TOL
-    of the contour.  With quality_threshold = None the idempotency and rank
-    gates are skipped (used by node-convergence studies that build coarse
-    projections on purpose).  Schur route above SPECTRAL_COND_LIMIT.
+    The batched pass on one contour.  Refuses when an eigenvalue of the
+    truncation lies within PROXIMITY_TOL of the contour.  With
+    quality_threshold = None the idempotency and rank gates are skipped
+    (used by node-convergence studies that build coarse projections on
+    purpose).  Schur route above SPECTRAL_COND_LIMIT.
     """
-    vals, _ = eigen(op)
-    offsets = np.abs(np.abs(vals - contour.center) - contour.radius)
-    worst = int(np.argmin(offsets))
-    if offsets[worst] < PROXIMITY_TOL:
-        raise ContourProximityError(
-            f"eigenvalue {vals[worst]} lies within {PROXIMITY_TOL:.0e} of the contour "
-            f"|z - {contour.center}| = {contour.radius}"
-        )
-    route = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "schur"
-    left, right = (_quadrature_spectral if route == "spectral" else _quadrature_schur)(op, contour)
-    gram = right @ left
-    # ||P^2 - P||_F^2 = ||left A right||_F^2 = tr(A^H (left^H left) A (right right^H)), A = gram - I
-    defect = gram - np.eye(len(gram))
-    residual = math.sqrt(max(np.vdot(defect, (left.conj().T @ left) @ defect @ (right @ right.conj().T)).real, 0.0))
+    batch = _project(op, [contour], quality_threshold)
+    return ProjectionResult(
+        batch.left[0], batch.right[0], int(batch.ranks[0]), float(batch.residuals[0]), contour, batch.route
+    )
 
-    trace = complex(np.trace(gram))
-    rank = int(round(trace.real))
-    if quality_threshold is not None:
-        if abs(trace - rank) > quality_threshold:
-            raise ProjectionQualityError(
-                f"projection trace {trace} is not close to an integer rank; increase contour nodes"
-            )
-        if residual > quality_threshold:
-            raise ProjectionQualityError(
-                f"idempotency residual {residual:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
-            )
-    return ProjectionResult(left, right, rank, residual, contour, route)
+
+def _free_rows(bc: str, K: int, ns) -> np.ndarray:
+    """Basis rows of the lattice points ns, one row of indices per point: by
+    index arithmetic on the ascending, channel-interleaved basis ordering."""
+    points = lattice_points(bc, K)
+    channels = 1 if bc == DIRICHLET else 2  # also the lattice step
+    slot, offset = np.divmod(np.asarray(ns, dtype=int) - points[0], channels)
+    bad = np.flatnonzero(offset | (slot < 0) | (slot >= len(points)))
+    if bad.size:
+        raise ValueError(f"lattice point {ns[bad[0]]} not present in the {bc} truncation at K = {K}")
+    return channels * slot[:, None] + np.arange(channels)
 
 
 def free_projection(bc: str, n: int, K: int) -> ProjectionResult:
     """Exact spectral projection of the free operator onto the disc at n.
 
     The free operator is diagonal, so this is the coordinate projection onto
-    the basis rows of n: one per channel, found by index arithmetic on the
-    ascending, channel-interleaved basis ordering.
+    the basis rows of n: one per channel.
     """
-    points = lattice_points(bc, K)
-    channels = 1 if bc == DIRICHLET else 2  # also the lattice step
-    slot, offset = divmod(n - points[0], channels)
-    if offset or not 0 <= slot < len(points):
-        raise ValueError(f"lattice point {n} not present in the {bc} truncation at K = {K}")
-    left = np.zeros((channels * len(points), channels), dtype=complex)
-    left[channels * slot + np.arange(channels), np.arange(channels)] = 1.0
-    return ProjectionResult(left, left.T, channels, 0.0, None)
+    rows = _free_rows(bc, K, [n])[0]
+    left = np.zeros((len(lattice_points(bc, K)) * len(rows), len(rows)), dtype=complex)
+    left[rows, np.arange(len(rows))] = 1.0
+    return ProjectionResult(left, left.T, len(rows), 0.0, None)
 
 
 def default_global_nodes(radius: float) -> int:
@@ -304,9 +475,9 @@ def deviation(p: ProjectionResult, p0: ProjectionResult) -> float:
     right^H.  For a free P0, D holds the r disc rows, so no dim x dim array
     is formed and nothing cancels outside them.
     """
-    rows = np.any(p0.left != 0, axis=1)
-    near = p.left[rows] @ p.right - p0.left[rows] @ p0.right
-    return float(np.hypot(np.linalg.norm(near), _factored_norm(p.left[~rows], p.right)))
+    rows = np.flatnonzero(np.any(p0.left != 0, axis=1))
+    target = p0.left[rows] @ p0.right
+    return float(_split_deviation(p.left[None], p.right[None], rows[None], target[None])[0])
 
 
 @dataclass(frozen=True)
@@ -316,17 +487,33 @@ class DeviationReport:
     discs run in the canonical (|n|, n) order; ranks and deviations follow
     them, and cumulative holds the running partial sums of the squared
     deviations, so the last entry is the tail sum that the
-    quadratic-closeness criterion bounds.
+    quadratic-closeness criterion bounds.  route names the projection route,
+    and residuals, trace_gaps (|trace - rank|) and offsets (the nearest
+    eigenvalue's distance from the contour) are each disc's gate values.
     """
 
     discs: tuple[int, ...]
     ranks: tuple[int, ...]
     deviations: tuple[float, ...]
     cumulative: tuple[float, ...]
+    route: str
+    residuals: tuple[float, ...]
+    trace_gaps: tuple[float, ...]
+    offsets: tuple[float, ...]
 
     @property
     def tail_sum(self) -> float:
         return self.cumulative[-1] if self.cumulative else 0.0
+
+    @property
+    def gates(self) -> dict:
+        """The worst gate margins over the discs, as run.json records them."""
+        return {
+            "route": self.route,
+            "max_idempotency_residual": max(self.residuals),
+            "max_trace_gap": max(self.trace_gaps),
+            "min_contour_offset": min(self.offsets),
+        }
 
 
 def _disc_sweep(
@@ -343,9 +530,10 @@ def _disc_sweep(
     `threshold` is the verified threshold of the operator's potential
     (find_threshold_n).  N below it is refused, so every contour integrated
     over satisfies the smallness test; so are M beyond the trusted window
-    K/2 and a window with no disc in it.  Each disc gets one contour
-    projection P_n and its deviation from the free P_n^0; with f given,
-    P_n f is kept too.  P_n itself is dropped before the next disc.
+    K/2 and a window with no disc in it.  The discs go through the batched
+    pass DISC_CHUNK at a time; each gets its projection P_n, its deviation
+    from the free P_n^0 and, with f given, P_n f.  A chunk's projections are
+    dropped before the next chunk.
     """
     if N < threshold:
         raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")
@@ -357,15 +545,22 @@ def _disc_sweep(
     discs = tuple(sorted((n for n in disc_centers(bc, M) if abs(n) > N), key=lambda n: (abs(n), n)))
     if not discs:
         raise ValueError(f"no discs in the window |n| <= M = {M} past the cutoff")
-    ranks, devs, terms = [], [], []
-    for n in discs:
-        p = riesz_projection(op, ContourSpec(n, radius, nodes))
-        ranks.append(p.rank)
-        devs.append(deviation(p, free_projection(bc, n, K)))
+    ranks, devs, residuals, gaps, offsets, terms = [], [], [], [], [], []
+    for start in range(0, len(discs), DISC_CHUNK):
+        chunk = discs[start : start + DISC_CHUNK]
+        batch = _project(op, [ContourSpec(n, radius, nodes) for n in chunk])
+        devs += _split_deviation(batch.left, batch.right, _free_rows(bc, K, chunk)).tolist()
         if f is not None:
-            terms.append(p.apply(f))
+            terms += list(_apply(batch.left, batch.right, f))
+        ranks += batch.ranks.tolist()
+        residuals += batch.residuals.tolist()
+        gaps += np.abs(batch.traces - batch.ranks).tolist()
+        offsets += batch.offsets.tolist()
     cumulative = tuple(itertools.accumulate(d * d for d in devs))
-    return DeviationReport(discs, tuple(ranks), tuple(devs), cumulative), tuple(terms)
+    report = DeviationReport(
+        discs, tuple(ranks), tuple(devs), cumulative, batch.route, tuple(residuals), tuple(gaps), tuple(offsets)
+    )
+    return report, tuple(terms)
 
 
 def deviation_report(
@@ -386,7 +581,6 @@ def deviation_report(
 def localization_counts(op: OperatorMatrix, radius: float = 0.5) -> dict[int, int]:
     """Eigenvalues of the truncation strictly inside each trusted disc."""
     vals, _ = eigen(op)
-    return {
-        n: int(np.count_nonzero(np.abs(vals - n) < radius))
-        for n in disc_centers(op.basis.bc, op.basis.trusted_limit)
-    }
+    centers = disc_centers(op.basis.bc, op.basis.trusted_limit)
+    counts = np.count_nonzero(np.abs(vals - np.array(centers, dtype=float)[:, None]) < radius, axis=1)
+    return dict(zip(centers, counts.tolist()))

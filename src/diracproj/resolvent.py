@@ -19,7 +19,7 @@ The smallness test drives everything else: once the circle of radius 1/2
 around a lattice point n has max ||K V K||_HS <= 1/2, the resolvent exists
 on that circle and the Riesz projection for the disc is trustworthy.
 circle_norm_profile evaluates the double sum for every disc and circle
-sample of the trusted window in one broadcast pass, and
+sample of the trusted window, broadcast over blocks of discs, and
 threshold_from_profile reads off the smallest cutoff N beyond which every
 disc passes.  The same kernel, fed the envelope weights r(j)^2, gives the
 bound audit's dominated double sum.
@@ -36,6 +36,8 @@ from .operator import OperatorMatrix, disc_centers, eigen, lattice_points
 from .potential import DIRICHLET, PotentialSpec, dirichlet_w
 
 CONDITION_LIMIT = 1e12
+# values per (disc, sample, lattice) block of the smallness scan: 1 MB of float64
+SCAN_BLOCK_FLOATS = 2**17
 
 
 class IllConditionedError(Exception):
@@ -108,26 +110,31 @@ def _circle_double_sums(
     """sum_j w(j) sum_i 1 / (|l - i| |l - (j - i)|) over the size-K lattice.
 
     Evaluated at every (disc, sample) point l of the radius-1/2 circles
-    around `centers`, in one broadcast pass.  The lattice is symmetric with
-    step s, so the partner j - lat[i] of lattice point i sits at index
-    (L - 1 - i) + j/s, and each anti-diagonal j reduces to one shifted
-    product of the reciprocal gaps with their reversal.
+    around `centers`, in blocks of discs whose (disc, sample, lattice)
+    temporaries hold about SCAN_BLOCK_FLOATS values (1 MB of float64); each
+    disc's sums do not depend on the block it lands in.  The lattice is
+    symmetric with step s, so the partner j - lat[i] of lattice point i sits
+    at index (L - 1 - i) + j/s, and each anti-diagonal j reduces to one
+    shifted product of the reciprocal gaps with their reversal.
     """
     lat = np.array(lattice_points(bc, K), dtype=float)
     step = 1 if bc == DIRICHLET else 2
-    lams = circle_samples(centers[:, None], 0.5, samples)
-    inv = 1.0 / np.abs(lams[:, :, None] - lat)
-    rev = inv[:, :, ::-1]
     L = lat.size
-    total = np.zeros(lams.shape)
-    for j, w in weights.items():
-        t = j // step
-        if w == 0.0 or abs(t) >= L:
-            continue
-        if t >= 0:
-            total += w * np.einsum("dsi,dsi->ds", inv[:, :, t:], rev[:, :, : L - t])
-        else:
-            total += w * np.einsum("dsi,dsi->ds", inv[:, :, : L + t], rev[:, :, -t:])
+    total = np.zeros((len(centers), samples))
+    block = max(1, SCAN_BLOCK_FLOATS // (samples * L))
+    for start in range(0, len(centers), block):
+        lams = circle_samples(centers[start : start + block, None], 0.5, samples)
+        inv = 1.0 / np.abs(lams[:, :, None] - lat)
+        rev = inv[:, :, ::-1]
+        part = total[start : start + block]
+        for j, w in weights.items():
+            t = j // step
+            if w == 0.0 or abs(t) >= L:
+                continue
+            if t >= 0:
+                part += w * np.einsum("dsi,dsi->ds", inv[:, :, t:], rev[:, :, : L - t])
+            else:
+                part += w * np.einsum("dsi,dsi->ds", inv[:, :, : L + t], rev[:, :, -t:])
     return total
 
 

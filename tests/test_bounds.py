@@ -258,6 +258,23 @@ def _assert_rel(got, want, tol, label):
         assert abs(got - want) <= tol * abs(want), label
 
 
+def _inverse_square_tail_one_array(n_max):
+    """check_elementary's inverse_square_tail row from one cumsum over all
+    20 n_max terms: the body the blocked running sum replaced."""
+    top = 20 * n_max
+    inv_sq = 1.0 / np.arange(1, top + 1, dtype=float) ** 2
+    suffix = np.concatenate([np.cumsum(inv_sq[::-1])[::-1], [0.0]])
+    Ns = np.arange(1, n_max + 1)
+    lhs_tail = suffix[Ns] + 1.0 / top
+    worst = int(np.argmax(lhs_tail * Ns))
+    return bounds._check(
+        "inverse_square_tail",
+        lhs_tail[worst],
+        1.0 / Ns[worst],
+        {"n_max": n_max, "worst_N": int(Ns[worst]), "truncation": top},
+    )
+
+
 class TestElementary:
     def test_names_and_hard_pass(self):
         checks = check_elementary(n_max=500)
@@ -302,6 +319,23 @@ class TestElementary:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             check_elementary(0)
+
+    @pytest.mark.parametrize("n_max", (1, 1000, 10_000, 70_000))
+    def test_running_tail_matches_one_array_cumsum(self, n_max):
+        # 20 n_max = 1.4M terms at 70,000: many blocks and a short last one
+        assert check_elementary(n_max)[0] == _inverse_square_tail_one_array(n_max)
+
+    def test_running_tail_allocates_blocks_only(self):
+        check_elementary(10_000)
+        tracemalloc.start()
+        try:
+            check_elementary(10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the one-array tail held several 20 n_max float arrays at once
+        # (1.6 MB each, 4.9 MB peak); what is left is under two of them
+        assert peak < 2 * 8 * 20 * 10_000
 
 
 class TestShiftSums:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -28,7 +29,7 @@ from diracproj.cli import (
     main,
 )
 from diracproj.operator import basis_index_set
-from diracproj.projections import riesz_projection
+from diracproj import projections
 from diracproj.resolvent import ShiftedSolve, circle_norm_profile
 
 SMALL = {
@@ -582,6 +583,31 @@ def count_calls(monkeypatch, fn, owners=()):
     return calls
 
 
+class TestGateMargins:
+    """deviations and reconstruct record the route and the worst disc gate
+    margins in run.json; each is finite and inside its gate."""
+
+    @pytest.mark.parametrize("command", ["deviations", "reconstruct"])
+    @pytest.mark.parametrize("bc,potential,route", [("per+", "small", "spectral"), ("dir", "small", "spectral"),
+                                                     ("per+", "p_only", "schur")])
+    def test_gates_block(self, tmp_path, small_potential, command, bc, potential, route):
+        path = small_potential
+        if potential == "p_only":
+            path = tmp_path / "p_only.json"
+            path.write_text(json.dumps(P_ONLY), encoding="utf-8")
+        out = tmp_path / "run"
+        argv = [command, "--bc", bc, "--K", "32", "--potential", str(path), "--out", str(out)]
+        assert main(argv + (["--trials", "2"] if command == "reconstruct" else [])) == EXIT_OK
+        gates = read_run(out)["gates"]
+        assert gates["route"] == route
+        assert set(gates) == {"route", "max_idempotency_residual", "max_trace_gap", "min_contour_offset"}
+        for key in ("max_idempotency_residual", "max_trace_gap", "min_contour_offset"):
+            assert math.isfinite(gates[key]), key
+        assert 0.0 <= gates["max_idempotency_residual"] <= projections.QUALITY_TOL
+        assert 0.0 <= gates["max_trace_gap"] <= projections.QUALITY_TOL
+        assert projections.PROXIMITY_TOL <= gates["min_contour_offset"] <= 0.5
+
+
 class TestWorkPerJob:
     """Each job diagonalizes its operator once, inverts its eigenbasis at most
     once, scans the smallness test once and integrates over each contour once."""
@@ -607,7 +633,9 @@ class TestWorkPerJob:
     def test_counts(self, monkeypatch, tmp_path, small_potential, bc, command):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])
         scans = count_calls(monkeypatch, circle_norm_profile)
-        riesz = count_calls(monkeypatch, riesz_projection)
+        # every contour goes through the batched pass: each disc once, and on
+        # reconstruct one global contour (riesz_projection's batch of one)
+        batches = count_calls(monkeypatch, projections._project)
         # numpy and scipy each ship an OpenBLAS with its own thread pool: V^-1 is
         # one zgesv in scipy's, next to eig, and no dim x dim inverse goes to numpy's
         solves = count_calls(monkeypatch, scipy.linalg.lapack.zgesv, owners=[scipy.linalg.lapack])
@@ -619,7 +647,7 @@ class TestWorkPerJob:
         assert main(argv) == EXIT_OK
         assert (len(eigs), len(scans), len(solves)) == self.EXPECTED[command]
         assert all(args[0].shape[-1] < basis_index_set(bc, 16).dim for args in inverses)
-        contours = [args[1] for args in riesz]
+        contours = [c for args in batches for c in args[1]]
         if command == "deviations":
             _, rows = read_csv(out / "deviations.csv")
             assert sorted(c.center.real for c in contours) == sorted(float(r[0]) for r in rows)
@@ -660,9 +688,10 @@ class TestWorkPerJob:
         shapes = [(len(a), len(b)) for a, b, *_ in sylvesters]
         assert shapes[0] == (w, dim - w) and len(shapes) == 1 + len(rows)
         assert all(m + n == w for m, n in shapes[1:])
-        # V^-1 still sets the route; each contour inverts its r x r filter nodes in one batch
+        # V^-1 still sets the route; each chunk of discs inverts its r x r filter nodes in one batch
         assert len(eigenbasis_solves) == 1
-        assert len(inverses) == len(rows) and all(args[0].ndim == 3 and args[0].shape[-1] < w for args in inverses)
+        assert len(inverses) == math.ceil(len(rows) / projections.DISC_CHUNK)
+        assert all(args[0].ndim == 4 and args[0].shape[-1] < w for args in inverses)
 
     def test_classify_bc_does_no_spectral_work(self, monkeypatch, capsys):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])

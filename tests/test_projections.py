@@ -37,11 +37,17 @@ from diracproj.projections import (
     ProjectionQualityError,
     ProjectionResult,
     FILTER_FLOOR,
+    DISC_CHUNK,
+    PROXIMITY_TOL,
     SPECTRAL_COND_LIMIT,
+    _disc_sweep,
     _filter,
-    _quadrature_schur,
-    _quadrature_spectral,
+    _free_rows,
+    _project,
+    _schur_factors,
     _schur_form,
+    _spectral_factors,
+    _split_deviation,
     default_global_nodes,
     deviation,
     deviation_report,
@@ -61,6 +67,93 @@ def _quadrature_lu(op: OperatorMatrix, contour: ContourSpec) -> np.ndarray:
     for lam, phase in zip(contour.points(), np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)):
         acc += phase * shifted_solve(op, lam).solve(ident)
     return (contour.radius / contour.nodes) * acc
+
+
+def contour_filter(contour, mu):
+    """The production filter of one contour: _filter on a batch of one."""
+    return _filter(np.array([contour.center]), contour.radius, contour.nodes, mu)[0]
+
+
+# -- the per-contour pass the batched one replaced, kept as its oracle ----------
+
+def quadrature_spectral(op, contour):
+    """Factors (V[:, S] diag(f_S), V^{-1}[S, :]) of one contour."""
+    vals, vecs = eigen(op)
+    filt = contour_filter(contour, vals)
+    keep = np.flatnonzero(np.abs(filt) > FILTER_FLOOR)
+    return vecs[:, keep] * filt[keep], eigenbasis_inverse(op)[keep, :]
+
+
+def quadrature_schur(op, contour):
+    """Factors (Z_W Q1 F, [I, -X] Q^H [I, -Y] Z^H) of one contour from the decoupled Schur form."""
+    T, Z, w, right, y_norm = _schur_form(op)
+    select = np.abs(contour_filter(contour, np.diagonal(T))) > FILTER_FLOOR
+    if select[w:].any():
+        w, right, y_norm = op.dim, Z.conj().T, 0.0
+    TW, Q, _, r, _, _, info = scipy.linalg.lapack.ztrsen(select[:w], T[:w, :w], np.eye(w, dtype=complex), job="N")
+    X, scale = np.zeros((r, w - r), dtype=complex), 1.0
+    if info == 0 and 0 < r < w:
+        X, scale, info = scipy.linalg.lapack.ztrsyl(TW[:r, :r], TW[r:, r:], -TW[:r, r:], isgn=-1)
+    norm = math.hypot(1.0, float(np.linalg.norm(X))) * math.hypot(1.0, y_norm)
+    if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
+        raise ProjectionQualityError(
+            f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
+            f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
+        )
+    phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
+    shifted = contour.points()[:, None, None] * np.eye(r) - TW[:r, :r]
+    filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
+    coupling = Q[:, :r].conj().T - X @ Q[:, r:].conj().T
+    return Z[:, :w] @ Q[:, :r] @ filt, coupling @ right
+
+
+def oracle_projection(op, contour, quality_threshold=projections.QUALITY_TOL):
+    """One contour's projection with its gates, as (left, right, rank, residual, trace, offset)."""
+    vals, _ = eigen(op)
+    offsets = np.abs(np.abs(vals - contour.center) - contour.radius)
+    worst = int(np.argmin(offsets))
+    if offsets[worst] < PROXIMITY_TOL:
+        raise ContourProximityError(
+            f"eigenvalue {vals[worst]} lies within {PROXIMITY_TOL:.0e} of the contour "
+            f"|z - {contour.center}| = {contour.radius}"
+        )
+    spectral = eigenbasis_condition(op) <= projections.SPECTRAL_COND_LIMIT
+    left, right = (quadrature_spectral if spectral else quadrature_schur)(op, contour)
+    gram = right @ left
+    defect = gram - np.eye(len(gram))
+    residual = math.sqrt(max(np.vdot(defect, (left.conj().T @ left) @ defect @ (right @ right.conj().T)).real, 0.0))
+    trace = complex(np.trace(gram))
+    rank = int(round(trace.real))
+    if quality_threshold is not None:
+        if abs(trace - rank) > quality_threshold:
+            raise ProjectionQualityError(
+                f"projection trace {trace} is not close to an integer rank; increase contour nodes"
+            )
+        if residual > quality_threshold:
+            raise ProjectionQualityError(
+                f"idempotency residual {residual:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
+            )
+    return left, right, rank, residual, trace, float(offsets[worst])
+
+
+def oracle_deviation(left, right, bc, n, K):
+    """||left right - P_n^0||_F: the disc rows differenced, the rest normed through a QR of right^H."""
+    p0 = free_projection(bc, n, K)
+    rows = np.any(p0.left != 0, axis=1)
+    near = left[rows] @ right - p0.left[rows] @ p0.right
+    far = left[~rows] @ np.linalg.qr(right.conj().T, mode="r").conj().T
+    return float(np.hypot(np.linalg.norm(near), np.linalg.norm(far)))
+
+
+def oracle_sweep(op, discs, radius, nodes, f):
+    """The per-disc loop: one projection, its deviation and P_n f per disc."""
+    ranks, devs, terms = [], [], []
+    for n in discs:
+        left, right, rank, *_ = oracle_projection(op, ContourSpec(n, radius, nodes))
+        ranks.append(rank)
+        devs.append(oracle_deviation(left, right, op.basis.bc, n, op.basis.K))
+        terms.append(left @ (right @ f))
+    return ranks, devs, terms
 
 
 class TestContourSpec:
@@ -122,8 +215,8 @@ class TestRieszProjection:
         spec = random_potential(1, norm=0.5)
         op = build_operator(spec, PER_PLUS, 8)
         contour = ContourSpec(4, 0.5, 64)
-        a = np.matmul(*_quadrature_spectral(op, contour))
-        s = np.matmul(*_quadrature_schur(op, contour))
+        a = np.matmul(*quadrature_spectral(op, contour))
+        s = np.matmul(*quadrature_schur(op, contour))
         b = _quadrature_lu(op, contour)
         c = riesz_projection(op, contour)
         assert np.max(np.abs(a - b)) < 1e-9
@@ -277,7 +370,7 @@ class TestSchurRoute:
     def test_moderate_coupling_matches_oracle(self):
         op = coupled_triangle(1e2)
         contour = ContourSpec(0, 0.5, 64)
-        p = np.matmul(*_quadrature_schur(op, contour))
+        p = np.matmul(*quadrature_schur(op, contour))
         want = _quadrature_lu(op, contour)
         assert np.max(np.abs(p - want)) <= 1e-10
         assert np.max(np.abs(riesz_projection(op, contour).matrix - want)) <= 1e-10
@@ -334,7 +427,7 @@ def full_reorder_schur(form, contour):
 def _leaves_window(op, contour):
     """Whether the contour selects an eigenvalue outside the decoupled window."""
     T, _, w, _, _ = _schur_form(op)
-    return bool(np.any(np.abs(_filter(contour, np.diagonal(T)))[w:] > FILTER_FLOOR))
+    return bool(np.any(np.abs(contour_filter(contour, np.diagonal(T)))[w:] > FILTER_FLOOR))
 
 
 def _window_cases():
@@ -352,13 +445,21 @@ WINDOW_CASES = _window_cases()
 
 
 class TestSchurWindow:
-    """The Schur route decouples a window form once per operator; its
-    factors must match the per-contour full reorder entrywise."""
+    """The Schur route decouples a window form once per operator; the
+    batched factors must match the per-contour full reorder entrywise."""
 
-    def check(self, op, contour):
-        got = np.matmul(*_quadrature_schur(op, contour))
-        want = np.matmul(*full_reorder_schur(scipy.linalg.schur(op.entries, output="complex"), contour))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(want), contour
+    def check(self, op, contours):
+        """Contours of one radius and node count, through _schur_factors as one batch."""
+        centers = np.array([c.center for c in contours])
+        left, right, valid, refusal = _schur_factors(op, centers, contours[0].radius, contours[0].nodes)
+        assert refusal is None and len(left) == len(contours)
+        form = scipy.linalg.schur(op.entries, output="complex")
+        for k, contour in enumerate(contours):
+            got = left[k] @ right[k]
+            want = np.matmul(*full_reorder_schur(form, contour))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(want), contour
+            selected = np.abs(contour_filter(contour, np.diagonal(form[0]))) > FILTER_FLOOR
+            assert np.count_nonzero(valid[k]) == np.count_nonzero(selected)
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_matches_full_reorder(self, case):
@@ -369,12 +470,13 @@ class TestSchurWindow:
         assert _schur_form(op)[2] == np.count_nonzero(np.abs(op.basis.free_diagonal()) <= K / 2) < op.dim
         discs = [ContourSpec(n, 0.5, 64) for n in disc_centers(bc, K / 2)]
         radius = N + 0.5
-        for contour in discs + [ContourSpec(0, radius, default_global_nodes(radius))]:
-            assert not _leaves_window(op, contour)
-            self.check(op, contour)
+        global_ = ContourSpec(0, radius, default_global_nodes(radius))
+        assert not any(_leaves_window(op, contour) for contour in discs + [global_])
+        self.check(op, discs)
+        self.check(op, [global_])
         for contour in leaving:
             assert _leaves_window(op, contour)
-            self.check(op, contour)
+            self.check(op, [contour])
 
     def test_coupled_triangle(self):
         op = coupled_triangle(1e2)
@@ -382,7 +484,9 @@ class TestSchurWindow:
         for contour, leaves in [(ContourSpec(0, 0.5, 64), False), (ContourSpec(0.9, 0.3, 64), False),
                                 (ContourSpec(2, 0.5, 64), True)]:
             assert _leaves_window(op, contour) == leaves
-            self.check(op, contour)
+            self.check(op, [contour])
+        # one batch, one contour inside the window and one leaving it
+        self.check(op, [ContourSpec(0, 0.5, 64), ContourSpec(2, 0.5, 64)])
 
     def test_coupling_matches_numpy_product(self):
         # right = Z_W^H - Y Z_R^H is formed in scipy's BLAS; it must equal numpy's product
@@ -420,16 +524,23 @@ class TestFilterReach:
             spectral = eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT
             values = [vals] if spectral else [vals, np.diagonal(_schur_form(op)[0])]
             radius = N + 0.5
-            contours = [ContourSpec(n, 0.5, 64) for n in disc_centers(bc, K / 2) if abs(n) > N]
-            for contour in contours + [ContourSpec(0, radius, default_global_nodes(radius))]:
+            discs = [ContourSpec(n, 0.5, 64) for n in disc_centers(bc, K / 2) if abs(n) > N]
+            for batch in (discs, [ContourSpec(0, radius, default_global_nodes(radius))]):
+                centers = np.array([c.center for c in batch])
                 for mu in values:
-                    full = full_filter(contour, mu)
-                    keep = np.flatnonzero(np.abs(full) > FILTER_FLOOR)
-                    assert np.array_equal(np.flatnonzero(np.abs(_filter(contour, mu)) > FILTER_FLOOR), keep)
+                    filt = _filter(centers, batch[0].radius, batch[0].nodes, mu)
+                    for k, contour in enumerate(batch):
+                        keep = np.flatnonzero(np.abs(full_filter(contour, mu)) > FILTER_FLOOR)
+                        assert np.array_equal(np.flatnonzero(np.abs(filt[k]) > FILTER_FLOOR), keep)
                 if spectral:
-                    left, right = _quadrature_spectral(op, contour)
-                    assert np.array_equal(left, vecs[:, keep] * full[keep])
-                    assert np.array_equal(right, eigenbasis_inverse(op)[keep, :])
+                    # the batch's gathered factors, padding stripped
+                    left, right, valid = _spectral_factors(op, centers, batch[0].radius, batch[0].nodes)
+                    for k, contour in enumerate(batch):
+                        full = full_filter(contour, vals)
+                        keep = np.flatnonzero(np.abs(full) > FILTER_FLOOR)
+                        assert np.array_equal(left[k][:, valid[k]], vecs[:, keep] * full[keep])
+                        assert np.array_equal(right[k][valid[k]], eigenbasis_inverse(op)[keep, :])
+                        assert not left[k][:, ~valid[k]].any() and not right[k][~valid[k]].any()
 
 
 class TestFactoredForm:
@@ -484,6 +595,106 @@ class TestFactoredForm:
             tracemalloc.stop()
         assert len(report.discs) > 20
         assert peak < op.dim**2 * 16  # one dense complex P
+
+
+class TestBatchedPass:
+    """The disc sweep and the batched pass against the per-disc loop they
+    replaced (oracle_sweep, oracle_projection): ranks exactly, deviations,
+    terms and gate values within 1e-13 relative, refusals by the same
+    message, on both routes."""
+
+    @pytest.fixture(params=["spectral", "schur"])
+    def route(self, request, monkeypatch):
+        if request.param == "schur":
+            monkeypatch.setattr(projections, "SPECTRAL_COND_LIMIT", 0.0)
+        return request.param
+
+    @staticmethod
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_sweep_matches_per_disc_loop(self, bc, route):
+        spec = random_potential(3, norm=0.3)
+        op = build_operator(spec, bc, 64)
+        N = find_threshold_n(spec, bc, 64)
+        f = np.random.default_rng(7).standard_normal(op.dim) + 1j * np.random.default_rng(8).standard_normal(op.dim)
+        report, terms = _disc_sweep(op, N, N, None, 0.5, 64, f)
+        assert len(report.discs) > DISC_CHUNK  # more than one chunk
+        ranks, devs, want_terms = oracle_sweep(op, report.discs, 0.5, 64, f)
+        assert report.route == route
+        assert report.ranks == tuple(ranks)
+        self.close(report.deviations, devs)
+        assert report.cumulative[-1] == pytest.approx(sum(d * d for d in devs), rel=1e-13)
+        for got, want in zip(terms, want_terms):
+            self.close(got, want)
+        for n, residual, gap, offset in zip(report.discs, report.residuals, report.trace_gaps, report.offsets):
+            _, _, rank, want_residual, trace, want_offset = oracle_projection(op, ContourSpec(n, 0.5, 64))
+            assert residual == pytest.approx(want_residual, rel=1e-6, abs=1e-15)
+            assert gap == pytest.approx(abs(trace - rank), abs=1e-14)
+            assert offset == want_offset
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("nodes", [8, 12, 16])
+    def test_coarse_contours_with_uneven_keep_sets(self, bc, nodes, route):
+        # coarse filters leak to eigenvalues far from the disc; at the ends of
+        # the lattice there are fewer to leak to, so the keep sets, padded to
+        # the largest in the batch, differ in size
+        op = build_operator(random_potential(3, norm=0.3), bc, 32)
+        ends = op.basis.lattice[:2] + op.basis.lattice[-2:]
+        discs = [n for n in disc_centers(bc, 16) if abs(n) > 4] + list(ends)
+        contours = [ContourSpec(n, 0.5, nodes) for n in discs]
+        batch = _project(op, contours, quality_threshold=None)
+        assert batch.route == route
+        widths = {np.count_nonzero(np.any(batch.left[k] != 0, axis=0)) for k in range(len(discs))}
+        assert len(widths) > 1, widths
+        devs = _split_deviation(batch.left, batch.right, _free_rows(bc, 32, discs))
+        for k, contour in enumerate(contours):
+            left, right, rank, residual, trace, offset = oracle_projection(op, contour, quality_threshold=None)
+            assert batch.ranks[k] == rank
+            self.close(batch.left[k] @ batch.right[k], left @ right)
+            assert batch.residuals[k] == pytest.approx(residual, rel=1e-10)
+            assert batch.traces[k] == pytest.approx(trace, rel=1e-13)
+            self.close(devs[k], oracle_deviation(left, right, bc, discs[k], 32))
+
+    def test_schur_selection_leaving_the_window(self):
+        # radius 1.5 at 64 nodes keeps the neighbouring lattice points; at
+        # n = K/2 that reaches past the window, so one batch mixes contours
+        # on the window form with one on the whole form
+        op = build_operator(structured_potential(0, 1.0, 0.0), PER_PLUS, 32)
+        contours = [ContourSpec(n, 1.5, 64) for n in (10, 12, 14, 16)]
+        assert [_leaves_window(op, c) for c in contours] == [False, False, False, True]
+        batch = _project(op, contours)
+        assert batch.route == "schur"
+        for k, contour in enumerate(contours):
+            left, right, rank, *_ = oracle_projection(op, contour)
+            assert batch.ranks[k] == rank == 2
+            self.close(batch.left[k] @ batch.right[k], left @ right)
+
+    def test_proximity_refusal_names_the_first_disc(self, route):
+        # an eigenvalue at 6.5 sits on the contours of the discs at 6 and 7;
+        # in (|n|, n) order the disc at 6 comes first
+        diagonal = basis_index_set(DIRICHLET, 16).free_diagonal().astype(complex)
+        diagonal[np.flatnonzero(diagonal == 6.0)] = 6.5
+        entries = np.diag(diagonal)
+        entries[0, 1] = 1e-3  # not diagonal, so the eigendecomposition is a real one
+        op = OperatorMatrix(basis_index_set(DIRICHLET, 16), entries)
+        with pytest.raises(ContourProximityError) as want:
+            oracle_sweep(op, [-3, 3, -4, 4, -5, 5, -6, 6, -7, 7, -8, 8], 0.5, 64, np.ones(op.dim))
+        with pytest.raises(ContourProximityError) as got:
+            deviation_report(op, 2, 2)
+        assert str(got.value) == str(want.value)
+        assert "|z - (6+0j)| = 0.5" in str(got.value)
+
+    def test_quality_refusal_matches_the_loop(self, route):
+        # 8 nodes leave a free disc's trace off its rank: the first disc is refused
+        op = build_free(DIRICHLET, 16)
+        with pytest.raises(ProjectionQualityError) as want:
+            oracle_sweep(op, [-2, 2], 0.5, 8, np.ones(op.dim))
+        with pytest.raises(ProjectionQualityError) as got:
+            deviation_report(op, 1, 1, nodes=8)
+        assert str(got.value) == str(want.value)
 
 
 class TestGlobalProjection:

@@ -1,6 +1,7 @@
 """Branch choice, shifted solves, and the off-diagonal smallness test."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from diracproj.operator import (
     build_free,
     build_operator,
     build_v,
+    disc_centers,
     lattice_points,
 )
 from diracproj.potential import (
@@ -26,7 +28,9 @@ from diracproj.potential import (
     random_potential,
     validate_bc,
 )
+from diracproj import resolvent
 from diracproj.resolvent import (
+    SCAN_BLOCK_FLOATS,
     IllConditionedError,
     ThresholdNotFoundError,
     _antidiagonal_weights,
@@ -320,6 +324,63 @@ def _every_mode_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
         return {j: abs(dirichlet_w(spec, j)) ** 2 for j in range(-spec.max_mode, spec.max_mode + 1)}
     top = spec.max_mode - spec.max_mode % 2
     return {j: abs(spec.q(j)) ** 2 + abs(spec.p(-j)) ** 2 for j in range(-top, top + 1, 2)}
+
+
+def circle_double_sums_unblocked(weights, bc, K, centers, samples):
+    """The smallness scan's double sums in one broadcast over every disc:
+    the body the blocked scan replaced, kept as its oracle."""
+    lat = np.array(lattice_points(bc, K), dtype=float)
+    step = 1 if bc == DIRICHLET else 2
+    lams = circle_samples(centers[:, None], 0.5, samples)
+    inv = 1.0 / np.abs(lams[:, :, None] - lat)
+    rev = inv[:, :, ::-1]
+    L = lat.size
+    total = np.zeros(lams.shape)
+    for j, w in weights.items():
+        t = j // step
+        if w == 0.0 or abs(t) >= L:
+            continue
+        if t >= 0:
+            total += w * np.einsum("dsi,dsi->ds", inv[:, :, t:], rev[:, :, : L - t])
+        else:
+            total += w * np.einsum("dsi,dsi->ds", inv[:, :, : L + t], rev[:, :, -t:])
+    return total
+
+
+class TestBlockedScan:
+    """_circle_double_sums works through blocks of discs; each disc's sums
+    are bit for bit those of the one-pass broadcast."""
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("K,samples", [(8, 16), (32, 16), (128, 16), (64, 5)])
+    def test_matches_unblocked(self, bc, K, samples):
+        weights = _antidiagonal_weights(random_potential(1), bc)
+        centers = np.array([n for n in disc_centers(bc, K / 2) if n != 0], dtype=float)
+        want = circle_double_sums_unblocked(weights, bc, K, centers, samples)
+        assert np.array_equal(_circle_double_sums(weights, bc, K, centers, samples), want)
+
+    @pytest.mark.parametrize("block_floats", [1, 700, 5000])
+    def test_block_edges(self, monkeypatch, block_floats):
+        # one disc a block, and blocks that leave a short last one
+        monkeypatch.setattr(resolvent, "SCAN_BLOCK_FLOATS", block_floats)
+        weights = _antidiagonal_weights(random_potential(2), DIRICHLET)
+        centers = np.array([n for n in disc_centers(DIRICHLET, 16) if n != 0], dtype=float)
+        want = circle_double_sums_unblocked(weights, DIRICHLET, 32, centers, 16)
+        assert np.array_equal(_circle_double_sums(weights, DIRICHLET, 32, centers, 16), want)
+
+    def test_temporaries_stay_near_one_block(self):
+        # dir K = 256: the unblocked broadcast holds 256 x 16 x 513 gaps
+        # (17 MB of float64, twice that complex); a block's complex
+        # differences, moduli and reciprocals take about four block sizes
+        weights = _antidiagonal_weights(random_potential(0), DIRICHLET)
+        centers = np.array([n for n in disc_centers(DIRICHLET, 128) if n != 0], dtype=float)
+        tracemalloc.start()
+        try:
+            _circle_double_sums(weights, DIRICHLET, 256, centers, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * SCAN_BLOCK_FLOATS
 
 
 class TestStoredModes:

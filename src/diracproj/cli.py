@@ -105,6 +105,15 @@ class RunConfig:
     potential: str | None = None
 
     def __post_init__(self) -> None:
+        # config values are JSON: true, 16.0 or "16" where an integer belongs is refused, not coerced
+        integers, strings = ("K", "nodes", "N", "seed"), ("bc", "out", "potential")
+        for kind, name, keys in ((int, "integer", integers), (str, "string", strings)):
+            for key in keys:
+                value = getattr(self, key)
+                if type(value) is not kind and not (value is None and key in ("N", "potential")):
+                    raise ConfigError(f"{key} must be a JSON {name}, got {json.dumps(value)}")
+        if not _finite_number(self.radius):
+            raise ConfigError(f"radius must be a finite JSON number, got {json.dumps(self.radius)}")
         if self.bc not in BC_TAGS:
             raise ConfigError(f"bc must be one of {BC_TAGS}, got {self.bc!r}")
         if self.K < 8:
@@ -139,10 +148,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    try:
-        return RunConfig(command=args.command, **values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(command=args.command, **values)
 
 
 def _finite_number(value) -> bool:
@@ -525,10 +531,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (*NUMERICAL_ERRORS, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     raise AssertionError(f"unhandled command {args.command}")

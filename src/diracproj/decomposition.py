@@ -1,7 +1,9 @@
 """Spectral decomposition f = S_N f + sum_n P_n f and its reorderings.
 
-Vectors live in the coefficient space of one truncation basis.  For the
-periodic couplings the basis vectors are e1_n = (e^{-inx}, 0) and
+This module works in coefficient space only: a function is its
+coefficient vector in one truncation basis, built from {(n, channel):
+value} by expand, and nothing here samples it or evaluates it on [0, pi].
+For the periodic couplings the basis vectors are e1_n = (e^{-inx}, 0) and
 e2_n = (0, e^{inx}); for the Dirichlet-type coupling they are the combined
 g_n = (e1_n + e2_n)/sqrt(2).  All are orthonormal under the normalized
 inner product (1/pi) * int_0^pi (f1 conj(g1) + f2 conj(g2)) dx, so
@@ -17,15 +19,12 @@ stay within a stable multiple of sqrt(tail) * ||f||.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operator import BasisIndexSet, OperatorMatrix
 from .projections import DeviationReport, _disc_sweep, global_projection
-
-SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -45,35 +44,15 @@ class FunctionVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def apply(self, matrix: np.ndarray) -> "FunctionVector":
-        return FunctionVector(self.basis, matrix @ self.coeffs)
 
+def expand(coeffs, basis: BasisIndexSet) -> FunctionVector:
+    """The coefficient vector of {(n, channel): value} in the basis ordering.
 
-def uniform_grid(count: int) -> np.ndarray:
-    """Left-endpoint sample grid x_j = j*pi/count on [0, pi)."""
-    return np.arange(count) * (np.pi / count)
-
-
-def expand(data, basis: BasisIndexSet) -> FunctionVector:
-    """Expand a function over the basis.
-
-    Accepts either explicit coefficients (a mapping {(n, channel): value} or
-    an iterable of (n, channel, value) triples; indices must exist in the
-    basis, otherwise a parity-mismatch error is raised) or a pair of sample
-    arrays (f1, f2) on the uniform grid.  The sample route solves the
-    least-squares system against the sampled basis fields, which recovers
-    inputs band-limited to the basis exactly; plain discrete means would
-    not, because the full integer lattice is not orthogonal on a half range.
+    Every index must exist in the basis; one that does not (the wrong
+    parity of n, or the wrong channel) raises a parity-mismatch error.
     """
-    if isinstance(data, tuple) and len(data) == 2 and not isinstance(data[0], (int, np.integer)):
-        return _expand_samples(data[0], data[1], basis)
-    coeffs = np.zeros(basis.dim, dtype=complex)
-    items = data.items() if isinstance(data, Mapping) else data
-    for item in items:
-        if isinstance(data, Mapping):
-            (n, ch), val = item
-        else:
-            n, ch, val = item
+    vector = np.zeros(basis.dim, dtype=complex)
+    for (n, ch), val in coeffs.items():
         try:
             pos = basis.position(int(n), int(ch))
         except KeyError:
@@ -81,49 +60,8 @@ def expand(data, basis: BasisIndexSet) -> FunctionVector:
                 f"parity mismatch: index (n={n}, channel={ch}) is not in the "
                 f"{basis.bc} basis at K={basis.K}"
             ) from None
-        coeffs[pos] = complex(val)
-    return FunctionVector(basis, coeffs)
-
-
-def _expand_samples(f1_samples, f2_samples, basis: BasisIndexSet) -> FunctionVector:
-    f1 = np.asarray(f1_samples, dtype=complex)
-    f2 = np.asarray(f2_samples, dtype=complex)
-    if f1.ndim != 1 or f1.shape != f2.shape:
-        raise ValueError("samples must be two equal-length 1-d arrays")
-    count = f1.size
-    if count < 2 * basis.dim:
-        raise ValueError(f"too few samples: need at least 2*dim = {2 * basis.dim}, got {count}")
-    x = uniform_grid(count)
-    design = np.zeros((2 * count, basis.dim), dtype=complex)
-    for i, (n, ch) in enumerate(basis.indices):
-        if ch == 1:
-            design[:count, i] = np.exp(-1j * n * x)
-        elif ch == 2:
-            design[count:, i] = np.exp(1j * n * x)
-        else:
-            design[:count, i] = np.exp(-1j * n * x) / SQRT2
-            design[count:, i] = np.exp(1j * n * x) / SQRT2
-    stacked = np.concatenate([f1, f2])
-    coeffs = np.linalg.lstsq(design, stacked, rcond=None)[0]
-    return FunctionVector(basis, coeffs)
-
-
-def synthesize(f: FunctionVector, x) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate both components on the points x."""
-    x = np.asarray(x, dtype=float)
-    f1 = np.zeros_like(x, dtype=complex)
-    f2 = np.zeros_like(x, dtype=complex)
-    for (n, ch), c in zip(f.basis.indices, f.coeffs):
-        if not c:
-            continue
-        if ch == 1:
-            f1 += c * np.exp(-1j * n * x)
-        elif ch == 2:
-            f2 += c * np.exp(1j * n * x)
-        else:
-            f1 += (c / SQRT2) * np.exp(-1j * n * x)
-            f2 += (c / SQRT2) * np.exp(1j * n * x)
-    return f1, f2
+        vector[pos] = complex(val)
+    return FunctionVector(basis, vector)
 
 
 @dataclass(frozen=True)
@@ -160,28 +98,6 @@ def disc_expansion(
     report, terms = _disc_sweep(op, N, threshold, M, radius, nodes, f.coeffs)
     start = global_projection(op, N, global_nodes).apply(f.coeffs)
     return DiscExpansion(f, M, report, start, terms)
-
-
-def reconstruct(
-    f: FunctionVector,
-    op: OperatorMatrix,
-    N: int,
-    threshold: int,
-    M: int,
-    radius: float = 0.5,
-    nodes: int = 64,
-    global_nodes: int | None = None,
-) -> tuple[FunctionVector, float]:
-    """Rebuild f as S_N f + sum of disc terms up to |n| <= M.
-
-    Returns the reconstruction and its L2 error against f.
-    """
-    expansion = disc_expansion(f, op, N, threshold, M, radius, nodes, global_nodes)
-    acc = expansion.start
-    for term in expansion.terms:
-        acc = acc + term
-    f_hat = FunctionVector(op.basis, acc)
-    return f_hat, float(np.linalg.norm(acc - f.coeffs))
 
 
 def reconstruction_curve(expansion: DiscExpansion, Ms=None) -> list[tuple[int, float]]:

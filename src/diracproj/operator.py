@@ -90,10 +90,6 @@ class BasisIndexSet:
         return len(self.indices)
 
     @property
-    def lattice(self) -> tuple[int, ...]:
-        return tuple(sorted({n for n, _ in self.indices}))
-
-    @property
     def trusted_limit(self) -> float:
         return self.K / 2
 
@@ -147,11 +143,6 @@ class OperatorMatrix:
         flat = self.entries.reshape(-1).view(float)
         with np.errstate(over="ignore"):
             return math.sqrt(np.einsum("i,i->", flat, flat))
-
-
-def build_free(bc: str, K: int) -> OperatorMatrix:
-    basis = basis_index_set(bc, K)
-    return OperatorMatrix(basis, np.diag(basis.free_diagonal().astype(complex)))
 
 
 def _coefficient_table(coeff, max_mode: int, sums: np.ndarray) -> np.ndarray:
@@ -270,12 +261,3 @@ def classify_bc(a: complex, b: complex, c: complex, d: complex) -> BCClassificat
     strictly = regular and disc != 0
     return BCClassification(regular, strictly, (complex(z1), complex(z2)), det, disc)
 
-
-def bc_quadruple(bc: str) -> tuple[complex, complex, complex, complex]:
-    """Canonical (a, b, c, d) coupling coefficients for a named bc."""
-    validate_bc(bc)
-    if bc == PER_PLUS:
-        return (0, -1, -1, 0)
-    if bc == PER_MINUS:
-        return (0, 1, 1, 0)
-    return (-1, 0, 0, -1)

@@ -209,10 +209,6 @@ class RSequence:
     def norm_sq(self) -> float:
         return sum(v * v for v in self.values.values())
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
-
     @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(m for m, v in self.values.items() if v != 0.0))

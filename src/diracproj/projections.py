@@ -44,15 +44,18 @@ stays factored from there on: P f is left (right f), the trace is that of
 the r x r product right left, and the idempotency residual
 ||P^2 - P||_F = ||left A right||_F, A = right left - I, is read from
 the r x r Gram matrices left^H left and right right^H.  No dim x dim
-array is formed per contour.  The free projection P_n^0 is the coordinate
-projection onto the basis rows D of the lattice point n, found by index
-arithmetic.  Its deviation is split by rows: the r rows in D are
-differenced explicitly (left[D] right minus the identity there), and the
-other rows, where P^0 vanishes, have norm ||left[~D] R^H||_F with
-right^H = Q R, exact because Q^H has orthonormal rows.  Expanding
-||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead would cancel to about
-1e-16 / dev^2 relative.  In a batch the factors are zero-padded to the
-largest r; the padding adds nothing to any of these.
+array is formed per contour.
+
+_split_deviation is the package's one deviation formula: the disc sweep
+calls it on each chunk.  The free projection P_n^0 is never built: it is
+the coordinate projection onto the basis rows D of the lattice point n,
+which _free_rows finds by index arithmetic.  The deviation ||P_n - P_n^0||_F
+is split by rows: the r rows in D are differenced explicitly (left[D] right
+minus the identity there), and the other rows, where P^0 vanishes, have
+norm ||left[~D] R^H||_F with right^H = Q R, exact because Q^H has
+orthonormal rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead
+would cancel to about 1e-16 / dev^2 relative.  In a batch the factors are
+zero-padded to the largest r; the padding adds nothing to any of these.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool,
 and eig runs in scipy's.  A single contour's products (the global circle
@@ -125,10 +128,6 @@ class ContourSpec:
         if self.nodes < 8 or self.nodes % 2 != 0:
             raise ValueError("contour nodes must be an even integer >= 8")
 
-    def points(self) -> np.ndarray:
-        theta = 2 * np.pi * np.arange(self.nodes) / self.nodes
-        return self.center + self.radius * np.exp(1j * theta)
-
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -138,8 +137,8 @@ class ProjectionResult:
     right: np.ndarray
     rank: int
     idempotency_residual: float
-    contour: ContourSpec | None
-    route: str | None = None
+    contour: ContourSpec
+    route: str
 
     @property
     def matrix(self) -> np.ndarray:
@@ -148,11 +147,6 @@ class ProjectionResult:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _apply(self.left[None], self.right[None], x)[0]
-
-    @property
-    def hs_norm(self) -> float:
-        # the deviation from the zero projection: no rows to difference
-        return float(_split_deviation(self.left[None], self.right[None], np.zeros((1, 0), dtype=np.intp))[0])
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,12 +180,9 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", x.real, x.real) + np.einsum("ki,ki->k", x.imag, x.imag))
 
 
-def _split_deviation(
-    left: np.ndarray, right: np.ndarray, rows: np.ndarray, target: np.ndarray | None = None
-) -> np.ndarray:
-    """||left[k] @ right[k] - P0_k||_F for every k of a stack, where P0_k
-    vanishes off the rows rows[k] and is target[k] on them (the identity
-    there when target is None, as for a free P0).
+def _split_deviation(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """||left[k] @ right[k] - P0_k||_F for every k of a stack, where P0_k is
+    the coordinate projection onto the basis rows rows[k].
 
     The rows are differenced explicitly; off them the norm is
     ||left[~rows] R^H||_F with right^H = Q R, exact because Q^H has
@@ -204,10 +195,7 @@ def _split_deviation(
     far_norm = _frobenius(_mm(far, r.conj().transpose(0, 2, 1)))
     del far
     near = _mm(left[at, rows], right)
-    if target is None:
-        near[at, np.arange(rows.shape[1]), rows] -= 1.0
-    else:
-        near -= target
+    near[at, np.arange(rows.shape[1]), rows] -= 1.0
     return np.hypot(_frobenius(near), far_norm)
 
 
@@ -317,7 +305,7 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
         basis[k, :, :r] = _gemm(Z_W, Q[:, :r])
         right[k, :r] = _gemm(Q[:, :r].conj().T - _gemm(X, Q[:, r:].conj().T), rows)
 
-    # lambda_j - T11 at every node (as ContourSpec.points); padding slots invert the identity and are masked out of F
+    # lambda_j - T11 at every node (as circle_samples); padding slots invert the identity and are masked out of F
     valid = valid[:count]
     points = centers[:count, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
     shifted = np.repeat(-t11[:count, None], nodes, axis=1)
@@ -437,18 +425,6 @@ def _free_rows(bc: str, K: int, ns) -> np.ndarray:
     return channels * slot[:, None] + np.arange(channels)
 
 
-def free_projection(bc: str, n: int, K: int) -> ProjectionResult:
-    """Exact spectral projection of the free operator onto the disc at n.
-
-    The free operator is diagonal, so this is the coordinate projection onto
-    the basis rows of n: one per channel.
-    """
-    rows = _free_rows(bc, K, [n])[0]
-    left = np.zeros((len(lattice_points(bc, K)) * len(rows), len(rows)), dtype=complex)
-    left[rows, np.arange(len(rows))] = 1.0
-    return ProjectionResult(left, left.T, len(rows), 0.0, None)
-
-
 def default_global_nodes(radius: float) -> int:
     """Node count scaled to the circle: trapezoid tails decay ~ exp(-M/2R)."""
     need = int(math.ceil(40 * radius))
@@ -465,19 +441,6 @@ def global_projection(op: OperatorMatrix, N: int, nodes: int | None = None) -> P
     radius = N + 0.5
     count = default_global_nodes(radius) if nodes is None else max(nodes, default_global_nodes(radius))
     return riesz_projection(op, ContourSpec(0.0, radius, count))
-
-
-def deviation(p: ProjectionResult, p0: ProjectionResult) -> float:
-    """HS distance ||P - P0||_F between two projections, from their factors.
-
-    The rows D where p0's left factor is nonzero are differenced explicitly;
-    on the other rows P0 vanishes and P's part is normed through a QR of
-    right^H.  For a free P0, D holds the r disc rows, so no dim x dim array
-    is formed and nothing cancels outside them.
-    """
-    rows = np.flatnonzero(np.any(p0.left != 0, axis=1))
-    target = p0.left[rows] @ p0.right
-    return float(_split_deviation(p.left[None], p.right[None], rows[None], target[None])[0])
 
 
 @dataclass(frozen=True)

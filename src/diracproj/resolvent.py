@@ -1,9 +1,5 @@
-"""Shifted solves (lambda - L)^{-1} and the Hilbert-Schmidt smallness test.
+"""The Hilbert-Schmidt smallness test, and the shifted solve (lambda - L)^{-1}.
 
-Two routes to the resolvent live here.  ShiftedSolve factors the shifted
-truncation once, behind a conditioning gate, and solves against it; only
-the tests' dense LU projection oracle uses it.  CONDITION_LIMIT also caps
-the projector norm the Schur projection route accepts.
 The smallness test never touches a matrix: it evaluates the lattice
 double sum
 
@@ -23,6 +19,12 @@ sample of the trusted window, broadcast over blocks of discs, and
 threshold_from_profile reads off the smallest cutoff N beyond which every
 disc passes.  The same kernel, fed the envelope weights r(j)^2, gives the
 bound audit's dominated double sum.
+
+ShiftedSolve factors the shifted truncation once, behind a conditioning
+gate, and solves against it.  No CLI path calls it: the tests' dense LU
+projection oracle does, and it stays in this module because the benchmark
+tracer patches resolvent.ShiftedSolve by name.  Its gate, CONDITION_LIMIT,
+also caps the projector norm the Schur projection route accepts.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class ShiftedSolve:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=complex)
         return scipy.linalg.lu_solve(self._lu, rhs)
-
-
-def shifted_solve(op: OperatorMatrix, lam: complex) -> ShiftedSolve:
-    return ShiftedSolve(op, lam)
 
 
 def _antidiagonal_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:

@@ -19,12 +19,10 @@ from diracproj.decomposition import (
     FunctionVector,
     disc_expansion,
     expand,
-    reconstruct,
     reconstruction_curve,
     unconditionality_test,
 )
 from diracproj.operator import (
-    bc_quadruple,
     build_operator,
     classify_bc,
     disc_centers,
@@ -40,16 +38,17 @@ from diracproj.potential import (
 )
 from diracproj.projections import (
     ContourSpec,
-    deviation,
     deviation_report,
-    free_projection,
     global_projection,
     localization_counts,
     riesz_projection,
 )
 from diracproj.resolvent import circle_norm_profile, find_threshold_n
+from test_projections import free_matrix
 
 CONSTANT = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
+# the canonical coupling quadruple (a, b, c, d) of each named bc
+BC_QUADRUPLES = {"per+": (0, -1, -1, 0), "per-": (0, 1, 1, 0), "dir": (-1, 0, 0, -1)}
 
 
 def band_limited(op, max_abs_n, seed):
@@ -69,9 +68,9 @@ def test_criterion_01_free_operator_exactness():
         expected_rank = 1 if bc == "dir" else 2
         for n in disc_centers(bc, 32):
             p = riesz_projection(op, ContourSpec(n, 0.5, 64))
-            p0 = free_projection(bc, n, 64)
-            assert deviation(p, p0) <= 1e-10, (bc, n)
-            assert p.rank == p0.rank == expected_rank, (bc, n)
+            p0 = free_matrix(bc, n, 64)
+            assert np.linalg.norm(p.matrix - p0) <= 1e-10, (bc, n)
+            assert p.rank == np.trace(p0).real == expected_rank, (bc, n)
     assert time.perf_counter() - started < 30.0
 
 
@@ -167,7 +166,7 @@ def test_criterion_05_quadrature_convergence():
         m: riesz_projection(op, ContourSpec(2, 0.5, m), quality_threshold=None)
         for m in (16, 32, 64)
     }
-    assert deviation(p[32], p[64]) <= 0.1 * deviation(p[16], p[32])
+    assert np.linalg.norm(p[32].matrix - p[64].matrix) <= 0.1 * np.linalg.norm(p[16].matrix - p[32].matrix)
 
 
 def test_criterion_06_projection_algebra():
@@ -188,7 +187,7 @@ def test_criterion_06_projection_algebra():
         for q in projs[i + 1 :]:
             assert np.linalg.norm(p.matrix @ q.matrix) <= 1e-6
     f = band_limited(op, 8, 42)
-    _, err = reconstruct(f, op, N, N, 64)
+    [(_, err)] = reconstruction_curve(disc_expansion(f, op, N, N, 64), [64])
     assert err <= 1e-5
 
 
@@ -211,7 +210,7 @@ def test_criterion_07_reconstruction():
         i0 = int(np.argmin(np.abs(vals - n0)))
         y = vecs[:, i0]
         fe = FunctionVector(op.basis, y / np.linalg.norm(y))
-        _, err_e = reconstruct(fe, op, N, N, 32)
+        [(_, err_e)] = reconstruction_curve(disc_expansion(fe, op, N, N, 32), [32])
         assert err_e <= 1e-6, (seed, err_e)
 
 
@@ -282,11 +281,11 @@ def test_criterion_10_classification():
     strictly ((b-c)^2 + 4ad = 0); the separated one is strictly regular;
     random strictly regular quadruples always have distinct roots."""
     for bc in ("per+", "per-"):
-        a, b, c, d = bc_quadruple(bc)
+        a, b, c, d = BC_QUADRUPLES[bc]
         res = classify_bc(a, b, c, d)
         assert res.regular and not res.strictly_regular, bc
         assert (b - c) ** 2 + 4 * a * d == 0, bc
-    res = classify_bc(*bc_quadruple("dir"))
+    res = classify_bc(*BC_QUADRUPLES["dir"])
     assert res.regular and res.strictly_regular
     rng = np.random.default_rng(7)
     strict = 0

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -41,6 +42,7 @@ HUGE = {"max_mode": 2, "p_even": [[2, 50.0, 0.0]]}
 # Q = 0 with p(-4) != 0: the per+ truncation has Jordan blocks at n = +-2
 P_ONLY = {"max_mode": 4, "p_even": [[-4, 0.3, 0.0], [2, 0.2, 0.1]]}
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+TRACER_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 @pytest.fixture
@@ -109,6 +111,33 @@ class TestConfigHandling:
         code = main(["threshold", *flags, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"K": 16.0},
+            {"K": 16.5},
+            {"K": True},
+            {"seed": 1.5},
+            {"N": 3.5},
+            {"nodes": 64.0},
+            {"radius": "0.5"},
+            {"radius": True},
+            {"potential": 7},
+            {"out": 5},
+            {"bc": 7},
+        ],
+        ids=lambda config: ",".join(f"{key}={json.dumps(value)}" for key, value in config.items()),
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, config):
+        # refused with exit 2 and the key named: no coercion, no traceback, and
+        # N = 3.5 is not mistaken for a cutoff below the verified threshold
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"bc": "dir", "out": str(tmp_path / "run"), **config}), encoding="utf-8")
+        code = main(["deviations", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        [key] = config
+        assert f"config error: {key} must be a" in capsys.readouterr().err
 
     def test_bad_bc_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -698,3 +727,31 @@ class TestWorkPerJob:
         scans = count_calls(monkeypatch, circle_norm_profile)
         assert main(["classify-bc", "0", "-1", "-1", "0"]) == EXIT_OK
         assert (len(eigs), len(scans)) == (0, 0)
+
+
+class TestBenchmarkTracer:
+    """perfbench/tracer.py patches the package from outside: each layer module
+    by attribute, their public functions by identity, and ShiftedSolve and
+    RSequence.__call__ on their classes.  A `--trace 1` benchmark run fails
+    if any of these names goes missing."""
+
+    def test_traced_job_runs(self, tmp_path, small_potential):
+        # the tracer walks the diracproj modules already imported, here through diracproj.cli
+        spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PY)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tracer = tracer_module.Tracer()
+        try:
+            tracer.install()  # a failed install leaves its patches to the uninstall below
+            argv = ["deviations", "--K", "16", "--potential", small_potential, "--out", str(tmp_path)]
+            code = tracer.job_span(0, lambda: main(argv))
+        finally:
+            tracer.uninstall()
+        assert code == EXIT_OK
+        metrics = tracer_module.layer_metrics(tracer, 1)
+        assert metrics["resolvent.circle_norm_profile.calls"] == metrics["operator.eig.calls"] == 1
+
+    def test_every_exported_name_resolves(self):
+        import diracproj
+
+        assert [name for name in diracproj.__all__ if not hasattr(diracproj, name)] == []

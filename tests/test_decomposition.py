@@ -1,4 +1,4 @@
-"""Expansion, synthesis, reconstruction, and the reordering experiment."""
+"""Expansion, reconstruction, and the reordering experiment."""
 
 import math
 
@@ -9,13 +9,10 @@ from diracproj.decomposition import (
     FunctionVector,
     disc_expansion,
     expand,
-    reconstruct,
     reconstruction_curve,
-    synthesize,
     unconditionality_test,
-    uniform_grid,
 )
-from diracproj.operator import basis_index_set, build_free, build_operator
+from diracproj.operator import basis_index_set, build_operator
 from diracproj.potential import (
     BC_TAGS,
     DIRICHLET,
@@ -38,13 +35,22 @@ def random_vector(basis, seed, max_abs_n=None):
     return expand(coeffs, basis)
 
 
-class TestGridAndVector:
-    def test_uniform_grid(self):
-        x = uniform_grid(8)
-        assert x[0] == 0.0
-        assert x[-1] == pytest.approx(7 * np.pi / 8)
-        assert np.allclose(np.diff(x), np.pi / 8)
+def synthesize(f, x):
+    """Both components of f at the points x, summed over its basis fields."""
+    f1 = np.zeros(len(x), dtype=complex)
+    f2 = np.zeros(len(x), dtype=complex)
+    for (n, ch), c in zip(f.basis.indices, f.coeffs):
+        if ch == 1:
+            f1 += c * np.exp(-1j * n * x)
+        elif ch == 2:
+            f2 += c * np.exp(1j * n * x)
+        else:
+            f1 += (c / SQRT2) * np.exp(-1j * n * x)
+            f2 += (c / SQRT2) * np.exp(1j * n * x)
+    return f1, f2
 
+
+class TestGridAndVector:
     def test_norm(self):
         basis = basis_index_set(DIRICHLET, 1)
         f = FunctionVector(basis, np.array([3.0, 4.0, 0.0], dtype=complex))
@@ -55,24 +61,18 @@ class TestGridAndVector:
         with pytest.raises(ValueError):
             FunctionVector(basis, np.zeros(5, dtype=complex))
 
-    def test_apply(self):
-        basis = basis_index_set(DIRICHLET, 1)
-        f = FunctionVector(basis, np.array([1.0, 2.0, 3.0], dtype=complex))
-        g = f.apply(2 * np.eye(3))
-        assert np.allclose(g.coeffs, [2, 4, 6])
-
 
 class TestExpandCoefficients:
     def test_dirichlet_combined_mode(self):
         basis = basis_index_set(DIRICHLET, 2)
         f = expand({(0, 0): 1.0}, basis)
-        f1, f2 = synthesize(f, uniform_grid(8))
+        f1, f2 = synthesize(f, np.arange(8) * (np.pi / 8))
         assert np.allclose(f1, 1 / SQRT2)
         assert np.allclose(f2, 1 / SQRT2)
 
     def test_periodic_channel_fields(self):
         basis = basis_index_set(PER_PLUS, 2)
-        x = uniform_grid(16)
+        x = np.arange(16) * (np.pi / 16)
         f = expand({(2, 1): 1.0}, basis)
         f1, f2 = synthesize(f, x)
         assert np.allclose(f1, np.exp(-2j * x))
@@ -81,12 +81,6 @@ class TestExpandCoefficients:
         g1, g2 = synthesize(g, x)
         assert np.allclose(g1, 0.0)
         assert np.allclose(g2, 0.5 * np.exp(-2j * x))
-
-    def test_triples_iterable(self):
-        basis = basis_index_set(PER_PLUS, 2)
-        f = expand([(2, 1, 1.0), (0, 2, 0.5j)], basis)
-        assert f.coeffs[basis.position(2, 1)] == 1.0
-        assert f.coeffs[basis.position(0, 2)] == 0.5j
 
     def test_parity_mismatch_message(self):
         basis = basis_index_set(PER_PLUS, 2)
@@ -120,77 +114,56 @@ class TestOrthonormality:
         assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-12
 
 
-class TestExpandSamples:
-    @pytest.mark.parametrize("bc", BC_TAGS)
-    def test_round_trip(self, bc):
-        basis = basis_index_set(bc, 4)
-        f = random_vector(basis, seed=3)
-        x = uniform_grid(4 * basis.dim)
-        f1, f2 = synthesize(f, x)
-        g = expand((f1, f2), basis)
-        assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-9
-
-    def test_shape_mismatch_rejected(self):
-        basis = basis_index_set(DIRICHLET, 2)
-        with pytest.raises(ValueError):
-            expand((np.zeros(32), np.zeros(31)), basis)
-
-    def test_too_few_samples_rejected(self):
-        basis = basis_index_set(DIRICHLET, 4)
-        with pytest.raises(ValueError):
-            expand((np.zeros(4), np.zeros(4)), basis)
-
-
 class TestReconstruct:
     def test_free_dirichlet(self):
-        op = build_free(DIRICHLET, 16)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
-        f_hat, err = reconstruct(f, op, 1, 1, 8, nodes=64, global_nodes=256)
+        expansion = disc_expansion(f, op, 1, 1, 8, nodes=64, global_nodes=256)
+        [(_, err)] = reconstruction_curve(expansion, [8])
         assert err < 1e-9
-        assert np.max(np.abs(f_hat.coeffs - f.coeffs)) < 1e-9
+        assert np.max(np.abs(expansion.start + sum(expansion.terms) - f.coeffs)) < 1e-9
 
     def test_window_beyond_trusted_rejected(self):
-        op = build_free(DIRICHLET, 16)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         with pytest.raises(ValueError):
-            reconstruct(f, op, 1, 1, 12)
+            disc_expansion(f, op, 1, 1, 12)
 
     def test_below_threshold_rejected(self):
         spec = random_potential(0)  # threshold around 20 at unit norm
         op = build_operator(spec, PER_PLUS, 64)
         threshold = find_threshold_n(spec, PER_PLUS, 64)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
-        for build in (disc_expansion, reconstruct):
-            with pytest.raises(ValueError, match="below the verified threshold"):
-                build(f, op, 2, threshold, 32)
+        with pytest.raises(ValueError, match="below the verified threshold"):
+            disc_expansion(f, op, 2, threshold, 32)
 
     def test_curve_defaults_to_every_shell(self):
-        op = build_free(DIRICHLET, 16)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         expansion = disc_expansion(f, op, 2, 1, 6, global_nodes=256)
         assert expansion.report.discs == (-3, 3, -4, 4, -5, 5, -6, 6)
         assert reconstruction_curve(expansion) == reconstruction_curve(expansion, [3, 4, 5, 6])
 
     def test_curve_of_empty_window_rejected(self):
-        op = build_free(DIRICHLET, 16)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         # the sweep refuses the window before any contour is integrated
         with pytest.raises(ValueError, match="no discs in the window"):
             disc_expansion(f, op, 3, 1, 3, global_nodes=256)
 
     def test_curve_nonincreasing_and_consistent(self):
-        op = build_free(PER_PLUS, 16)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=2, max_abs_n=6)
         Ms = [2, 4, 6, 8]
         curve = reconstruction_curve(disc_expansion(f, op, 1, 1, max(Ms), nodes=64, global_nodes=256), Ms)
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         for M, err in curve:
-            _, single = reconstruct(f, op, 1, 1, M, nodes=64, global_nodes=256)
+            [(_, single)] = reconstruction_curve(disc_expansion(f, op, 1, 1, M, nodes=64, global_nodes=256), [M])
             assert err == pytest.approx(single, abs=1e-12)
 
     def test_curve_rejects_window_beyond_expansion(self):
-        op = build_free(PER_PLUS, 16)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=2, max_abs_n=6)
         expansion = disc_expansion(f, op, 1, 1, 4, global_nodes=256)
         with pytest.raises(ValueError):
@@ -209,7 +182,7 @@ class TestReconstruct:
 
 class TestUnconditionality:
     def test_free_case_terminals_agree(self):
-        op = build_free(PER_PLUS, 16)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         rep = unconditionality_test(disc_expansion(f, op, 1, 1, 8, nodes=64, global_nodes=256), trials=6)
         assert rep.base_error < 1e-9
@@ -220,7 +193,7 @@ class TestUnconditionality:
         assert len(rep.trial_terminals) == 6
 
     def test_deterministic_in_seed(self):
-        op = build_free(PER_PLUS, 16)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         a = unconditionality_test(disc_expansion(f, op, 1, 1, 8, global_nodes=256), trials=3, seed=9)
         b = unconditionality_test(disc_expansion(f, op, 1, 1, 8, global_nodes=256), trials=3, seed=9)
@@ -240,7 +213,7 @@ class TestUnconditionality:
         assert rep.max_partial_sum_spread >= rep.base_error
 
     def test_rejects_no_trials(self):
-        op = build_free(PER_PLUS, 16)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         with pytest.raises(ValueError):
             unconditionality_test(disc_expansion(f, op, 1, 1, 8), trials=0)

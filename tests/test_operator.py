@@ -11,8 +11,6 @@ from diracproj.cli import load_potential_file
 from diracproj.operator import (
     EigenResidualError,
     basis_index_set,
-    bc_quadruple,
-    build_free,
     build_operator,
     build_v,
     classify_bc,
@@ -31,6 +29,10 @@ from diracproj.potential import (
     random_potential,
 )
 from diracproj.projections import SPECTRAL_COND_LIMIT
+
+# the canonical coupling quadruple (a, b, c, d) of each named bc
+BC_QUADRUPLES = {PER_PLUS: (0, -1, -1, 0), PER_MINUS: (0, 1, 1, 0), DIRICHLET: (-1, 0, 0, -1)}
+
 
 def _per_entry_coupling(spec, bc, K):
     """Coupling matrix filled one entry at a time from the coefficient maps."""
@@ -83,20 +85,20 @@ class TestLattices:
 
 class TestFreeOperator:
     def test_per_plus_diagonal(self):
-        op = build_free(PER_PLUS, 1)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 1)
         assert op.is_diagonal
         assert np.allclose(np.diag(op.entries).real, [-2, -2, 0, 0, 2, 2])
 
     def test_per_minus_diagonal(self):
-        op = build_free(PER_MINUS, 0)
+        op = build_operator(PotentialSpec.zero(), PER_MINUS, 0)
         assert np.allclose(np.diag(op.entries).real, [-1, -1, 1, 1])
 
     def test_dirichlet_diagonal(self):
-        op = build_free(DIRICHLET, 1)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 1)
         assert np.allclose(np.diag(op.entries).real, [-1, 0, 1])
 
     def test_eigen_of_diagonal(self):
-        op = build_free(PER_PLUS, 2)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 2)
         vals, vecs = eigen(op)
         assert np.allclose(vals.real, [-4, -4, -2, -2, 0, 0, 2, 2, 4, 4])
         assert np.allclose(vecs @ vecs.conj().T, np.eye(op.dim))
@@ -106,7 +108,7 @@ class TestFreeOperator:
 class TestEigenbasisCondition:
     def test_singular_basis_reads_as_infinite(self):
         # two equal columns of the identity: zgesv meets an exact zero pivot (info > 0)
-        op = build_free(DIRICHLET, 4)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 4)
         vals, vecs = eigen(op)
         vecs = vecs.copy()
         vecs[:, 1] = vecs[:, 0]
@@ -213,7 +215,7 @@ class TestCouplingMatrix:
         cases = [(tiny, 4), (random_potential(0), 128)]
         for (spec, K), bc in itertools.product(cases, (PER_PLUS, PER_MINUS, DIRICHLET)):
             op = build_operator(spec, bc, K)
-            free = build_free(bc, K)
+            free = build_operator(PotentialSpec.zero(), bc, K)
             v = build_v(spec, bc, K)
             assert np.array_equal(op.entries, free.entries + v.entries)
 
@@ -260,18 +262,18 @@ class TestEigen:
 
 class TestClassification:
     def test_periodic_regular_not_strict(self):
-        res = classify_bc(*bc_quadruple(PER_PLUS))
+        res = classify_bc(*BC_QUADRUPLES[PER_PLUS])
         assert res.regular and not res.strictly_regular
         assert res.roots[0] == pytest.approx(res.roots[1])
         assert res.roots[0] == pytest.approx(1.0)
 
     def test_antiperiodic_regular_not_strict(self):
-        res = classify_bc(*bc_quadruple(PER_MINUS))
+        res = classify_bc(*BC_QUADRUPLES[PER_MINUS])
         assert res.regular and not res.strictly_regular
         assert res.roots[0] == pytest.approx(-1.0)
 
     def test_dirichlet_strictly_regular(self):
-        res = classify_bc(*bc_quadruple(DIRICHLET))
+        res = classify_bc(*BC_QUADRUPLES[DIRICHLET])
         assert res.regular and res.strictly_regular
         assert sorted(z.real for z in res.roots) == pytest.approx([-1.0, 1.0])
 

@@ -172,7 +172,6 @@ class TestRSequence:
         assert r(2) == 3.0
         assert r(6) == 0.0
         assert r.norm_sq == pytest.approx(25.0)
-        assert r.norm == pytest.approx(5.0)
         assert r.support == (-4, 2)
         js, rs, ws = r.support_arrays
         assert js.tolist() == [-4, 2] and rs.tolist() == [4.0, 3.0] and ws.tolist() == [16.0, 9.0]

@@ -16,12 +16,12 @@ from diracproj.decomposition import FunctionVector, disc_expansion
 from diracproj.operator import (
     OperatorMatrix,
     basis_index_set,
-    build_free,
     build_operator,
     disc_centers,
     eigen,
     eigenbasis_condition,
     eigenbasis_inverse,
+    lattice_points,
 )
 from diracproj.potential import (
     DIRICHLET,
@@ -49,14 +49,12 @@ from diracproj.projections import (
     _spectral_factors,
     _split_deviation,
     default_global_nodes,
-    deviation,
     deviation_report,
-    free_projection,
     global_projection,
     localization_counts,
     riesz_projection,
 )
-from diracproj.resolvent import CONDITION_LIMIT, IllConditionedError, find_threshold_n, shifted_solve
+from diracproj.resolvent import CONDITION_LIMIT, IllConditionedError, ShiftedSolve, circle_samples, find_threshold_n
 
 CONST = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
 
@@ -64,9 +62,19 @@ CONST = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_
 def _quadrature_lu(op: OperatorMatrix, contour: ContourSpec) -> np.ndarray:
     ident = np.eye(op.dim, dtype=complex)
     acc = np.zeros((op.dim, op.dim), dtype=complex)
-    for lam, phase in zip(contour.points(), np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)):
-        acc += phase * shifted_solve(op, lam).solve(ident)
+    for lam, phase in zip(contour_points(contour), np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)):
+        acc += phase * ShiftedSolve(op, lam).solve(ident)
     return (contour.radius / contour.nodes) * acc
+
+
+def contour_points(contour):
+    """The contour's quadrature nodes lambda_j."""
+    return circle_samples(contour.center, contour.radius, contour.nodes)
+
+
+def free_matrix(bc, n, K):
+    """The dense free projection P_n^0: the coordinate projection onto the basis rows of n."""
+    return np.diag([1.0 + 0j if m == n else 0j for m, _ in basis_index_set(bc, K).indices])
 
 
 def contour_filter(contour, mu):
@@ -101,7 +109,7 @@ def quadrature_schur(op, contour):
             f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
         )
     phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
-    shifted = contour.points()[:, None, None] * np.eye(r) - TW[:r, :r]
+    shifted = contour_points(contour)[:, None, None] * np.eye(r) - TW[:r, :r]
     filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
     coupling = Q[:, :r].conj().T - X @ Q[:, r:].conj().T
     return Z[:, :w] @ Q[:, :r] @ filt, coupling @ right
@@ -138,9 +146,9 @@ def oracle_projection(op, contour, quality_threshold=projections.QUALITY_TOL):
 
 def oracle_deviation(left, right, bc, n, K):
     """||left right - P_n^0||_F: the disc rows differenced, the rest normed through a QR of right^H."""
-    p0 = free_projection(bc, n, K)
-    rows = np.any(p0.left != 0, axis=1)
-    near = left[rows] @ right - p0.left[rows] @ p0.right
+    p0 = free_matrix(bc, n, K)
+    rows = np.any(p0 != 0, axis=1)
+    near = left[rows] @ right - p0[rows]
     far = left[~rows] @ np.linalg.qr(right.conj().T, mode="r").conj().T
     return float(np.hypot(np.linalg.norm(near), np.linalg.norm(far)))
 
@@ -158,10 +166,14 @@ def oracle_sweep(op, discs, radius, nodes, f):
 
 class TestContourSpec:
     def test_points_on_circle(self):
+        # the filter sums over the contour's nodes, circle_samples of its center, radius and node count
         c = ContourSpec(3.0, 0.5, 16)
-        pts = c.points()
+        pts = contour_points(c)
         assert pts.shape == (16,)
         assert np.allclose(np.abs(pts - 3.0), 0.5)
+        mu = np.array([3.1 + 0.2j, 5.0])
+        want = (c.radius / c.nodes) * ((pts - c.center) / c.radius / (pts - mu[:, None])).sum(axis=1)
+        assert np.max(np.abs(contour_filter(c, mu) - want)) <= 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -173,41 +185,42 @@ class TestContourSpec:
 
 
 class TestFreeProjection:
+    """P_n^0 is the coordinate projection onto the basis rows of n, one per
+    channel; the disc sweep finds those rows by index arithmetic (_free_rows)."""
+
     @pytest.mark.parametrize("bc,rank", [(PER_PLUS, 2), (PER_MINUS, 2), (DIRICHLET, 1)])
     def test_rank_and_diagonal(self, bc, rank):
         n = -3 if bc == PER_MINUS else (2 if bc == PER_PLUS else 1)
-        p = free_projection(bc, n, 8)
-        assert p.rank == rank
-        assert p.contour is None
-        assert p.idempotency_residual == 0.0
-        assert np.array_equal(p.matrix, np.diag(np.diag(p.matrix)))
-        assert p.hs_norm == pytest.approx(math.sqrt(rank))
+        rows = _free_rows(bc, 8, [n])
+        assert rows.shape == (1, rank)
+        p0 = free_matrix(bc, n, 8)
+        assert np.array_equal(np.flatnonzero(np.diag(p0)), rows[0])
+        assert np.array_equal(p0, np.diag(np.diag(p0)))
 
     def test_off_lattice_point_rejected(self):
         with pytest.raises(ValueError):
-            free_projection(PER_PLUS, 3, 8)
+            _free_rows(PER_PLUS, 8, [3])
 
     def test_rows_found_by_index_arithmetic(self):
         # both ends of each lattice, against the basis' own positions
         for bc, n, K in [(PER_PLUS, -8, 4), (PER_PLUS, 8, 4), (PER_MINUS, -9, 4), (PER_MINUS, 9, 4), (DIRICHLET, 0, 0)]:
-            p = free_projection(bc, n, K)
             basis = basis_index_set(bc, K)
-            want = np.diag([1.0 + 0j if m == n else 0j for m, _ in basis.indices])
-            assert np.array_equal(p.matrix, want), (bc, n)
+            want = [basis.position(n, ch) for ch in ((0,) if bc == DIRICHLET else (1, 2))]
+            assert _free_rows(bc, K, [n]).tolist() == [want], (bc, n)
         for bc, n in [(PER_PLUS, 10), (PER_MINUS, -11), (DIRICHLET, 5), (PER_MINUS, 0)]:
             with pytest.raises(ValueError):
-                free_projection(bc, n, 4)
+                _free_rows(bc, 4, [n])
 
 
 class TestRieszProjection:
     @pytest.mark.parametrize("bc", BC_TAGS)
     def test_free_case_is_exact(self, bc):
-        op = build_free(bc, 8)
+        op = build_operator(PotentialSpec.zero(), bc, 8)
         n = 2 if bc != PER_MINUS else 3
         p = riesz_projection(op, ContourSpec(n, 0.5, 64))
-        p0 = free_projection(bc, n, 8)
-        assert deviation(p, p0) < 1e-12
-        assert p.rank == p0.rank
+        p0 = free_matrix(bc, n, 8)
+        assert np.linalg.norm(p.matrix - p0) < 1e-12
+        assert p.rank == np.trace(p0).real
 
     def test_routes_agree(self):
         # spectral factors, Schur factors and the LU oracle on one operator;
@@ -226,17 +239,17 @@ class TestRieszProjection:
         assert c.rank == int(round(np.trace(b).real))
 
     def test_eigenvalue_on_contour_refused(self):
-        op = build_free(DIRICHLET, 8)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
         with pytest.raises(ContourProximityError):
             riesz_projection(op, ContourSpec(0.5, 0.5, 64))
 
     def test_coarse_quadrature_fails_quality_gate(self):
-        op = build_free(DIRICHLET, 8)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
         with pytest.raises(ProjectionQualityError):
             riesz_projection(op, ContourSpec(1, 0.5, 8))
 
     def test_quality_gate_can_be_disabled(self):
-        op = build_free(DIRICHLET, 8)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
         p = riesz_projection(op, ContourSpec(1, 0.5, 8), quality_threshold=None)
         assert p.idempotency_residual > 0
         assert p.rank == 1
@@ -255,12 +268,12 @@ class TestRieszProjection:
             nodes: riesz_projection(op, ContourSpec(2, 0.5, nodes), quality_threshold=None)
             for nodes in (16, 32, 64)
         }
-        first = deviation(ps[16], ps[32])
-        second = deviation(ps[32], ps[64])
+        first = np.linalg.norm(ps[16].matrix - ps[32].matrix)
+        second = np.linalg.norm(ps[32].matrix - ps[64].matrix)
         assert second <= 0.1 * first
 
     def test_disc_projections_sum_to_identity_free_case(self):
-        op = build_free(PER_PLUS, 8)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 8)
         # default nodes target ~1e-8 here (eigenvalues at distance ratio 4/3
         # from the global circle); 256 nodes push that to the fp floor
         total = global_projection(op, 1, nodes=256).matrix.copy()
@@ -419,7 +432,7 @@ def full_reorder_schur(form, contour):
             f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
         )
     phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
-    shifted = contour.points()[:, None, None] * np.eye(r) - T[:r, :r]
+    shifted = contour_points(contour)[:, None, None] * np.eye(r) - T[:r, :r]
     filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
     return Z[:, :r] @ filt, Z[:, :r].conj().T - X @ Z[:, r:].conj().T
 
@@ -559,11 +572,10 @@ class TestFactoredForm:
         op = build_operator(random_potential(3, norm=0.3), bc, 32)
         for n in disc_centers(bc, op.basis.trusted_limit):
             p = riesz_projection(op, ContourSpec(n, 0.5, 64))
-            p0 = free_projection(bc, n, 32)
             assert p.route == route
-            dense = np.linalg.norm(p.matrix - p0.matrix)
-            assert abs(deviation(p, p0) - dense) <= 1e-13 * dense, n
-            assert p.hs_norm == pytest.approx(np.linalg.norm(p.matrix), rel=1e-13)
+            dense = np.linalg.norm(p.matrix - free_matrix(bc, n, 32))
+            split = _split_deviation(p.left[None], p.right[None], _free_rows(bc, 32, [n]))[0]
+            assert abs(split - dense) <= 1e-13 * dense, n
             f = np.random.default_rng(n + 100).standard_normal(op.dim) + 0j
             assert np.max(np.abs(p.apply(f) - p.matrix @ f)) <= 1e-13 * np.linalg.norm(f)
 
@@ -642,7 +654,7 @@ class TestBatchedPass:
         # the lattice there are fewer to leak to, so the keep sets, padded to
         # the largest in the batch, differ in size
         op = build_operator(random_potential(3, norm=0.3), bc, 32)
-        ends = op.basis.lattice[:2] + op.basis.lattice[-2:]
+        ends = lattice_points(bc, 32)[:2] + lattice_points(bc, 32)[-2:]
         discs = [n for n in disc_centers(bc, 16) if abs(n) > 4] + list(ends)
         contours = [ContourSpec(n, 0.5, nodes) for n in discs]
         batch = _project(op, contours, quality_threshold=None)
@@ -689,7 +701,7 @@ class TestBatchedPass:
 
     def test_quality_refusal_matches_the_loop(self, route):
         # 8 nodes leave a free disc's trace off its rank: the first disc is refused
-        op = build_free(DIRICHLET, 16)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
         with pytest.raises(ProjectionQualityError) as want:
             oracle_sweep(op, [-2, 2], 0.5, 8, np.ones(op.dim))
         with pytest.raises(ProjectionQualityError) as got:
@@ -704,13 +716,13 @@ class TestGlobalProjection:
         assert default_global_nodes(21.5) % 2 == 0
 
     def test_free_ranks(self):
-        op = build_free(PER_PLUS, 8)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 8)
         assert global_projection(op, 1).rank == 2   # circle |z| = 1.5: mode 0 twice
         assert global_projection(op, 2).rank == 6   # |z| = 2.5 adds the discs at +-2
         assert global_projection(op, 0).rank == 2
 
     def test_rejects_negative(self):
-        op = build_free(PER_PLUS, 8)
+        op = build_operator(PotentialSpec.zero(), PER_PLUS, 8)
         with pytest.raises(ValueError):
             global_projection(op, -1)
 

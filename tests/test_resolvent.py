@@ -11,7 +11,6 @@ from diracproj.operator import (
     BasisIndexSet,
     OperatorMatrix,
     basis_index_set,
-    build_free,
     build_operator,
     build_v,
     disc_centers,
@@ -32,13 +31,13 @@ from diracproj import resolvent
 from diracproj.resolvent import (
     SCAN_BLOCK_FLOATS,
     IllConditionedError,
+    ShiftedSolve,
     ThresholdNotFoundError,
     _antidiagonal_weights,
     _circle_double_sums,
     circle_norm_profile,
     circle_samples,
     find_threshold_n,
-    shifted_solve,
     threshold_from_profile,
 )
 
@@ -129,7 +128,7 @@ def k_operator(basis: BasisIndexSet, lam: complex) -> KOperator:
 
 def resolve(op: OperatorMatrix, lam: complex, rhs: np.ndarray) -> np.ndarray:
     """Apply (lambda - L)^{-1} to one vector or a stack of columns."""
-    return shifted_solve(op, lam).solve(rhs)
+    return ShiftedSolve(op, lam).solve(rhs)
 
 
 class TestBranchSqrt:
@@ -186,7 +185,7 @@ class TestKOperator:
 
 class TestShiftedSolve:
     def test_free_dirichlet_scalar_case(self):
-        op = build_free(DIRICHLET, 4)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 4)
         rhs = np.zeros(op.dim, dtype=complex)
         rhs[op.basis.position(0, 0)] = 1.0
         out = resolve(op, 0.5, rhs)
@@ -216,14 +215,14 @@ class TestShiftedSolve:
         assert np.max(np.abs(factored - direct)) < 1e-9
 
     def test_near_eigenvalue_refused(self):
-        op = build_free(DIRICHLET, 8)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
         with pytest.raises(IllConditionedError) as err:
-            shifted_solve(op, 1e-14)
+            ShiftedSolve(op, 1e-14)
         assert "nearest eigenvalue" in str(err.value)
 
     def test_condition_estimate_recorded(self):
-        op = build_free(DIRICHLET, 8)
-        s = shifted_solve(op, 0.5)
+        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
+        s = ShiftedSolve(op, 0.5)
         assert 1.0 < s.condition_estimate < 1e4
 
 

@@ -97,9 +97,6 @@ from .potential import (
 )
 from .resolvent import _circle_double_sums, circle_samples
 
-# terms per block of check_elementary's running inverse-square tail (256 KB of float64)
-TAIL_BLOCK = 2**15
-
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -168,19 +165,10 @@ def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     top = 20 * n_max
-    # suffix[k] = sum_{n >= k+1} 1/n^2 over the kept range, summed from n = top
-    # down: one running cumsum in blocks, each started from the carried total
-    suffix = np.empty(n_max + 1)
-    carry = 0.0
-    for hi in range(top, 0, -TAIL_BLOCK):
-        lo = max(hi - TAIL_BLOCK, 0)
-        run = np.cumsum(np.concatenate([[carry], 1.0 / np.arange(hi, lo, -1, dtype=float) ** 2]))
-        if lo <= n_max:  # run[i] = suffix[hi - i]
-            ks = np.arange(lo, min(hi, n_max) + 1)
-            suffix[ks] = run[hi - ks]
-        carry = run[-1]
+    # run[i] = sum of 1/n^2 over top - i <= n <= top, summed from n = top down
+    run = np.cumsum(1.0 / np.arange(top, 0, -1, dtype=float) ** 2)
     Ns = np.arange(1, n_max + 1)
-    lhs_tail = suffix[Ns] + 1.0 / top
+    lhs_tail = run[top - 1 - Ns] + 1.0 / top
     ratios = lhs_tail * Ns
     worst = int(np.argmax(ratios))
     first = _check(

@@ -27,6 +27,7 @@ threshold within the truncation), 4 a verified bound was violated.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import sys
@@ -50,8 +51,8 @@ from .operator import (
     EigenResidualError,
     build_operator,
     classify_bc,
-    disc_centers,
     eigen,
+    lattice_step,
 )
 from .potential import (
     BC_TAGS,
@@ -268,17 +269,9 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix: bool = False) -> int:
     spec = _potential_for(cfg)
     op = build_operator(spec, cfg.bc, cfg.K)
     vals, _ = eigen(op)
-    centers = np.array(disc_centers(cfg.bc, cfg.K / 2))
-    # nearest center per eigenvalue; argmin keeps the first (lower) of a tie
-    dist = np.abs(vals[:, None] - centers)
-    nearest = np.argmin(dist, axis=1)
-    inside = dist.min(axis=1) < cfg.radius
-    rows = [
-        (float(lam.real), float(lam.imag), str(centers[i]) if ok else "")
-        for lam, i, ok in zip(vals, nearest, inside)
-    ]
+    counts, discs = localization_counts(op, cfg.radius)
+    rows = [(float(lam.real), float(lam.imag), "" if n is None else str(n)) for lam, n in zip(vals, discs)]
     _write_csv(out / "spectrum.csv", ("re", "im", "disc"), rows)
-    counts = localization_counts(op, cfg.radius)
     _write_csv(out / "localization.csv", ("n", "count"), sorted(counts.items()))
     if dump_matrix:
         entries = op.entries
@@ -305,8 +298,8 @@ def cmd_deviations(cfg: RunConfig) -> int:
     report = deviation_report(op, N, threshold, cfg.radius, cfg.nodes)
     rows = zip(report.discs, report.ranks, report.deviations, report.cumulative)
     _write_csv(out / "deviations.csv", ("n", "rank", "deviation_hs", "cumulative_sum"), rows)
-    counts = localization_counts(op, cfg.radius)
-    expected = 1 if cfg.bc == "dir" else 2
+    counts, _ = localization_counts(op, cfg.radius)
+    expected = lattice_step(cfg.bc)  # one eigenvalue per basis channel of a disc
     verified = all(counts[n] == expected for n in counts if abs(n) > N)
     _write_run_json(
         out,
@@ -483,41 +476,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def cmd_classify_bc(args: argparse.Namespace) -> int:
+    try:
+        quad = [complex(s) for s in (args.a, args.b, args.c, args.d)]
+    except ValueError:
+        raise ConfigError("classify-bc arguments must parse as complex numbers") from None
+    if not all(map(cmath.isfinite, quad)):
+        raise ConfigError("classify-bc arguments must be finite")
+    result = classify_bc(*quad)
+    print(
+        json.dumps(
+            {
+                "a": [quad[0].real, quad[0].imag],
+                "b": [quad[1].real, quad[1].imag],
+                "c": [quad[2].real, quad[2].imag],
+                "d": [quad[3].real, quad[3].imag],
+                "regular": result.regular,
+                "strictly_regular": result.strictly_regular,
+                "roots": [[z.real, z.imag] for z in result.roots],
+            },
+            indent=2,
+            sort_keys=True,
+        )
+    )
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "classify-bc":
-        try:
-            quad = [complex(s) for s in (args.a, args.b, args.c, args.d)]
-        except ValueError:
-            print("classify-bc arguments must parse as complex numbers", file=sys.stderr)
-            return EXIT_CONFIG
-        result = classify_bc(*quad)
-        print(
-            json.dumps(
-                {
-                    "a": [quad[0].real, quad[0].imag],
-                    "b": [quad[1].real, quad[1].imag],
-                    "c": [quad[2].real, quad[2].imag],
-                    "d": [quad[3].real, quad[3].imag],
-                    "regular": result.regular,
-                    "strictly_regular": result.strictly_regular,
-                    "roots": [[z.real, z.imag] for z in result.roots],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return EXIT_OK
-
     try:
+        if args.command == "classify-bc":
+            return cmd_classify_bc(args)
         cfg = _merge_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, dump_matrix=args.dump_matrix)
         if args.command == "deviations":

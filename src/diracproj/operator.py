@@ -20,8 +20,10 @@ becomes the single Toeplitz-like family W(k + n).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -54,23 +56,19 @@ def lattice_points(bc: str, K: int) -> tuple[int, ...]:
     return tuple(range(-K, K + 1))
 
 
+def lattice_step(bc: str) -> int:
+    """Spacing of bc's lattice, which is also its number of basis channels per point."""
+    return 1 if validate_bc(bc) == DIRICHLET else 2
+
+
 def disc_centers(bc: str, limit: float) -> tuple[int, ...]:
     """Lattice points n with |n| <= limit, ascending (disc centers)."""
-    validate_bc(bc)
-    if bc == PER_PLUS:
-        step, start = 2, 0
-    elif bc == PER_MINUS:
-        step, start = 2, 1
-    else:
-        step, start = 1, 0
-    top = int(limit)
-    pts = [n for n in range(start, top + 1, step) if abs(n) <= limit]
-    return tuple(sorted(set([-n for n in pts] + pts)))
+    return tuple(n for n in lattice_points(bc, max(math.ceil(limit), 0)) if abs(n) <= limit)
 
 
 @dataclass(frozen=True)
 class BasisIndexSet:
-    """Ordered index set (n, channel) for one truncation.
+    """Ordered index set (n, channel) for one truncation, set by bc and K.
 
     Channels are 1 and 2 for the periodic couplings (the two exponential
     channels) and 0 for the Dirichlet-type coupling (the combined g_n
@@ -79,13 +77,20 @@ class BasisIndexSet:
 
     bc: str
     K: int
-    indices: tuple[tuple[int, int], ...]
-    _positions: dict = field(repr=False, compare=False, default=None)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_positions", {idx: i for i, idx in enumerate(self.indices)})
+    @cached_property
+    def points(self) -> tuple[int, ...]:
+        return lattice_points(self.bc, self.K)
 
-    @property
+    @cached_property
+    def channels(self) -> tuple[int, ...]:
+        return (0,) if lattice_step(self.bc) == 1 else (1, 2)
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, int], ...]:
+        return tuple((n, ch) for n in self.points for ch in self.channels)
+
+    @cached_property
     def dim(self) -> int:
         return len(self.indices)
 
@@ -94,20 +99,21 @@ class BasisIndexSet:
         return self.K / 2
 
     def position(self, n: int, channel: int) -> int:
-        try:
-            return self._positions[(n, channel)]
-        except KeyError:
-            raise KeyError(f"index (n={n}, channel={channel}) not in the {self.bc} truncation at K={self.K}") from None
+        """Row of (n, channel), by index arithmetic: the lattice step equals the channel count."""
+        step = len(self.channels)
+        slot, offset = divmod(n - self.points[0], step)
+        if offset or not 0 <= slot < len(self.points) or channel not in self.channels:
+            raise KeyError(f"index (n={n}, channel={channel}) not in the {self.bc} truncation at K={self.K}")
+        return step * slot + self.channels.index(channel)
 
     def free_diagonal(self) -> np.ndarray:
         return np.array([n for n, _ in self.indices], dtype=float)
 
 
 def basis_index_set(bc: str, K: int) -> BasisIndexSet:
-    validate_bc(bc)
-    channels = (0,) if bc == DIRICHLET else (1, 2)
-    indices = tuple((n, ch) for n in lattice_points(bc, K) for ch in channels)
-    return BasisIndexSet(bc, K, indices)
+    basis = BasisIndexSet(bc, K)
+    _ = basis.points  # builds the lattice, refusing an unknown bc or a negative K
+    return basis
 
 
 @dataclass
@@ -133,11 +139,6 @@ class OperatorMatrix:
         return self.basis.dim
 
     @property
-    def is_diagonal(self) -> bool:
-        # nonzeros counted in place: no dim x dim temporary
-        return np.count_nonzero(self.entries) == np.count_nonzero(np.diagonal(self.entries))
-
-    @property
     def hs_norm(self) -> float:
         # an unthreaded in-place sum of squares; an overflow reads inf, which fails eigen's gate
         flat = self.entries.reshape(-1).view(float)
@@ -156,7 +157,7 @@ def _coefficient_table(coeff, max_mode: int, sums: np.ndarray) -> np.ndarray:
 
 def build_v(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
     basis = basis_index_set(bc, K)
-    ns = np.array(lattice_points(bc, K))
+    ns = np.array(basis.points)
     sums = ns[:, None] + ns[None, :]
     if bc == DIRICHLET:
         # entry (k, n) couples g_n into g_k through W(k + n)
@@ -185,17 +186,11 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     EIGEN_RESIDUAL_TOL times the operator's HS norm, and that norm is finite.
     """
     if op._eig_cache is None:
-        if op.is_diagonal:
-            vals = np.diagonal(op.entries).copy()
-            order = np.lexsort((vals.imag, vals.real))
-            vals = vals[order]
-            vecs = np.eye(op.dim, dtype=complex)[:, order]
-        else:
-            vals, vecs = scipy.linalg.eig(op.entries)
-            order = np.lexsort((vals.imag, vals.real))
-            vals = vals[order]
-            vecs = vecs[:, order]
-            vecs = vecs / np.linalg.norm(vecs, axis=0)
+        vals, vecs = scipy.linalg.eig(op.entries)
+        order = np.lexsort((vals.imag, vals.real))
+        vals = vals[order]
+        vecs = vecs[:, order]
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
         scale = max(op.hs_norm, 1.0)
         # in scipy's BLAS, next to eig (see eigenbasis_inverse)
         residual = np.linalg.norm(scipy.linalg.blas.zgemm(1.0, op.entries, vecs) - vecs * vals, axis=0).max()
@@ -249,11 +244,17 @@ def classify_bc(a: complex, b: complex, c: complex, d: complex) -> BCClassificat
 
     The coupling is regular when bc - ad != 0 and strictly regular when in
     addition (b - c)^2 + 4ad != 0, i.e. when z^2 + (b+c)z + (bc - ad) has
-    two distinct roots.
+    two distinct roots.  Raises ValueError when bc - ad or the
+    discriminant is not finite.
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     det = b * c - a * d
-    disc = (b + c) ** 2 - 4 * det  # equals (b - c)^2 + 4ad
+    try:
+        disc = (b + c) ** 2 - 4 * det  # equals (b - c)^2 + 4ad
+    except OverflowError:  # complex ** raises where * overflows to inf
+        disc = complex(math.inf)
+    if not (cmath.isfinite(det) and cmath.isfinite(disc)):
+        raise ValueError(f"the characteristic quadratic is not finite: bc - ad = {det}, discriminant {disc}")
     root = np.sqrt(complex(disc))
     z1 = (-(b + c) - root) / 2
     z2 = (-(b + c) + root) / 2

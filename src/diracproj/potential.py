@@ -111,13 +111,17 @@ class PotentialSpec:
         modes = set().union(*tables)
         return sorted(modes | {-m for m in modes})
 
+    @staticmethod
+    def from_coefficients(p: Mapping[int, complex], q: Mapping[int, complex], max_mode: int) -> "PotentialSpec":
+        """The spec of P's and Q's coefficient maps, each split by parity in its insertion order."""
+        tables = [{m: v for m, v in c.items() if m % 2 == parity} for parity in (0, 1) for c in (p, q)]
+        return PotentialSpec(*tables, max_mode)  # p_even, q_even, p_odd, q_odd
+
     def scaled(self, t: complex) -> "PotentialSpec":
-        return PotentialSpec(
-            p_even={m: t * v for m, v in self.p_even.items()},
-            q_even={m: t * v for m, v in self.q_even.items()},
-            p_odd={m: t * v for m, v in self.p_odd.items()},
-            q_odd={m: t * v for m, v in self.q_odd.items()},
-            max_mode=self.max_mode,
+        return PotentialSpec.from_coefficients(
+            {m: t * v for m, v in (*self.p_even.items(), *self.p_odd.items())},
+            {m: t * v for m, v in (*self.q_even.items(), *self.q_odd.items())},
+            self.max_mode,
         )
 
     @staticmethod
@@ -151,11 +155,9 @@ def from_samples(p_samples, q_samples, max_mode: int) -> PotentialSpec:
     design = np.exp(1j * np.outer(x, modes))
     cp = np.linalg.lstsq(design, p, rcond=None)[0]
     cq = np.linalg.lstsq(design, q, rcond=None)[0]
-    p_even = {int(m): complex(c) for m, c in zip(modes, cp) if m % 2 == 0}
-    q_even = {int(m): complex(c) for m, c in zip(modes, cq) if m % 2 == 0}
-    p_odd = {int(m): complex(c) for m, c in zip(modes, cp) if m % 2 != 0}
-    q_odd = {int(m): complex(c) for m, c in zip(modes, cq) if m % 2 != 0}
-    return PotentialSpec(p_even, q_even, p_odd, q_odd, max_mode)
+    return PotentialSpec.from_coefficients(
+        {int(m): complex(c) for m, c in zip(modes, cp)}, {int(m): complex(c) for m, c in zip(modes, cq)}, max_mode
+    )
 
 
 def potential_norm(spec: PotentialSpec) -> float:
@@ -269,14 +271,7 @@ def random_potential(seed, max_mode: int = 8, norm: float = 1.0) -> PotentialSpe
         im = rng.standard_normal(len(modes))
         return {m: complex(a, b) for m, a, b in zip(modes, re, im)}
 
-    p_all, q_all = draw(), draw()
-    spec = PotentialSpec(
-        p_even={m: v for m, v in p_all.items() if m % 2 == 0},
-        q_even={m: v for m, v in q_all.items() if m % 2 == 0},
-        p_odd={m: v for m, v in p_all.items() if m % 2 != 0},
-        q_odd={m: v for m, v in q_all.items() if m % 2 != 0},
-        max_mode=max_mode,
-    )
+    spec = PotentialSpec.from_coefficients(draw(), draw(), max_mode)  # P's draw, then Q's
     size = potential_norm(spec)
     if norm > 0 and size > 0:
         spec = spec.scaled(norm / size)

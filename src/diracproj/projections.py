@@ -49,11 +49,11 @@ array is formed per contour.
 _split_deviation is the package's one deviation formula: the disc sweep
 calls it on each chunk.  The free projection P_n^0 is never built: it is
 the coordinate projection onto the basis rows D of the lattice point n,
-which _free_rows finds by index arithmetic.  The deviation ||P_n - P_n^0||_F
-is split by rows: the r rows in D are differenced explicitly (left[D] right
-minus the identity there), and the other rows, where P^0 vanishes, have
-norm ||left[~D] R^H||_F with right^H = Q R, exact because Q^H has
-orthonormal rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead
+which BasisIndexSet.position finds by index arithmetic.  The deviation
+||P_n - P_n^0||_F is split by rows: the r rows in D are differenced
+explicitly (left[D] right minus the identity there), and the other rows,
+where P^0 vanishes, have norm ||left[~D] R^H||_F with right^H = Q R,
+exact because Q^H has orthonormal rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead
 would cancel to about 1e-16 / dev^2 relative.  In a batch the factors are
 zero-padded to the largest r; the padding adds nothing to any of these.
 
@@ -79,9 +79,7 @@ from .operator import (
     eigen,
     eigenbasis_condition,
     eigenbasis_inverse,
-    lattice_points,
 )
-from .potential import DIRICHLET
 from .resolvent import CONDITION_LIMIT
 
 PROXIMITY_TOL = 1e-6
@@ -268,10 +266,10 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
     TW = Q [[T11, T12], [0, T22]] Q^H and T11 X - X T22 = -T12 is solved;
     when S reaches outside the window, the whole form is the window
     (w = dim, Y = 0).  The trapezoid filters F of every T11 come from one
-    batched inverse.  Returns (left, right, valid, refusal) for the contours
-    before the first one that LAPACK fails on, or whose projector norm bound
-    hypot(1, ||X||_F) hypot(1, ||Y||_F) exceeds CONDITION_LIMIT; refusal is
-    the ProjectionQualityError for that contour, None if every contour passed.
+    batched inverse.  Returns (left, right, valid); raises
+    ProjectionQualityError at the first contour that LAPACK fails on, or
+    whose projector norm bound hypot(1, ||X||_F) hypot(1, ||Y||_F) exceeds
+    CONDITION_LIMIT.
     """
     T, Z, w, right_w, y_norm = _schur_form(op)
     select = np.abs(_filter(centers, radius, nodes, np.diagonal(T))) > FILTER_FLOOR
@@ -281,7 +279,7 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
     t11 = np.zeros((count, width, width), dtype=complex)
     basis = np.zeros((count, op.dim, width), dtype=complex)
     right = np.zeros((count, width, op.dim), dtype=complex)
-    forms, refusal = {}, None
+    forms = {}
     for k, sel in enumerate(select):
         whole = bool(sel[w:].any())
         if whole not in forms:
@@ -295,25 +293,22 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
             X, scale, info = scipy.linalg.lapack.ztrsyl(TW[:r, :r], TW[r:, r:], -TW[:r, r:], isgn=-1)
         norm = math.hypot(1.0, float(np.linalg.norm(X))) * math.hypot(1.0, 0.0 if whole else y_norm)
         if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
-            refusal = ProjectionQualityError(
+            raise ProjectionQualityError(
                 f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
                 f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
             )
-            count = k
-            break
         t11[k, :r, :r] = TW[:r, :r]
         basis[k, :, :r] = _gemm(Z_W, Q[:, :r])
         right[k, :r] = _gemm(Q[:, :r].conj().T - _gemm(X, Q[:, r:].conj().T), rows)
 
     # lambda_j - T11 at every node (as circle_samples); padding slots invert the identity and are masked out of F
-    valid = valid[:count]
-    points = centers[:count, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
-    shifted = np.repeat(-t11[:count, None], nodes, axis=1)
+    points = centers[:, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+    shifted = np.repeat(-t11[:, None], nodes, axis=1)
     np.einsum("kjaa->kja", shifted)[...] += np.where(valid[:, None, :], points[:, :, None], 1.0)
     phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     filt = (radius / nodes) * np.einsum("j,kjab->kab", phases, np.linalg.inv(shifted))
     filt *= valid[:, :, None] & valid[:, None, :]
-    return _mm(basis[:count], filt), right[:count], valid, refusal
+    return _mm(basis, filt), right, valid
 
 
 @dataclass(frozen=True)
@@ -335,12 +330,13 @@ def _project(
 ) -> _Batch:
     """Contour-quadrature projections of circles sharing one radius and node count.
 
-    Refuses the first contour, in the given order, that has an eigenvalue of
-    the truncation within PROXIMITY_TOL, that the Schur route cannot
-    certify, or (unless quality_threshold is None) whose trace is not
-    within quality_threshold of an integer or whose idempotency residual
-    exceeds it; no contour past a proximity refusal is integrated.  Schur
-    route above SPECTRAL_COND_LIMIT.
+    Refuses the batch, in this order: when any contour has an eigenvalue of
+    the truncation within PROXIMITY_TOL (naming the first such contour;
+    nothing is integrated then), when the Schur route cannot certify a
+    contour, or (unless quality_threshold is None) when a contour's trace is
+    not within quality_threshold of an integer or its idempotency residual
+    exceeds it (naming the first such contour).  Schur route above
+    SPECTRAL_COND_LIMIT.
     """
     radius, nodes = contours[0].radius, contours[0].nodes
     assert all((c.radius, c.nodes) == (radius, nodes) for c in contours)
@@ -350,21 +346,15 @@ def _project(
     nearest = np.argmin(gaps, axis=1)
     offsets = gaps[np.arange(len(contours)), nearest]
     close = np.flatnonzero(offsets < PROXIMITY_TOL)
-    stop = int(close[0]) if close.size else len(contours)
-    proximity = None
-    if stop < len(contours):
-        proximity = ContourProximityError(
-            f"eigenvalue {vals[nearest[stop]]} lies within {PROXIMITY_TOL:.0e} of the contour "
-            f"|z - {contours[stop].center}| = {contours[stop].radius}"
+    if close.size:
+        k = close[0]
+        raise ContourProximityError(
+            f"eigenvalue {vals[nearest[k]]} lies within {PROXIMITY_TOL:.0e} of the contour "
+            f"|z - {contours[k].center}| = {contours[k].radius}"
         )
-        if stop == 0:
-            raise proximity
     route = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "schur"
-    if route == "spectral":
-        left, right, valid = _spectral_factors(op, centers[:stop], radius, nodes)
-        refusal = None
-    else:
-        left, right, valid, refusal = _schur_factors(op, centers[:stop], radius, nodes)
+    factors = _spectral_factors if route == "spectral" else _schur_factors
+    left, right, valid = factors(op, centers, radius, nodes)
 
     gram = _mm(right, left)
     # ||P^2 - P||_F^2 = ||left A right||_F^2 = tr(A^H (left^H left) A (right right^H)), A = gram - I
@@ -387,10 +377,6 @@ def _project(
             raise ProjectionQualityError(
                 f"idempotency residual {residuals[k]:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
             )
-    if refusal is not None:
-        raise refusal
-    if proximity is not None:
-        raise proximity
     return _Batch(left, right, ranks, traces, residuals, offsets, route)
 
 
@@ -411,18 +397,6 @@ def riesz_projection(
     return ProjectionResult(
         batch.left[0], batch.right[0], int(batch.ranks[0]), float(batch.residuals[0]), contour, batch.route
     )
-
-
-def _free_rows(bc: str, K: int, ns) -> np.ndarray:
-    """Basis rows of the lattice points ns, one row of indices per point: by
-    index arithmetic on the ascending, channel-interleaved basis ordering."""
-    points = lattice_points(bc, K)
-    channels = 1 if bc == DIRICHLET else 2  # also the lattice step
-    slot, offset = np.divmod(np.asarray(ns, dtype=int) - points[0], channels)
-    bad = np.flatnonzero(offset | (slot < 0) | (slot >= len(points)))
-    if bad.size:
-        raise ValueError(f"lattice point {ns[bad[0]]} not present in the {bc} truncation at K = {K}")
-    return channels * slot[:, None] + np.arange(channels)
 
 
 def default_global_nodes(radius: float) -> int:
@@ -500,19 +474,19 @@ def _disc_sweep(
     """
     if N < threshold:
         raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")
-    bc, K = op.basis.bc, op.basis.K
     limit = op.basis.trusted_limit
     M = limit if M is None else M
     if M > limit:
         raise ValueError(f"M = {M} exceeds the trusted window |n| <= {limit}")
-    discs = tuple(sorted((n for n in disc_centers(bc, M) if abs(n) > N), key=lambda n: (abs(n), n)))
+    discs = tuple(sorted((n for n in disc_centers(op.basis.bc, M) if abs(n) > N), key=lambda n: (abs(n), n)))
     if not discs:
         raise ValueError(f"no discs in the window |n| <= M = {M} past the cutoff")
     ranks, devs, residuals, gaps, offsets, terms = [], [], [], [], [], []
     for start in range(0, len(discs), DISC_CHUNK):
         chunk = discs[start : start + DISC_CHUNK]
         batch = _project(op, [ContourSpec(n, radius, nodes) for n in chunk])
-        devs += _split_deviation(batch.left, batch.right, _free_rows(bc, K, chunk)).tolist()
+        rows = np.array([[op.basis.position(n, ch) for ch in op.basis.channels] for n in chunk])
+        devs += _split_deviation(batch.left, batch.right, rows).tolist()
         if f is not None:
             terms += list(_apply(batch.left, batch.right, f))
         ranks += batch.ranks.tolist()
@@ -541,9 +515,21 @@ def deviation_report(
     return _disc_sweep(op, N, threshold, max_disc, radius, nodes)[0]
 
 
-def localization_counts(op: OperatorMatrix, radius: float = 0.5) -> dict[int, int]:
-    """Eigenvalues of the truncation strictly inside each trusted disc."""
+def localization_counts(op: OperatorMatrix, radius: float = 0.5) -> tuple[dict[int, int], list[int | None]]:
+    """Eigenvalues of the truncation strictly inside each trusted disc, and
+    the disc of each eigenvalue in eigen's order (None outside every disc).
+
+    Discs of radius at most 1/2 around lattice points at least 1 apart are
+    disjoint, and an eigenvalue inside one is nearest its center; so each
+    eigenvalue is assigned to its nearest center, and the counts are the
+    tally of that assignment.
+    """
+    if not 0 < radius <= 0.5:
+        raise ValueError(f"disc radius must lie in (0, 1/2], got {radius}")
     vals, _ = eigen(op)
     centers = disc_centers(op.basis.bc, op.basis.trusted_limit)
-    counts = np.count_nonzero(np.abs(vals - np.array(centers, dtype=float)[:, None]) < radius, axis=1)
-    return dict(zip(centers, counts.tolist()))
+    dist = np.abs(vals[:, None] - np.array(centers))
+    nearest = np.argmin(dist, axis=1)
+    inside = dist[np.arange(len(vals)), nearest] < radius
+    counts = np.bincount(nearest[inside], minlength=len(centers))
+    return dict(zip(centers, counts.tolist())), [centers[i] if ok else None for i, ok in zip(nearest, inside)]

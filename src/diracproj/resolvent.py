@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .operator import OperatorMatrix, disc_centers, eigen, lattice_points
+from .operator import OperatorMatrix, disc_centers, eigen, lattice_points, lattice_step
 from .potential import DIRICHLET, PotentialSpec, dirichlet_w
 
 CONDITION_LIMIT = 1e12
@@ -116,7 +116,7 @@ def _circle_double_sums(
     shifted product of the reciprocal gaps with their reversal.
     """
     lat = np.array(lattice_points(bc, K), dtype=float)
-    step = 1 if bc == DIRICHLET else 2
+    step = lattice_step(bc)
     L = lat.size
     total = np.zeros((len(centers), samples))
     block = max(1, SCAN_BLOCK_FLOATS // (samples * L))

@@ -88,7 +88,7 @@ def test_criterion_02_constant_potential_oracle():
             assert np.min(np.abs(lam - oracle)) <= 1e-8, lam
             checked += 1
     assert checked >= 16
-    counts = localization_counts(op, 0.5)
+    counts, _ = localization_counts(op, 0.5)
     for n, count in counts.items():
         if abs(n) >= 2:
             assert count == 2, (n, count)

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, file outputs, determinism."""
 
+import ast
 import csv
 import dataclasses
 import importlib
@@ -30,6 +31,7 @@ from diracproj.cli import (
     main,
 )
 from diracproj.operator import basis_index_set
+import diracproj
 from diracproj import projections
 from diracproj.resolvent import ShiftedSolve, circle_norm_profile
 
@@ -319,6 +321,20 @@ class TestClassifyBc:
         assert code == EXIT_CONFIG
         assert "complex" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "quad,code",
+        [
+            (["nan", "0", "0", "1"], EXIT_CONFIG),  # a non-finite argument
+            (["1e308", "1e308", "1e308", "1e308"], EXIT_NUMERICAL),  # bc - ad is inf - inf
+            (["0", "1e200", "1e200", "0"], EXIT_NUMERICAL),  # (b + c)^2 overflows
+        ],
+    )
+    def test_non_finite_quadratic_refused(self, capsys, quad, code):
+        assert main(["classify-bc", *quad]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("finite" in captured.err) and "Traceback" not in captured.err
+
     def test_console_script_entry_point(self):
         """The [project.scripts] target exists and runs as the installed
         script would, without installing the package."""
@@ -386,6 +402,16 @@ class TestSpectrum:
             outs.append(out)
         for name in ("spectrum.csv", "localization.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("radius", ["0.5", "0.25"])
+    def test_localization_tallies_the_disc_column(self, tmp_path, radius):
+        out = tmp_path / "run"
+        assert main(["spectrum", "--K", "16", "--seed", "3", "--radius", radius, "--out", str(out)]) == EXIT_OK
+        _, spectrum = read_csv(out / "spectrum.csv")
+        _, localization = read_csv(out / "localization.csv")
+        discs = [int(row[2]) for row in spectrum if row[2]]
+        assert discs  # some eigenvalue lies in a disc
+        assert localization == [[str(n), str(discs.count(n))] for n in range(-8, 9, 2)]  # the trusted discs |n| <= K/2
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -755,3 +781,89 @@ class TestBenchmarkTracer:
         import diracproj
 
         assert [name for name in diracproj.__all__ if not hasattr(diracproj, name)] == []
+
+
+class TestReachability:
+    """Every def in the package is reached by some subcommand, at K <= 16,
+    except the few the tests alone call.  Lambdas and comprehensions are not
+    defs."""
+
+    UNREACHED = {
+        "resolvent.ShiftedSolve.__post_init__",  # the tests' LU oracle; the benchmark tracer patches it
+        "resolvent.ShiftedSolve.solve",
+        "projections.ProjectionResult.matrix",
+        "potential.PotentialSpec.zero",
+    }
+
+    @staticmethod
+    def package_defs() -> dict:
+        """(file, first line with decorators, name) -> module.qualified.name of every def."""
+        defs = {}
+
+        def walk(node, path, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    defs[(str(path), first, child.name)] = f"{path.stem}.{prefix}{child.name}"
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    walk(child, path, f"{prefix}{child.name}.")
+                else:
+                    walk(child, path, prefix)
+
+        for path in sorted(Path(diracproj.__file__).resolve().parent.glob("*.py")):
+            walk(ast.parse(path.read_text(encoding="utf-8")), path, "")
+        return defs
+
+    @staticmethod
+    def jobs(tmp_path) -> list:
+        samples = [[x, 0.2 * math.cos(2 * x), 0.0, 0.1 * math.cos(x), 0.1 * math.sin(x)]
+                   for x in np.arange(16) * (np.pi / 16)]
+        files = {"coefficient": SMALL, "sample": {"max_mode": 2, "samples": samples}, "p_only": P_ONLY}
+        potentials = []
+        for name, payload in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            potentials.append(["--potential", str(path)])
+        potentials.append(["--seed", "5"])  # the seeded random potential
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bc": "dir", "K": 12, "potential": potentials[0][1]}), encoding="utf-8")
+        commands = [["spectrum", "--dump-matrix"], ["threshold"], ["deviations"], ["reconstruct", "--trials", "2"]]
+        jobs = [
+            [*command, "--bc", bc, "--K", "16", *potential]
+            for command in commands
+            for bc in ("per+", "per-", "dir")
+            for potential in potentials
+        ]
+        jobs += [[*command, "--config", str(config)] for command in commands]
+        jobs += [["verify-bounds", "--draws", "1", "--window", "16", *extra] for extra in ([], ["--self-test"])]
+        jobs.append(["classify-bc", "-1", "0", "0", "-1"])
+        return jobs
+
+    def test_only_the_test_helpers_are_unreached(self, tmp_path, capsys):
+        defs = self.package_defs()
+        reached = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                reached.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+        jobs = self.jobs(tmp_path)
+        codes = []
+        sys.setprofile(profile)
+        try:
+            for k, argv in enumerate(jobs):
+                out = [] if argv[0] == "classify-bc" else ["--out", str(tmp_path / f"job{k}")]
+                codes.append(main(argv + out))
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        # the unit-norm seeded potential has no threshold inside K = 16
+        expected = [
+            EXIT_BOUNDS if "--self-test" in argv else EXIT_NUMERICAL if "--seed" in argv[:-1] and argv[0] != "spectrum"
+            else EXIT_OK
+            for argv in jobs
+        ]
+        assert codes == expected
+        reached = {(str(Path(f).resolve()), line, name) for f, line, name in reached}
+        assert sorted(name for key, name in defs.items() if key not in reached) == sorted(self.UNREACHED)

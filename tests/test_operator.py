@@ -86,7 +86,7 @@ class TestLattices:
 class TestFreeOperator:
     def test_per_plus_diagonal(self):
         op = build_operator(PotentialSpec.zero(), PER_PLUS, 1)
-        assert op.is_diagonal
+        assert np.array_equal(op.entries, np.diag(np.diag(op.entries)))
         assert np.allclose(np.diag(op.entries).real, [-2, -2, 0, 0, 2, 2])
 
     def test_per_minus_diagonal(self):
@@ -103,6 +103,15 @@ class TestFreeOperator:
         assert np.allclose(vals.real, [-4, -4, -2, -2, 0, 0, 2, 2, 4, 4])
         assert np.allclose(vecs @ vecs.conj().T, np.eye(op.dim))
         assert eigenbasis_condition(op) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bc", [PER_PLUS, PER_MINUS, DIRICHLET])
+    @pytest.mark.parametrize("K", [0, 1, 8, 64])
+    def test_free_eigen_is_exact(self, bc, K):
+        # LAPACK returns the diagonal and the identity bit for bit, already sorted
+        op = build_operator(PotentialSpec.zero(), bc, K)
+        vals, vecs = eigen(op)
+        assert np.array_equal(vals, np.sort_complex(np.diagonal(op.entries)))
+        assert np.array_equal(vecs, np.eye(op.dim))
 
 
 class TestEigenbasisCondition:

@@ -42,7 +42,6 @@ from diracproj.projections import (
     SPECTRAL_COND_LIMIT,
     _disc_sweep,
     _filter,
-    _free_rows,
     _project,
     _schur_factors,
     _schur_form,
@@ -184,32 +183,43 @@ class TestContourSpec:
             ContourSpec(0, 0.5, 4)
 
 
+def free_rows(bc, K, ns):
+    """Basis rows of each lattice point of ns, one row of indices per point, as the disc sweep finds them."""
+    basis = basis_index_set(bc, K)
+    return np.array([[basis.position(n, ch) for ch in basis.channels] for n in ns])
+
+
 class TestFreeProjection:
     """P_n^0 is the coordinate projection onto the basis rows of n, one per
-    channel; the disc sweep finds those rows by index arithmetic (_free_rows)."""
+    channel; the disc sweep finds those rows by index arithmetic
+    (BasisIndexSet.position)."""
 
     @pytest.mark.parametrize("bc,rank", [(PER_PLUS, 2), (PER_MINUS, 2), (DIRICHLET, 1)])
     def test_rank_and_diagonal(self, bc, rank):
         n = -3 if bc == PER_MINUS else (2 if bc == PER_PLUS else 1)
-        rows = _free_rows(bc, 8, [n])
+        rows = free_rows(bc, 8, [n])
         assert rows.shape == (1, rank)
         p0 = free_matrix(bc, n, 8)
         assert np.array_equal(np.flatnonzero(np.diag(p0)), rows[0])
         assert np.array_equal(p0, np.diag(np.diag(p0)))
 
     def test_off_lattice_point_rejected(self):
-        with pytest.raises(ValueError):
-            _free_rows(PER_PLUS, 8, [3])
+        with pytest.raises(KeyError):
+            free_rows(PER_PLUS, 8, [3])
 
     def test_rows_found_by_index_arithmetic(self):
-        # both ends of each lattice, against the basis' own positions
-        for bc, n, K in [(PER_PLUS, -8, 4), (PER_PLUS, 8, 4), (PER_MINUS, -9, 4), (PER_MINUS, 9, 4), (DIRICHLET, 0, 0)]:
+        # every index against its place in the enumeration, then the refusals
+        for bc, K in itertools.product(BC_TAGS, (0, 1, 8, 64)):
             basis = basis_index_set(bc, K)
-            want = [basis.position(n, ch) for ch in ((0,) if bc == DIRICHLET else (1, 2))]
-            assert _free_rows(bc, K, [n]).tolist() == [want], (bc, n)
-        for bc, n in [(PER_PLUS, 10), (PER_MINUS, -11), (DIRICHLET, 5), (PER_MINUS, 0)]:
-            with pytest.raises(ValueError):
-                _free_rows(bc, 4, [n])
+            assert [basis.position(n, ch) for n, ch in basis.indices] == list(range(basis.dim)), (bc, K)
+            top, step = basis.points[-1], len(basis.channels)
+            refused = [(top + step, basis.channels[0]), (-top - step, basis.channels[-1])]  # past the lattice
+            refused.append((top, 1 if bc == DIRICHLET else 0))  # the wrong channel
+            if bc != DIRICHLET:
+                refused.append((top - 1, 1))  # the other parity
+            for n, ch in refused:
+                with pytest.raises(KeyError):
+                    basis.position(n, ch)
 
 
 class TestRieszProjection:
@@ -464,8 +474,8 @@ class TestSchurWindow:
     def check(self, op, contours):
         """Contours of one radius and node count, through _schur_factors as one batch."""
         centers = np.array([c.center for c in contours])
-        left, right, valid, refusal = _schur_factors(op, centers, contours[0].radius, contours[0].nodes)
-        assert refusal is None and len(left) == len(contours)
+        left, right, valid = _schur_factors(op, centers, contours[0].radius, contours[0].nodes)
+        assert len(left) == len(contours)
         form = scipy.linalg.schur(op.entries, output="complex")
         for k, contour in enumerate(contours):
             got = left[k] @ right[k]
@@ -574,7 +584,7 @@ class TestFactoredForm:
             p = riesz_projection(op, ContourSpec(n, 0.5, 64))
             assert p.route == route
             dense = np.linalg.norm(p.matrix - free_matrix(bc, n, 32))
-            split = _split_deviation(p.left[None], p.right[None], _free_rows(bc, 32, [n]))[0]
+            split = _split_deviation(p.left[None], p.right[None], free_rows(bc, 32, [n]))[0]
             assert abs(split - dense) <= 1e-13 * dense, n
             f = np.random.default_rng(n + 100).standard_normal(op.dim) + 0j
             assert np.max(np.abs(p.apply(f) - p.matrix @ f)) <= 1e-13 * np.linalg.norm(f)
@@ -661,7 +671,7 @@ class TestBatchedPass:
         assert batch.route == route
         widths = {np.count_nonzero(np.any(batch.left[k] != 0, axis=0)) for k in range(len(discs))}
         assert len(widths) > 1, widths
-        devs = _split_deviation(batch.left, batch.right, _free_rows(bc, 32, discs))
+        devs = _split_deviation(batch.left, batch.right, free_rows(bc, 32, discs))
         for k, contour in enumerate(contours):
             left, right, rank, residual, trace, offset = oracle_projection(op, contour, quality_threshold=None)
             assert batch.ranks[k] == rank
@@ -684,20 +694,33 @@ class TestBatchedPass:
             assert batch.ranks[k] == rank == 2
             self.close(batch.left[k] @ batch.right[k], left @ right)
 
-    def test_proximity_refusal_names_the_first_disc(self, route):
-        # an eigenvalue at 6.5 sits on the contours of the discs at 6 and 7;
-        # in (|n|, n) order the disc at 6 comes first
+    @staticmethod
+    def eigenvalue_on_contours():
+        """The dir K = 16 free diagonal with the eigenvalue at 6 moved to 6.5,
+        onto the contours of the discs at 6 and 7."""
         diagonal = basis_index_set(DIRICHLET, 16).free_diagonal().astype(complex)
         diagonal[np.flatnonzero(diagonal == 6.0)] = 6.5
-        entries = np.diag(diagonal)
-        entries[0, 1] = 1e-3  # not diagonal, so the eigendecomposition is a real one
-        op = OperatorMatrix(basis_index_set(DIRICHLET, 16), entries)
+        return OperatorMatrix(basis_index_set(DIRICHLET, 16), np.diag(diagonal))
+
+    def test_proximity_refusal_names_the_first_disc(self, route):
+        # in (|n|, n) order the disc at 6 comes first
+        op = self.eigenvalue_on_contours()
         with pytest.raises(ContourProximityError) as want:
             oracle_sweep(op, [-3, 3, -4, 4, -5, 5, -6, 6, -7, 7, -8, 8], 0.5, 64, np.ones(op.dim))
         with pytest.raises(ContourProximityError) as got:
             deviation_report(op, 2, 2)
         assert str(got.value) == str(want.value)
         assert "|z - (6+0j)| = 0.5" in str(got.value)
+
+    def test_proximity_refused_before_quality(self, route):
+        # at 8 nodes the first disc, -3, fails the trace gate, and the disc at 6
+        # later in the same batch has an eigenvalue on its contour: the
+        # proximity refusal comes first, and nothing is integrated
+        op = self.eigenvalue_on_contours()
+        with pytest.raises(ProjectionQualityError):
+            oracle_sweep(op, [-3, 3], 0.5, 8, np.ones(op.dim))
+        with pytest.raises(ContourProximityError, match=r"\|z - \(6\+0j\)\| = 0.5"):
+            deviation_report(op, 2, 2, nodes=8)
 
     def test_quality_refusal_matches_the_loop(self, route):
         # 8 nodes leave a free disc's trace off its rank: the first disc is refused
@@ -769,12 +792,18 @@ class TestDeviationReport:
 
 class TestLocalization:
     def test_constant_potential_counts(self):
-        counts = localization_counts(build_operator(CONST, PER_PLUS, 16))
+        counts, _ = localization_counts(build_operator(CONST, PER_PLUS, 16))
         assert counts[0] == 0  # +-1 sit a full unit away from the center
         for n in (-8, -6, -4, -2, 2, 4, 6, 8):
             assert counts[n] == 2
 
+    @pytest.mark.parametrize("radius", [0.0, -0.5, 0.51, 1.0, float("nan")])
+    def test_radius_outside_half_refused(self, radius):
+        # discs of radius above 1/2 overlap, and an eigenvalue would have two
+        with pytest.raises(ValueError, match="radius"):
+            localization_counts(build_operator(PotentialSpec.zero(), DIRICHLET, 8), radius)
+
     def test_free_counts(self):
-        counts = localization_counts(build_operator(PotentialSpec.zero(), DIRICHLET, 8))
+        counts, _ = localization_counts(build_operator(PotentialSpec.zero(), DIRICHLET, 8))
         assert all(v == 1 for v in counts.values())
         assert sorted(counts) == list(range(-4, 5))

@@ -257,7 +257,10 @@ def _write_run_json(out: Path, cfg: RunConfig, started: float, extra: dict) -> N
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from None
     return out
 
 
@@ -522,6 +525,9 @@ def main(argv=None) -> int:
             return cmd_threshold(cfg, samples=args.samples)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # --K, --samples, --window or --nodes too large to hold
+        print(f"config error: the arguments need more memory than there is: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (*NUMERICAL_ERRORS, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

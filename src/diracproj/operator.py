@@ -94,6 +94,11 @@ class BasisIndexSet:
     def dim(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def swap(self) -> np.ndarray:
+        """Rows of S, the channel swap at each point: S L is complex symmetric for every build_operator L."""
+        return np.arange(self.dim).reshape(-1, len(self.channels))[:, ::-1].ravel()
+
     @property
     def trusted_limit(self) -> float:
         return self.K / 2

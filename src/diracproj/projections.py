@@ -13,31 +13,30 @@ why node-doubling checks are a meaningful convergence diagnostic.
 
 Projections are computed in batches.  One pass (_project) takes circles of
 one radius and node count and computes, as stacked array operations, each
-circle's proximity offset, the set S of eigenvalues its filter keeps, the
+circle's proximity offset, the set J of eigenvalues its filter keeps, the
 factors of its projection and its trace and idempotency gates.  The disc
 sweep sends the window's disc contours through it in chunks of DISC_CHUNK
 and, in the same pass, takes each disc's deviation from the free P_n^0 and,
 with f given, P_n f; riesz_projection is the pass on a batch of one
 contour.  The filter is summed only for the eigenvalues within reach of a
-contour, and S holds those whose filter value is above roundoff.
+contour, and J holds those whose filter value is above roundoff.
 
 Two routes build the factors; both apply the same filter rule and gates.
 The spectral route diagonalizes L once and filters each eigenvalue
-(legitimate by linearity); its factors V[:, S] diag(f_S) and V^{-1}[S, :]
+(legitimate by linearity); its factors V[:, J] diag(f_J) and V^{-1}[J, :]
 are gathers, at O(dim r) per contour.  When the eigenvector basis is
 ill-conditioned (defective or nearly so), the Schur route works on one
-complex Schur form L = Z T Z^H, decoupled once per operator: one reorder
-moves the w eigenvalues of the window |lambda| < K/2 + 1/2, which holds
-every trusted disc, to the leading block TW, and one Sylvester solve for
-its coupling Y splits TW off the rest (Bavely & Stewart 1979).  S comes
-from one filter over diag(T) for the whole batch.  Each contour then
-reorders only TW so that S leads and solves one r x (w - r) Sylvester
-equation for the coupling X; the r x r node filters of every contour are
-inverted in one batched call, in O(w^2 r + dim w r) per contour.  A
-contour whose S leaves the window takes the same steps on the whole form,
-w = dim (Golub & Van Loan 7.6; Bai & Demmel 1993).  The dense LU
-quadrature, node by node, survives only in the tests as the oracle for
-both, next to the per-contour bodies the batched pass replaced.
+complex Schur form L = Z T Z^H per operator, reordered once so that the w
+eigenvalues of the window |lambda| < K/2 + 1/2, which holds every trusted
+disc, lead.  Each contour reorders only that w x w block, so that J leads,
+and B = Z_W Q[:, :r] is an orthonormal basis of J's right invariant
+subspace.  S L is exactly complex symmetric, S the channel swap, so the
+rows B^T S span the left one and P = B F (B^T S B)^{-1} B^T S, F the
+trapezoid filter of the leading r x r block (Horn & Johnson, Matrix
+Analysis, 4.4), in O(w^2 r + dim w r) per contour.  A contour whose J
+leaves the window works on the whole form, w = dim (Golub & Van Loan 7.6).
+The dense LU quadrature, node by node, survives only in the tests as the
+oracle for both, next to the per-contour bodies the batched pass replaced.
 
 Both routes return P as factors left (dim x r) and right (r x dim), and P
 stays factored from there on: P f is left (right f), the trace is that of
@@ -211,9 +210,9 @@ def _filter(centers: np.ndarray, radius: float, nodes: int, mu: np.ndarray) -> n
 
 
 def _spectral_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes: int):
-    """Stacked factors V[:, S] diag(f_S) and V^{-1}[S, :], padded to the largest |S|.
+    """Stacked factors V[:, J] diag(f_J) and V^{-1}[J, :], padded to the largest |J|.
 
-    S holds the eigenvalues whose filter value exceeds FILTER_FLOOR, chosen
+    J holds the eigenvalues whose filter value exceeds FILTER_FLOOR, chosen
     by magnitude rather than position so that coarse contours, whose filter
     leaks to far eigenvalues, keep everything that matters.  Returns
     (left, right, valid), valid marking the slots that are not padding.
@@ -234,72 +233,61 @@ def _spectral_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, no
     return left.transpose(1, 0, 2), right, valid
 
 
-def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, float]:
-    """L = Z T Z^H decoupled at the window |lambda| < K/2 + 1/2, once per operator.
-
-    Returns (T, Z, w, right, y_norm).  The w window eigenvalues lead diag(T),
-    TW Y - Y TR = -TWR splits the leading w x w block TW from the rest TR,
-    and right = [I, -Y] Z^H (w x dim) maps into the window's invariant
-    subspace, spanned by Z[:, :w].  When the window cannot be split off,
-    w = dim, right = Z^H and y_norm = 0.
+def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """L = Z T Z^H, once per operator, with the w eigenvalues of the window
+    |lambda| < K/2 + 1/2 (every trusted disc) leading diag(T); w = dim when
+    none lies there.  Raises ProjectionQualityError unless S L is exactly
+    complex symmetric, S the channel swap, as every build_operator L is.
     """
     if "schur" not in op._aux_cache:
+        swapped = op.entries[op.basis.swap]
+        if not np.array_equal(swapped, swapped.T):
+            raise ProjectionQualityError("the Schur route needs S L exactly complex symmetric, S the channel swap")
         T, Z = scipy.linalg.schur(op.entries, output="complex")
         window = np.abs(np.diagonal(T)) < op.basis.trusted_limit + 0.5
-        T, Z, _, w, _, _, info = scipy.linalg.lapack.ztrsen(window, T, Z, job="N")
-        Y, scale = np.zeros((w, op.dim - w), dtype=complex), 1.0
-        if info == 0 and 0 < w < op.dim:
-            Y, scale, info = scipy.linalg.lapack.ztrsyl(T[:w, :w], T[w:, w:], -T[:w, w:], isgn=-1)
-        if info != 0 or scale < 1.0 or w == 0:
-            w, Y = op.dim, np.zeros((op.dim, 0), dtype=complex)
-        # Y Z_R^H in scipy's BLAS, next to schur, oriented as numpy's row-major product so the bits match
-        right = Z[:, :w].conj().T - scipy.linalg.blas.zgemm(1.0, Z[:, w:].conj(), Y.T).T
-        op._aux_cache["schur"] = (T, Z, w, right, float(np.linalg.norm(Y)))
+        # complex ztrsen fails only on illegal arguments
+        T, Z, _, w, _, _, _ = scipy.linalg.lapack.ztrsen(window, T, Z, job="N")
+        op._aux_cache["schur"] = (T, Z, w or op.dim)
     return op._aux_cache["schur"]
 
 
 def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes: int):
-    """Stacked factors (Z_W Q1 F, [I, -X] Q^H [I, -Y] Z^H) from the decoupled Schur form.
+    """Stacked factors (B F, (B^T S B)^{-1} B^T S) from the window Schur form.
 
-    One filter over diag(T) selects S for every contour.  Per contour, S is
+    One filter over diag(T) selects J for every contour.  Per contour, J is
     moved to the leading block T11 of the window block
-    TW = Q [[T11, T12], [0, T22]] Q^H and T11 X - X T22 = -T12 is solved;
-    when S reaches outside the window, the whole form is the window
-    (w = dim, Y = 0).  The trapezoid filters F of every T11 come from one
-    batched inverse.  Returns (left, right, valid); raises
-    ProjectionQualityError at the first contour that LAPACK fails on, or
-    whose projector norm bound hypot(1, ||X||_F) hypot(1, ||Y||_F) exceeds
-    CONDITION_LIMIT.
+    TW = Q [[T11, T12], [0, T22]] Q^H, B = Z_W Q[:, :r], and F is the
+    trapezoid filter of T11; when J reaches outside the window, the whole
+    form is the window (w = dim).  The F of every contour come from one
+    batched inverse, and the (B^T S B)^{-1} from another.  Returns (left,
+    right, valid); raises ProjectionQualityError at the first contour whose
+    projector norm bound ||(B^T S B)^{-1}||_F exceeds CONDITION_LIMIT (it
+    bounds ||P||_2: B has orthonormal columns and B^T S orthonormal rows).
     """
-    T, Z, w, right_w, y_norm = _schur_form(op)
+    T, Z, w = _schur_form(op)
     select = np.abs(_filter(centers, radius, nodes, np.diagonal(T))) > FILTER_FLOOR
     counts = select.sum(axis=1)  # r of each contour: ztrsen moves every selected eigenvalue
     valid = np.arange(counts.max(initial=0)) < counts[:, None]
     count, width = valid.shape
     t11 = np.zeros((count, width, width), dtype=complex)
     basis = np.zeros((count, op.dim, width), dtype=complex)
-    right = np.zeros((count, width, op.dim), dtype=complex)
-    forms = {}
     for k, sel in enumerate(select):
-        whole = bool(sel[w:].any())
-        if whole not in forms:
-            n = op.dim if whole else w
-            rows = Z.conj().T if whole else right_w
-            forms[whole] = (np.asfortranarray(T[:n, :n]), np.eye(n, dtype=complex, order="F"), Z[:, :n], rows)
-        TW, eye, Z_W, rows = forms[whole]
-        TW, Q, _, r, _, _, info = scipy.linalg.lapack.ztrsen(sel[: len(TW)], TW, eye, job="N")
-        X, scale = np.zeros((r, len(TW) - r), dtype=complex), 1.0
-        if info == 0 and 0 < r < len(TW):
-            X, scale, info = scipy.linalg.lapack.ztrsyl(TW[:r, :r], TW[r:, r:], -TW[:r, r:], isgn=-1)
-        norm = math.hypot(1.0, float(np.linalg.norm(X))) * math.hypot(1.0, 0.0 if whole else y_norm)
-        if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
-            raise ProjectionQualityError(
-                f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
-                f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
-            )
+        n = op.dim if sel[w:].any() else w
+        TW, Q, _, r, _, _, _ = scipy.linalg.lapack.ztrsen(sel[:n], T[:n, :n], np.eye(n, dtype=complex), job="N")
         t11[k, :r, :r] = TW[:r, :r]
-        basis[k, :, :r] = _gemm(Z_W, Q[:, :r])
-        right[k, :r] = _gemm(Q[:, :r].conj().T - _gemm(X, Q[:, r:].conj().T), rows)
+        basis[k, :, :r] = _gemm(Z[:, :n], Q[:, :r])
+
+    rows = basis[:, op.basis.swap].transpose(0, 2, 1)  # B^T S
+    gram = _mm(rows, basis)
+    np.einsum("kaa->ka", gram)[...] += ~valid  # padding slots invert the identity and are masked out
+    inverse = np.linalg.inv(gram) * (valid[:, :, None] & valid[:, None, :])
+    norms = _frobenius(inverse)
+    failed = np.flatnonzero(~(norms <= CONDITION_LIMIT))
+    if failed.size:
+        raise ProjectionQualityError(
+            f"Schur route cannot certify the projection at |z - {centers[failed[0]]}| = {radius}: "
+            f"projector norm bound {norms[failed[0]]:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        )
 
     # lambda_j - T11 at every node (as circle_samples); padding slots invert the identity and are masked out of F
     points = centers[:, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
@@ -308,7 +296,7 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
     phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     filt = (radius / nodes) * np.einsum("j,kjab->kab", phases, np.linalg.inv(shifted))
     filt *= valid[:, :, None] & valid[:, None, :]
-    return _mm(basis, filt), right, valid
+    return _mm(basis, filt), _mm(inverse, rows), valid
 
 
 @dataclass(frozen=True)

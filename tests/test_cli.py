@@ -617,6 +617,30 @@ class TestThreshold:
         assert not out.exists()
 
 
+class TestUnusableResources:
+    """Arguments the machine cannot serve exit 2 naming the cause, not with a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--K", "16", "--samples", "1000000000000000"],  # 56.8 PiB of circle samples
+        ["verify-bounds", "--draws", "1", "--window", "1000000000000000"],  # 28.4 PiB of window offsets
+        ["deviations", "--K", "64", "--nodes", "100000000000000000"],  # 711 PiB of quadrature nodes
+    ])
+    def test_oversized_allocation_exits_two(self, tmp_path, capsys, argv):
+        # each request exceeds any address space, so it is refused at once
+        assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "more memory than there is" in err and "Unable to allocate" in err
+
+    @pytest.mark.parametrize("command", [["threshold", "--K", "16"], ["verify-bounds", "--draws", "1", "--window", "32"]])
+    @pytest.mark.parametrize("where, reason", [("file", "File exists"), ("file/sub", "Not a directory")])
+    def test_unusable_out_exits_two(self, tmp_path, capsys, command, where, reason):
+        (tmp_path / "file").write_text("taken", encoding="utf-8")
+        out = tmp_path / where
+        assert main(command + ["--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot use {out} as the output directory: {reason}" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "taken"
+
+
 def count_calls(monkeypatch, fn, owners=()):
     """Replace fn in every diracproj namespace (and in `owners`) by a counter.
 
@@ -720,9 +744,9 @@ class TestWorkPerJob:
             assert contours == []
 
     def test_defective_deviations_use_one_schur_form(self, monkeypatch, tmp_path):
-        # one Schur form, one full-size reorder and one Sylvester solve split off
-        # the window |z| < K/2 + 1/2 (w = 34 of dim 130); each contour then
-        # works inside the window only
+        # one Schur form and one full-size reorder bring the window |z| < K/2 + 1/2
+        # (w = 34 of dim 130) to the front; each contour then reorders inside the
+        # window only, and no Sylvester equation is solved
         path = tmp_path / "p_only.json"
         path.write_text(json.dumps(P_ONLY), encoding="utf-8")
         schurs = count_calls(monkeypatch, scipy.linalg.schur, owners=[scipy.linalg])
@@ -735,18 +759,17 @@ class TestWorkPerJob:
         monkeypatch.setattr(ShiftedSolve, "__post_init__", lambda self: solves.append(self) or post_init(self))
         argv = ["deviations", "--bc", "per+", "--K", "32", "--potential", str(path), "--out", str(tmp_path / "run")]
         assert main(argv) == EXIT_OK
-        assert (len(solves), len(schurs)) == (0, 1)
+        assert (len(solves), len(schurs), len(sylvesters)) == (0, 1, 0)
         dim, w = 130, 34
         _, rows = read_csv(tmp_path / "run" / "deviations.csv")
         reordered = [len(args[1]) for args in reorders]
         assert reordered == [dim] + [w] * len(rows)
-        shapes = [(len(a), len(b)) for a, b, *_ in sylvesters]
-        assert shapes[0] == (w, dim - w) and len(shapes) == 1 + len(rows)
-        assert all(m + n == w for m, n in shapes[1:])
-        # V^-1 still sets the route; each chunk of discs inverts its r x r filter nodes in one batch
+        # V^-1 still sets the route; each chunk of discs inverts its r x r filter
+        # nodes in one batch and its r x r Gram matrices B^T S B in another
         assert len(eigenbasis_solves) == 1
-        assert len(inverses) == math.ceil(len(rows) / projections.DISC_CHUNK)
-        assert all(args[0].ndim == 4 and args[0].shape[-1] < w for args in inverses)
+        chunks = math.ceil(len(rows) / projections.DISC_CHUNK)
+        assert sorted(args[0].ndim for args in inverses) == [3] * chunks + [4] * chunks
+        assert all(args[0].shape[-1] < w for args in inverses)
 
     def test_classify_bc_does_no_spectral_work(self, monkeypatch, capsys):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])

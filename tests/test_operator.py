@@ -49,6 +49,25 @@ def _per_entry_coupling(spec, bc, K):
     return entries
 
 
+def _structured_potential(kind, seed):
+    """random_potential(seed, max_mode=5) made P-only, Q-only, real-valued,
+    constant or scaled by a large complex factor ("random" leaves it)."""
+    v = random_potential(seed, max_mode=5)
+    p = {m: c for m, c in (*v.p_even.items(), *v.p_odd.items())}
+    q = {m: c for m, c in (*v.q_even.items(), *v.q_odd.items())}
+    if kind == "P-only":
+        q = {}
+    elif kind == "Q-only":
+        p = {}
+    elif kind == "real":  # c(-m) = conj(c(m)) for both P and Q
+        p, q = ({m: (c.get(m, 0) + np.conj(c.get(-m, 0))) / 2 for m in range(-5, 6)} for c in (p, q))
+    elif kind == "constant":
+        p, q = {0: p[0]}, {0: q[0]}
+    elif kind == "scaled":
+        return v.scaled(300 - 40j)
+    return PotentialSpec.from_coefficients(p, q, v.max_mode)
+
+
 class TestLattices:
     def test_lattice_points(self):
         assert lattice_points(PER_PLUS, 1) == (-2, 0, 2)
@@ -217,6 +236,20 @@ class TestCouplingMatrix:
         huge = PotentialSpec(**tables, max_mode=10**12)
         want = build_v(PotentialSpec(**tables, max_mode=2), bc, 8).entries
         assert np.array_equal(build_v(huge, bc, 8).entries, want)
+
+    @pytest.mark.parametrize("bc", (PER_PLUS, PER_MINUS, DIRICHLET))
+    @pytest.mark.parametrize("kind", ["P-only", "Q-only", "real", "constant", "scaled", "random"])
+    def test_channel_swap_makes_operator_complex_symmetric(self, bc, kind):
+        # the Schur projection route takes left invariant subspaces from this symmetry, so it must be exact
+        for seed, K in itertools.product(range(3), (0, 1, 8, 64)):
+            spec = _structured_potential(kind, seed)
+            op = build_operator(spec, bc, K)
+            swap = op.basis.swap
+            swapped = op.entries[swap]
+            assert np.array_equal(swapped, swapped.T), (seed, K)
+            assert np.array_equal(swap[swap], np.arange(op.dim))
+            pairs = [(op.basis.indices[i], op.basis.indices[j]) for i, j in enumerate(swap)]
+            assert all(a[0] == b[0] and (a[1] != b[1] or bc == DIRICHLET) for a, b in pairs)
 
     def test_build_operator_is_sum(self):
         # build_operator adds the free diagonal onto the coupling in place

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracproj import projections
+from diracproj import projections, resolvent
 from diracproj.cli import load_potential_file
 from diracproj.decomposition import FunctionVector, disc_expansion
 from diracproj.operator import (
@@ -92,26 +92,26 @@ def quadrature_spectral(op, contour):
 
 
 def quadrature_schur(op, contour):
-    """Factors (Z_W Q1 F, [I, -X] Q^H [I, -Y] Z^H) of one contour from the decoupled Schur form."""
-    T, Z, w, right, y_norm = _schur_form(op)
+    """Factors (B F, (B^T S B)^{-1} B^T S) of one contour from the window Schur form,
+    B = Z_W Q[:, :r] and S the channel swap."""
+    T, Z, w = _schur_form(op)
     select = np.abs(contour_filter(contour, np.diagonal(T))) > FILTER_FLOOR
     if select[w:].any():
-        w, right, y_norm = op.dim, Z.conj().T, 0.0
-    TW, Q, _, r, _, _, info = scipy.linalg.lapack.ztrsen(select[:w], T[:w, :w], np.eye(w, dtype=complex), job="N")
-    X, scale = np.zeros((r, w - r), dtype=complex), 1.0
-    if info == 0 and 0 < r < w:
-        X, scale, info = scipy.linalg.lapack.ztrsyl(TW[:r, :r], TW[r:, r:], -TW[:r, r:], isgn=-1)
-    norm = math.hypot(1.0, float(np.linalg.norm(X))) * math.hypot(1.0, y_norm)
-    if info != 0 or scale < 1.0 or not norm <= CONDITION_LIMIT:
+        w = op.dim
+    TW, Q, _, r, _, _, _ = scipy.linalg.lapack.ztrsen(select[:w], T[:w, :w], np.eye(w, dtype=complex), job="N")
+    basis = Z[:, :w] @ Q[:, :r]
+    rows = basis[op.basis.swap].T
+    inverse = np.linalg.inv(rows @ basis)
+    norm = float(np.linalg.norm(inverse))
+    if not norm <= CONDITION_LIMIT:
         raise ProjectionQualityError(
-            f"Schur route cannot certify the projection (LAPACK info {info}, Sylvester scale {scale}, "
-            f"projector norm {norm:.3e} against {CONDITION_LIMIT:.0e})"
+            f"Schur route cannot certify the projection at |z - {contour.center}| = {contour.radius}: "
+            f"projector norm bound {norm:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
     phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
     shifted = contour_points(contour)[:, None, None] * np.eye(r) - TW[:r, :r]
     filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
-    coupling = Q[:, :r].conj().T - X @ Q[:, r:].conj().T
-    return Z[:, :w] @ Q[:, :r] @ filt, coupling @ right
+    return basis @ filt, inverse @ rows
 
 
 def oracle_projection(op, contour, quality_threshold=projections.QUALITY_TOL):
@@ -343,9 +343,19 @@ class TestLowRankSpectralRoute:
 
 def coupled_triangle(coupling):
     """Upper-triangular 3 x 3 operator with eigenvalues 0, 0.9, 2 and the
-    first two coupled: its eigenbasis condition grows like the coupling."""
+    first two coupled: not complex symmetric, so the Schur route refuses it."""
     entries = np.diag([0.0, 0.9, 2.0]).astype(complex)
     entries[0, 1] = coupling
+    return OperatorMatrix(basis_index_set(DIRICHLET, 1), entries)
+
+
+def symmetric_pair(s):
+    """Complex-symmetric 3 x 3 operator [[0.45 + i s, b], [b, 0.45 - i s]] + [2]
+    with b^2 = 0.2025 + s^2: eigenvalues 0, 0.9 and 2, and an eigenbasis
+    condition of about 4.4 s."""
+    b = math.sqrt(0.2025 + s * s)
+    entries = np.diag([0.45 + 1j * s, 0.45 - 1j * s, 2.0])
+    entries[0, 1] = entries[1, 0] = b
     return OperatorMatrix(basis_index_set(DIRICHLET, 1), entries)
 
 
@@ -379,8 +389,13 @@ class TestSchurRoute:
     """Ill-conditioned eigenbases take the sorted-Schur route; it must agree
     with the dense LU quadrature and refuse what it cannot certify."""
 
-    def test_certification_refuses_huge_coupling(self):
-        op = coupled_triangle(1e14)
+    def test_certification_refuses_huge_coupling(self, monkeypatch):
+        # ||(B^T S B)^{-1}||_F is about 2.2 s, but float64 keeps the eigenvalues near 0 and 0.9
+        # only to about s = 1e5 (at s = 1e14 they come out near +-1.4e6), far below the limit
+        # 1e12; so both gates are lowered to 1e4, between s = 1e2 (2.2e2) and s = 1e5 (2.2e5)
+        monkeypatch.setattr(projections, "CONDITION_LIMIT", 1e4)
+        monkeypatch.setattr(resolvent, "CONDITION_LIMIT", 1e4)
+        op = symmetric_pair(1e5)
         contour = ContourSpec(0, 0.5, 64)
         assert eigenbasis_condition(op) > SPECTRAL_COND_LIMIT
         # the certification holds even with the node-count gates off
@@ -391,7 +406,9 @@ class TestSchurRoute:
             _quadrature_lu(op, contour)
 
     def test_moderate_coupling_matches_oracle(self):
-        op = coupled_triangle(1e2)
+        # against an mpmath reference every float64 route carries about 4e-16 s^3 of error on
+        # this pair (4e-10 at s = 1e2, Schur and spectral alike), so s = 30 keeps 1e-10 meaningful
+        op = symmetric_pair(30.0)
         contour = ContourSpec(0, 0.5, 64)
         p = np.matmul(*quadrature_schur(op, contour))
         want = _quadrature_lu(op, contour)
@@ -448,8 +465,8 @@ def full_reorder_schur(form, contour):
 
 
 def _leaves_window(op, contour):
-    """Whether the contour selects an eigenvalue outside the decoupled window."""
-    T, _, w, _, _ = _schur_form(op)
+    """Whether the contour selects an eigenvalue outside the window."""
+    T, _, w = _schur_form(op)
     return bool(np.any(np.abs(contour_filter(contour, np.diagonal(T)))[w:] > FILTER_FLOOR))
 
 
@@ -468,7 +485,7 @@ WINDOW_CASES = _window_cases()
 
 
 class TestSchurWindow:
-    """The Schur route decouples a window form once per operator; the
+    """The Schur route reorders a window form once per operator; the
     batched factors must match the per-contour full reorder entrywise."""
 
     def check(self, op, contours):
@@ -501,8 +518,18 @@ class TestSchurWindow:
             assert _leaves_window(op, contour)
             self.check(op, [contour])
 
-    def test_coupled_triangle(self):
+    def test_coupled_triangle(self, monkeypatch):
+        # not complex symmetric: refused before any Schur work, on the batch and on riesz_projection
         op = coupled_triangle(1e2)
+        with pytest.raises(ProjectionQualityError, match="exactly complex symmetric"):
+            _schur_factors(op, np.array([0j]), 0.5, 64)
+        monkeypatch.setattr(projections, "SPECTRAL_COND_LIMIT", 0.0)
+        with pytest.raises(ProjectionQualityError, match="exactly complex symmetric"):
+            riesz_projection(op, ContourSpec(0, 0.5, 64))
+        assert "schur" not in op._aux_cache
+
+    def test_symmetric_pair(self):
+        op = symmetric_pair(1e2)
         assert _schur_form(op)[2] == 2  # 0 and 0.9 lie in the window |z| < 1
         for contour, leaves in [(ContourSpec(0, 0.5, 64), False), (ContourSpec(0.9, 0.3, 64), False),
                                 (ContourSpec(2, 0.5, 64), True)]:
@@ -511,24 +538,12 @@ class TestSchurWindow:
         # one batch, one contour inside the window and one leaving it
         self.check(op, [ContourSpec(0, 0.5, 64), ContourSpec(2, 0.5, 64)])
 
-    def test_coupling_matches_numpy_product(self):
-        # right = Z_W^H - Y Z_R^H is formed in scipy's BLAS; it must equal numpy's product
-        op = build_operator(structured_potential(0, 1.0, 0.0), PER_PLUS, 32)
-        T, Z, w, right, y_norm = _schur_form(op)
-        assert 0 < w < op.dim
-        Y, scale, info = scipy.linalg.lapack.ztrsyl(T[:w, :w], T[w:, w:], -T[:w, w:], isgn=-1)
-        assert (info, scale, y_norm) == (0, 1.0, np.linalg.norm(Y))
-        want = Z[:, :w].conj().T - Y @ Z[:, w:].conj().T
-        assert np.max(np.abs(right - want)) <= 1e-14 * (1.0 + y_norm)
-
-    def test_coupling_without_window(self):
-        # every eigenvalue lies outside |z| < 1: w = dim, and the empty product Y Z_R^H adds nothing
-        entries = np.diag([5.0, 6.0, 7.0]).astype(complex)
-        entries[0, 1:] = 1.0
-        op = OperatorMatrix(basis_index_set(DIRICHLET, 1), entries)
-        T, Z, w, right, y_norm = _schur_form(op)
-        assert (w, y_norm) == (op.dim, 0.0)
-        assert np.array_equal(right, Z.conj().T)
+    def test_whole_form_without_window(self):
+        # shifted by 5, no eigenvalue lies in the window |z| < 1: w = dim, and every contour works on the whole form
+        op = symmetric_pair(1e2)
+        op.entries += 5 * np.eye(3)
+        assert _schur_form(op)[2] == op.dim
+        self.check(op, [ContourSpec(5, 0.5, 64), ContourSpec(7, 0.5, 64)])
 
 
 class TestFilterReach:

@@ -30,6 +30,7 @@ import argparse
 import cmath
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -277,16 +278,8 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix: bool = False) -> int:
     _write_csv(out / "spectrum.csv", ("re", "im", "disc"), rows)
     _write_csv(out / "localization.csv", ("n", "count"), sorted(counts.items()))
     if dump_matrix:
-        entries = op.entries
-        nz = np.argwhere(entries != 0)
-        _write_csv(
-            out / "matrix.csv",
-            ("row", "col", "re", "im"),
-            [
-                (int(i), int(j), float(entries[i, j].real), float(entries[i, j].imag))
-                for i, j in nz
-            ],
-        )
+        rows = zip(op.rows.tolist(), op.cols.tolist(), op.values.real.tolist(), op.values.imag.tolist())
+        _write_csv(out / "matrix.csv", ("row", "col", "re", "im"), rows)
     _write_run_json(out, cfg, started, {"potential_norm": potential_norm(spec), "dim": op.dim})
     return EXIT_OK
 
@@ -295,9 +288,9 @@ def cmd_deviations(cfg: RunConfig) -> int:
     started = time.perf_counter()
     out = _outdir(cfg)
     spec = _potential_for(cfg)
+    op = build_operator(spec, cfg.bc, cfg.K)  # first: it refuses a K too large to hold
     threshold = find_threshold_n(spec, cfg.bc, cfg.K)
     N = cfg.N if cfg.N is not None else threshold
-    op = build_operator(spec, cfg.bc, cfg.K)
     report = deviation_report(op, N, threshold, cfg.radius, cfg.nodes)
     rows = zip(report.discs, report.ranks, report.deviations, report.cumulative)
     _write_csv(out / "deviations.csv", ("n", "rank", "deviation_hs", "cumulative_sum"), rows)
@@ -509,10 +502,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    fresh: list[Path] = []  # the levels of --out that do not exist yet, innermost first
     try:
         if args.command == "classify-bc":
             return cmd_classify_bc(args)
         cfg = _merge_config(args)
+        fresh = [level for level in (Path(cfg.out), *Path(cfg.out).parents) if not os.path.lexists(level)]
         if args.command == "spectrum":
             return cmd_spectrum(cfg, dump_matrix=args.dump_matrix)
         if args.command == "deviations":
@@ -523,16 +518,25 @@ def main(argv=None) -> int:
             return cmd_verify_bounds(cfg, draws=args.draws, window=args.window, self_test=args.self_test)
         if args.command == "threshold":
             return cmd_threshold(cfg, samples=args.samples)
+        raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except MemoryError as exc:  # --K, --samples, --window or --nodes too large to hold
         print(f"config error: the arguments need more memory than there is: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except (*NUMERICAL_ERRORS, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    raise AssertionError(f"unhandled command {args.command}")
+        code = EXIT_NUMERICAL
+    # a refused run takes back the directories it made, as long as they are empty
+    for level in fresh:
+        try:
+            level.rmdir()
+        except FileNotFoundError:
+            continue
+        except OSError:
+            break
+    return code
 
 
 if __name__ == "__main__":

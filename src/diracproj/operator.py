@@ -16,6 +16,12 @@ of the truncation only through high-order coefficient chains.
 The potential acts off-diagonally between the two channels for the periodic
 couplings.  For the Dirichlet-type coupling, written in the g_n system, it
 becomes the single Toeplitz-like family W(k + n).
+
+A truncation is held as its nonzeros, one coefficient per anti-diagonal of
+each block: about 10 a row for the benchmark potentials.  The dense L is
+formed only by OperatorMatrix.dense(), fresh for each LAPACK or BLAS call
+that takes it, so no dense L outlives its call and the largest step is the
+eigenbasis inverse (V, its LU copy and V^{-1}).
 """
 
 from __future__ import annotations
@@ -38,22 +44,28 @@ from .potential import (
 )
 
 EIGEN_RESIDUAL_TOL = 1e-8
+# eigenvector columns per product of eigen's residual gate
+RESIDUAL_BLOCK = 128
 
 
 class EigenResidualError(Exception):
     """Eigendecomposition failed its backward-error check."""
 
 
-def lattice_points(bc: str, K: int) -> tuple[int, ...]:
-    """Free-eigenvalue lattice kept by a size-K truncation, ascending."""
+def _lattice_range(bc: str, K: int) -> range:
     validate_bc(bc)
     if K < 0:
         raise ValueError("K must be nonnegative")
     if bc == PER_PLUS:
-        return tuple(range(-2 * K, 2 * K + 1, 2))
+        return range(-2 * K, 2 * K + 1, 2)
     if bc == PER_MINUS:
-        return tuple(range(-2 * K - 1, 2 * K + 2, 2))
-    return tuple(range(-K, K + 1))
+        return range(-2 * K - 1, 2 * K + 2, 2)
+    return range(-K, K + 1)
+
+
+def lattice_points(bc: str, K: int) -> tuple[int, ...]:
+    """Free-eigenvalue lattice kept by a size-K truncation, ascending."""
+    return tuple(_lattice_range(bc, K))
 
 
 def lattice_step(bc: str) -> int:
@@ -92,7 +104,9 @@ class BasisIndexSet:
 
     @cached_property
     def dim(self) -> int:
-        return len(self.indices)
+        # by arithmetic, also past len()'s range: the lattice is not built
+        lattice = _lattice_range(self.bc, self.K)
+        return -((lattice.start - lattice.stop) // lattice.step) * lattice_step(self.bc)
 
     @cached_property
     def swap(self) -> np.ndarray:
@@ -117,27 +131,43 @@ class BasisIndexSet:
 
 def basis_index_set(bc: str, K: int) -> BasisIndexSet:
     basis = BasisIndexSet(bc, K)
-    _ = basis.points  # builds the lattice, refusing an unknown bc or a negative K
+    _ = basis.dim  # refuses an unknown bc or a negative K
     return basis
 
 
 @dataclass
 class OperatorMatrix:
-    """Dense truncation of an operator in a BasisIndexSet ordering.
+    """A truncation of an operator in a BasisIndexSet ordering, held as its
+    nonzero entries: values[k] sits at (rows[k], cols[k]), in row-major
+    order.  The values given at one position are summed in the order given,
+    and the zeros of the sums dropped.
 
-    Carries a lazy eigendecomposition cache so repeated contour work on the
-    same operator diagonalizes once.
+    dense() forms the dim x dim matrix, fresh on every call, as the scratch
+    input of one LAPACK or BLAS call, which may overwrite it.  Carries a lazy
+    eigendecomposition cache so repeated contour work on the same operator
+    diagonalizes once.
     """
 
     basis: BasisIndexSet
-    entries: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     _eig_cache: tuple | None = field(default=None, repr=False, compare=False)
     _aux_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(f"entries must be {self.basis.dim} x {self.basis.dim}")
+        rows, cols = np.asarray(self.rows, dtype=np.intp), np.asarray(self.cols, dtype=np.intp)
+        values = np.asarray(self.values, dtype=complex)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == values.shape):
+            raise ValueError("rows, cols and values must be vectors of one length")
+        if not (np.all((0 <= rows) & (rows < self.dim)) and np.all((0 <= cols) & (cols < self.dim))):
+            raise ValueError(f"entry positions must lie in the {self.dim} x {self.dim} matrix")
+        flat = rows * self.dim + cols
+        order = np.argsort(flat, kind="stable")
+        flat, starts = np.unique(flat[order], return_index=True)
+        values = np.add.reduceat(values[order], starts) if starts.size else values
+        keep = values != 0
+        self.rows, self.cols, self.values = flat[keep] // self.dim, flat[keep] % self.dim, values[keep]
 
     @property
     def dim(self) -> int:
@@ -146,41 +176,66 @@ class OperatorMatrix:
     @property
     def hs_norm(self) -> float:
         # an unthreaded in-place sum of squares; an overflow reads inf, which fails eigen's gate
-        flat = self.entries.reshape(-1).view(float)
+        flat = self.values.view(float)
         with np.errstate(over="ignore"):
             return math.sqrt(np.einsum("i,i->", flat, flat))
 
+    def dense(self) -> np.ndarray:
+        """The dim x dim matrix, fresh and Fortran-ordered, for one LAPACK or BLAS call to use up."""
+        out = np.zeros((self.dim, self.dim), dtype=complex, order="F")
+        out[self.rows, self.cols] = self.values
+        return out
 
-def _coefficient_table(coeff, max_mode: int, sums: np.ndarray) -> np.ndarray:
-    """coeff(m) at every entry of the index array sums; zero off |m| <= max_mode."""
-    reach = min(max_mode, int(np.abs(sums).max(initial=0)))  # a huge max_mode costs nothing
-    table = np.array([coeff(m) for m in range(-reach, reach + 1)], dtype=complex)
-    idx = sums + reach
-    inside = (idx >= 0) & (idx < table.size)
-    return np.where(inside, table[np.where(inside, idx, 0)], 0j)
+
+def _refuse_oversized(basis: BasisIndexSet) -> None:
+    """Raise MemoryError, naming the size, when the dim x dim complex matrix
+    that dense() forms cannot be allocated; the lattice is not built."""
+    try:
+        np.empty((basis.dim, basis.dim), dtype=complex)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise MemoryError(
+            f"the {basis.bc} truncation at K = {basis.K} has dim {basis.dim}: its dense "
+            f"{basis.dim} x {basis.dim} complex matrix needs {16 * basis.dim**2:.3g} bytes"
+        ) from None
+
+
+def _hankel_nonzeros(coeff, max_mode: int, bc: str, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice index pairs (i, k) and values coeff(n_i + n_k) of the nonzero
+    entries of the Hankel table over bc's size-K lattice; zero off
+    |m| <= max_mode.  One coefficient per anti-diagonal i + k = t: the work
+    is the number of nonzeros, and a huge max_mode costs nothing."""
+    lattice = _lattice_range(bc, K)
+    size = len(lattice)
+    sums = range(2 * lattice.start, 2 * lattice[-1] + 1, lattice.step)  # n_i + n_k on anti-diagonal t
+    table = np.array([coeff(m) if abs(m) <= max_mode else 0 for m in sums], dtype=complex)
+    t = np.flatnonzero(table)
+    first = np.maximum(t - size + 1, 0)
+    counts = np.minimum(t, size - 1) - first + 1
+    owner = np.repeat(np.arange(len(t)), counts)
+    i = first[owner] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return i, t[owner] - i, table[t[owner]]
 
 
 def build_v(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
     basis = basis_index_set(bc, K)
-    ns = np.array(basis.points)
-    sums = ns[:, None] + ns[None, :]
+    _refuse_oversized(basis)
     if bc == DIRICHLET:
         # entry (k, n) couples g_n into g_k through W(k + n)
-        w = _coefficient_table(lambda m: dirichlet_w(spec, m), spec.max_mode, sums)
-        return OperatorMatrix(basis, w)
+        return OperatorMatrix(basis, *_hankel_nonzeros(lambda m: dirichlet_w(spec, m), spec.max_mode, bc, K))
     # channel 1 feeds channel 2 through q(k + n), channel 2 feeds channel 1
     # through p(-k - n); the basis interleaves (n, 1), (n, 2)
-    entries = np.zeros((basis.dim, basis.dim), dtype=complex)
-    entries[1::2, 0::2] = _coefficient_table(spec.q, spec.max_mode, sums)
-    entries[0::2, 1::2] = _coefficient_table(lambda m: spec.p(-m), spec.max_mode, sums)
-    return OperatorMatrix(basis, entries)
+    q_at, q_from, q_values = _hankel_nonzeros(spec.q, spec.max_mode, bc, K)
+    p_at, p_from, p_values = _hankel_nonzeros(lambda m: spec.p(-m), spec.max_mode, bc, K)
+    rows, cols = np.concatenate([2 * q_at + 1, 2 * p_at]), np.concatenate([2 * q_from, 2 * p_from + 1])
+    return OperatorMatrix(basis, rows, cols, np.concatenate([q_values, p_values]))
 
 
 def build_operator(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
-    op = build_v(spec, bc, K)
-    # the free part is diagonal: added in place, no dense free matrix or sum
-    np.einsum("ii->i", op.entries)[...] += op.basis.free_diagonal()
-    return op
+    v = build_v(spec, bc, K)
+    # the free part is diagonal: summed onto V's diagonal entries, as a dense in-place sum would be
+    index = np.arange(v.dim)
+    rows, cols = np.concatenate([v.rows, index]), np.concatenate([v.cols, index])
+    return OperatorMatrix(v.basis, rows, cols, np.concatenate([v.values, v.basis.free_diagonal()]))
 
 
 def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -191,14 +246,21 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     EIGEN_RESIDUAL_TOL times the operator's HS norm, and that norm is finite.
     """
     if op._eig_cache is None:
-        vals, vecs = scipy.linalg.eig(op.entries)
+        vals, vecs = scipy.linalg.eig(op.dense(), overwrite_a=True)
         order = np.lexsort((vals.imag, vals.real))
         vals = vals[order]
         vecs = vecs[:, order]
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        vecs /= np.linalg.norm(vecs, axis=0)
         scale = max(op.hs_norm, 1.0)
-        # in scipy's BLAS, next to eig (see eigenbasis_inverse)
-        residual = np.linalg.norm(scipy.linalg.blas.zgemm(1.0, op.entries, vecs) - vecs * vals, axis=0).max()
+        # in scipy's BLAS, next to eig (see eigenbasis_inverse), one block of
+        # columns at a time: the temporaries stay a fraction of dim x dim
+        matrix = op.dense()
+        blocks = [slice(start, start + RESIDUAL_BLOCK) for start in range(0, op.dim, RESIDUAL_BLOCK)]
+        residual = np.max([
+            np.linalg.norm(scipy.linalg.blas.zgemm(1.0, matrix, vecs[:, b]) - vecs[:, b] * vals[b], axis=0).max()
+            for b in blocks
+        ])
+        del matrix
         # a NaN residual fails, and so does an overflowed norm, which would pass anything
         if not residual <= EIGEN_RESIDUAL_TOL * scale < np.inf:
             raise EigenResidualError(

@@ -26,7 +26,8 @@ The spectral route diagonalizes L once and filters each eigenvalue
 (legitimate by linearity); its factors V[:, J] diag(f_J) and V^{-1}[J, :]
 are gathers, at O(dim r) per contour.  When the eigenvector basis is
 ill-conditioned (defective or nearly so), the Schur route works on one
-complex Schur form L = Z T Z^H per operator, reordered once so that the w
+complex Schur form L = Z T Z^H per operator, computed in place on the
+operator's dense() scratch matrix and reordered once so that the w
 eigenvalues of the window |lambda| < K/2 + 1/2, which holds every trusted
 disc, lead.  Each contour reorders only that w x w block, so that J leads,
 and B = Z_W Q[:, :r] is an orthonormal basis of J's right invariant
@@ -240,10 +241,12 @@ def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int]:
     complex symmetric, S the channel swap, as every build_operator L is.
     """
     if "schur" not in op._aux_cache:
-        swapped = op.entries[op.basis.swap]
+        matrix = op.dense()
+        swapped = matrix[op.basis.swap]
         if not np.array_equal(swapped, swapped.T):
             raise ProjectionQualityError("the Schur route needs S L exactly complex symmetric, S the channel swap")
-        T, Z = scipy.linalg.schur(op.entries, output="complex")
+        del swapped
+        T, Z = scipy.linalg.schur(matrix, output="complex", overwrite_a=True)
         window = np.abs(np.diagonal(T)) < op.basis.trusted_limit + 0.5
         # complex ztrsen fails only on illegal arguments
         T, Z, _, w, _, _, _ = scipy.linalg.lapack.ztrsen(window, T, Z, job="N")

@@ -66,7 +66,9 @@ class ShiftedSolve:
 
     def __post_init__(self) -> None:
         self.lam = complex(self.lam)
-        shifted = self.lam * np.eye(self.op.dim) - self.op.entries
+        shifted = self.op.dense()
+        shifted *= -1
+        np.einsum("ii->i", shifted)[...] += self.lam
         try:
             self._lu = scipy.linalg.lu_factor(shifted)
             probe = np.full(self.op.dim, 1.0 / np.sqrt(self.op.dim), dtype=complex)

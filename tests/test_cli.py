@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -394,6 +395,19 @@ class TestSpectrum:
         assert header == ["row", "col", "re", "im"]
         assert len(rows) > 64
 
+    # sha256 of matrix.csv as written when L was held as a dense array
+    DUMPED_MATRIX = {
+        "per+": "243cefc6a01ea6af7118e35ffc0cee1ef043e21940e61bc3891904718432c0d2",
+        "per-": "06b816b7e2ebf990e1c55d67afe7280514a0d83f90844479dd169235602897e0",
+        "dir": "a4be38ef114175ac7317526afb4a89c9ba967d99ca11785ef28a09eb11c8cc58",
+    }
+
+    @pytest.mark.parametrize("bc", sorted(DUMPED_MATRIX))
+    def test_dump_matrix_bytes(self, tmp_path, bc):
+        out = tmp_path / "run"
+        assert main(["spectrum", "--bc", bc, "--K", "8", "--seed", "0", "--dump-matrix", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256((out / "matrix.csv").read_bytes()).hexdigest() == self.DUMPED_MATRIX[bc]
+
     def test_deterministic(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -627,9 +641,38 @@ class TestUnusableResources:
     ])
     def test_oversized_allocation_exits_two(self, tmp_path, capsys, argv):
         # each request exceeds any address space, so it is refused at once
-        assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert main(argv + ["--out", str(tmp_path / "run" / "sub")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "more memory than there is" in err and "Unable to allocate" in err
+        assert list(tmp_path.iterdir()) == []  # the refusal takes back both directories it made
+
+    @pytest.mark.parametrize("K", [10**7, 10**21])  # 10^21 is past len() and numpy's largest array
+    def test_oversized_K_refused_before_the_lattice(self, tmp_path, K):
+        # dim 4K + 2 follows from (bc, K) by arithmetic, and the dense L it
+        # would need is refused before any of the 2K + 1 lattice points exists.
+        # The child's own peak is its VmHWM: its ru_maxrss also counts the
+        # parent's resident set, which the exec inherits from the fork
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status for the child's peak resident set")
+        out = tmp_path / "run"
+        script = (
+            "import re, sys; from diracproj.cli import main; code = main(sys.argv[1:]); "
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))"
+        )
+        source_root = Path(diracproj.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "spectrum", "--K", str(K), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(source_root)},
+        )
+        code, max_rss_kb = map(int, proc.stdout.split())
+        assert code == EXIT_CONFIG, proc.stderr
+        dim = 4 * K + 2
+        assert f"has dim {dim}:" in proc.stderr and f"complex matrix needs {16 * dim**2:.3g} bytes" in proc.stderr
+        assert max_rss_kb < 200 * 1024
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [["threshold", "--K", "16"], ["verify-bounds", "--draws", "1", "--window", "32"]])
     @pytest.mark.parametrize("where, reason", [("file", "File exists"), ("file/sub", "Not a directory")])
@@ -639,6 +682,7 @@ class TestUnusableResources:
         assert main(command + ["--out", str(out)]) == EXIT_CONFIG
         assert f"cannot use {out} as the output directory: {reason}" in capsys.readouterr().err
         assert (tmp_path / "file").read_text(encoding="utf-8") == "taken"
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 def count_calls(monkeypatch, fn, owners=()):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import diracproj.operator as operator_module
 from diracproj.cli import load_potential_file
 from diracproj.operator import (
     EigenResidualError,
+    OperatorMatrix,
     basis_index_set,
     build_operator,
     build_v,
@@ -105,16 +107,17 @@ class TestLattices:
 class TestFreeOperator:
     def test_per_plus_diagonal(self):
         op = build_operator(PotentialSpec.zero(), PER_PLUS, 1)
-        assert np.array_equal(op.entries, np.diag(np.diag(op.entries)))
-        assert np.allclose(np.diag(op.entries).real, [-2, -2, 0, 0, 2, 2])
+        dense = op.dense()
+        assert np.array_equal(dense, np.diag(np.diag(dense)))
+        assert np.allclose(np.diag(dense).real, [-2, -2, 0, 0, 2, 2])
 
     def test_per_minus_diagonal(self):
         op = build_operator(PotentialSpec.zero(), PER_MINUS, 0)
-        assert np.allclose(np.diag(op.entries).real, [-1, -1, 1, 1])
+        assert np.allclose(np.diag(op.dense()).real, [-1, -1, 1, 1])
 
     def test_dirichlet_diagonal(self):
         op = build_operator(PotentialSpec.zero(), DIRICHLET, 1)
-        assert np.allclose(np.diag(op.entries).real, [-1, 0, 1])
+        assert np.allclose(np.diag(op.dense()).real, [-1, 0, 1])
 
     def test_eigen_of_diagonal(self):
         op = build_operator(PotentialSpec.zero(), PER_PLUS, 2)
@@ -129,7 +132,7 @@ class TestFreeOperator:
         # LAPACK returns the diagonal and the identity bit for bit, already sorted
         op = build_operator(PotentialSpec.zero(), bc, K)
         vals, vecs = eigen(op)
-        assert np.array_equal(vals, np.sort_complex(np.diagonal(op.entries)))
+        assert np.array_equal(vals, np.sort_complex(np.diagonal(op.dense())))
         assert np.array_equal(vecs, np.eye(op.dim))
 
 
@@ -168,12 +171,12 @@ class TestCouplingMatrix:
         # single mode p(2) = 1: channel-2 column n lands on channel-1 row -n-2
         spec = PotentialSpec(p_even={2: 1.0}, q_even={}, p_odd={}, q_odd={}, max_mode=2)
         v = build_v(spec, PER_PLUS, 2)
-        b = v.basis
+        b, dense = v.basis, v.dense()
         got = {
             (row, col)
             for row in b.indices
             for col in b.indices
-            if v.entries[b.position(*row), b.position(*col)] != 0
+            if dense[b.position(*row), b.position(*col)] != 0
         }
         want = {((-n - 2, 1), (n, 2)) for n in (-4, -2, 0, 2)}
         assert got == want
@@ -189,7 +192,7 @@ class TestCouplingMatrix:
         spec = PotentialSpec(p_even=tables["p"], q_even=tables["q"], p_odd={}, q_odd={}, max_mode=2)
         K = 3
         v = build_v(spec, PER_PLUS, K)
-        b = v.basis
+        b, dense = v.basis, v.dense()
         x = np.arange(512) * (np.pi / 512)
         P = sum(c * np.exp(1j * m * x) for m, c in tables["p"].items())
         Q = sum(c * np.exp(1j * m * x) for m, c in tables["q"].items())
@@ -205,20 +208,20 @@ class TestCouplingMatrix:
             for row in b.indices:
                 h1, h2 = field(*row)
                 want = np.mean(g1 * h1.conj() + g2 * h2.conj())
-                got = v.entries[b.position(*row), b.position(*col)]
+                got = dense[b.position(*row), b.position(*col)]
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_dirichlet_symmetrized_coupling(self):
         spec = PotentialSpec(p_even={2: 1.0}, q_even={-2: 2j}, p_odd={1: 0.5}, q_odd={}, max_mode=2)
         v = build_v(spec, DIRICHLET, 3)
-        b = v.basis
+        b, dense = v.basis, v.dense()
 
         def w(m):
             return (spec.p(-m) + spec.q(m)) / 2
 
         for row in b.indices:
             for col in b.indices:
-                assert v.entries[b.position(*row), b.position(*col)] == pytest.approx(
+                assert dense[b.position(*row), b.position(*col)] == pytest.approx(
                     w(row[0] + col[0]), abs=1e-15
                 )
 
@@ -228,14 +231,14 @@ class TestCouplingMatrix:
         spec = random_potential(11, max_mode=max_mode)
         for K in (0, 1, 3, 8, 32, 128):
             want = _per_entry_coupling(spec, bc, K)
-            assert np.array_equal(build_v(spec, bc, K).entries, want), K
+            assert np.array_equal(build_v(spec, bc, K).dense(), want), K
 
     @pytest.mark.parametrize("bc", (PER_PLUS, PER_MINUS, DIRICHLET))
     def test_huge_max_mode_reads_only_reachable_modes(self, bc):
         tables = {"p_even": {2: 1.0}, "q_even": {0: 1j}, "p_odd": {1: 0.5}, "q_odd": {}}
         huge = PotentialSpec(**tables, max_mode=10**12)
-        want = build_v(PotentialSpec(**tables, max_mode=2), bc, 8).entries
-        assert np.array_equal(build_v(huge, bc, 8).entries, want)
+        want = build_v(PotentialSpec(**tables, max_mode=2), bc, 8).dense()
+        assert np.array_equal(build_v(huge, bc, 8).dense(), want)
 
     @pytest.mark.parametrize("bc", (PER_PLUS, PER_MINUS, DIRICHLET))
     @pytest.mark.parametrize("kind", ["P-only", "Q-only", "real", "constant", "scaled", "random"])
@@ -245,7 +248,7 @@ class TestCouplingMatrix:
             spec = _structured_potential(kind, seed)
             op = build_operator(spec, bc, K)
             swap = op.basis.swap
-            swapped = op.entries[swap]
+            swapped = op.dense()[swap]
             assert np.array_equal(swapped, swapped.T), (seed, K)
             assert np.array_equal(swap[swap], np.arange(op.dim))
             pairs = [(op.basis.indices[i], op.basis.indices[j]) for i, j in enumerate(swap)]
@@ -259,7 +262,41 @@ class TestCouplingMatrix:
             op = build_operator(spec, bc, K)
             free = build_operator(PotentialSpec.zero(), bc, K)
             v = build_v(spec, bc, K)
-            assert np.array_equal(op.entries, free.entries + v.entries)
+            assert np.array_equal(op.dense(), free.dense() + v.dense())
+
+
+class TestMemory:
+    """L is held as its nonzeros; the dense matrix is only ever LAPACK's scratch input."""
+
+    def test_nonzeros_are_summed_sorted_and_checked(self):
+        basis = basis_index_set(DIRICHLET, 1)
+        op = OperatorMatrix(basis, [2, 0, 1, 2, 1], [0, 1, 1, 0, 2], [1j, 2.0, 3.0, -1j, 0.0])
+        # (2, 0) sums to zero and (1, 2) is zero: both are dropped
+        assert (op.rows.tolist(), op.cols.tolist(), op.values.tolist()) == ([0, 1], [1, 1], [2, 3])
+        assert op.dense().flags.f_contiguous and op.dense() is not op.dense()
+        for rows, cols in (([3], [0]), ([0], [-1])):
+            with pytest.raises(ValueError, match="must lie in the 3 x 3 matrix"):
+                OperatorMatrix(basis, rows, cols, [1.0])
+
+    @pytest.mark.parametrize("bc", [PER_PLUS, PER_MINUS, DIRICHLET])
+    def test_operator_holds_no_dense_array(self, bc):
+        op = build_operator(random_potential(0), bc, 64)
+        held = [value for value in vars(op).values() if isinstance(value, np.ndarray)]
+        assert held and all(array.size < op.dim**2 for array in held)
+
+    def test_eigendecomposition_peak(self):
+        # from a fresh operator through eigen and eigenbasis_inverse, at most three
+        # dim x dim arrays live at once: V, its LU copy and V^-1 in zgesv
+        spec = random_potential(0)
+        tracemalloc.start()
+        try:
+            op = build_operator(spec, PER_PLUS, 64)
+            eigen(op)
+            eigenbasis_inverse(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 3 * op.dim**2 * 16
 
 
 class TestEigen:
@@ -277,7 +314,7 @@ class TestEigen:
         spec = PotentialSpec(p_even={2: 2.0}, q_even={0: 1j}, p_odd={}, q_odd={}, max_mode=2)
         op = build_operator(spec, PER_MINUS, 8)
         vals, vecs = eigen(op)
-        residual = np.linalg.norm(op.entries @ vecs - vecs * vals)
+        residual = np.linalg.norm(op.dense() @ vecs - vecs * vals)
         assert residual < 1e-10 * max(op.hs_norm, 1.0)
 
     def test_refuses_overflowing_hs_norm(self):
@@ -291,9 +328,9 @@ class TestEigen:
 
     def test_nan_residual_fails_the_gate(self, monkeypatch):
         op = build_operator(random_potential(0), PER_PLUS, 8)
-        vals, vecs = operator_module.scipy.linalg.eig(op.entries)
+        vals, vecs = operator_module.scipy.linalg.eig(op.dense())
         vals[3] = np.nan  # a comparison with NaN is false, so "residual > bound" let it through
-        monkeypatch.setattr(operator_module.scipy.linalg, "eig", lambda a: (vals, vecs))
+        monkeypatch.setattr(operator_module.scipy.linalg, "eig", lambda a, **kwargs: (vals, vecs))
         with pytest.raises(EigenResidualError, match="nan"):
             eigen(op)
 

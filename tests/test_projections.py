@@ -341,12 +341,18 @@ class TestLowRankSpectralRoute:
         assert p.idempotency_residual > 1e-6
 
 
+def dense_operator(basis, matrix):
+    """The operator of a hand-built dense matrix, held as its nonzeros."""
+    rows, cols = np.nonzero(matrix)
+    return OperatorMatrix(basis, rows, cols, matrix[rows, cols])
+
+
 def coupled_triangle(coupling):
     """Upper-triangular 3 x 3 operator with eigenvalues 0, 0.9, 2 and the
     first two coupled: not complex symmetric, so the Schur route refuses it."""
     entries = np.diag([0.0, 0.9, 2.0]).astype(complex)
     entries[0, 1] = coupling
-    return OperatorMatrix(basis_index_set(DIRICHLET, 1), entries)
+    return dense_operator(basis_index_set(DIRICHLET, 1), entries)
 
 
 def symmetric_pair(s):
@@ -356,7 +362,7 @@ def symmetric_pair(s):
     b = math.sqrt(0.2025 + s * s)
     entries = np.diag([0.45 + 1j * s, 0.45 - 1j * s, 2.0])
     entries[0, 1] = entries[1, 0] = b
-    return OperatorMatrix(basis_index_set(DIRICHLET, 1), entries)
+    return dense_operator(basis_index_set(DIRICHLET, 1), entries)
 
 
 def structured_potential(seed, p_scale, q_scale):
@@ -493,7 +499,7 @@ class TestSchurWindow:
         centers = np.array([c.center for c in contours])
         left, right, valid = _schur_factors(op, centers, contours[0].radius, contours[0].nodes)
         assert len(left) == len(contours)
-        form = scipy.linalg.schur(op.entries, output="complex")
+        form = scipy.linalg.schur(op.dense(), output="complex")
         for k, contour in enumerate(contours):
             got = left[k] @ right[k]
             want = np.matmul(*full_reorder_schur(form, contour))
@@ -540,8 +546,8 @@ class TestSchurWindow:
 
     def test_whole_form_without_window(self):
         # shifted by 5, no eigenvalue lies in the window |z| < 1: w = dim, and every contour works on the whole form
-        op = symmetric_pair(1e2)
-        op.entries += 5 * np.eye(3)
+        pair = symmetric_pair(1e2)
+        op = dense_operator(pair.basis, pair.dense() + 5 * np.eye(3))
         assert _schur_form(op)[2] == op.dim
         self.check(op, [ContourSpec(5, 0.5, 64), ContourSpec(7, 0.5, 64)])
 
@@ -715,7 +721,7 @@ class TestBatchedPass:
         onto the contours of the discs at 6 and 7."""
         diagonal = basis_index_set(DIRICHLET, 16).free_diagonal().astype(complex)
         diagonal[np.flatnonzero(diagonal == 6.0)] = 6.5
-        return OperatorMatrix(basis_index_set(DIRICHLET, 16), np.diag(diagonal))
+        return dense_operator(basis_index_set(DIRICHLET, 16), np.diag(diagonal))
 
     def test_proximity_refusal_names_the_first_disc(self, route):
         # in (|n|, n) order the disc at 6 comes first

@@ -199,7 +199,7 @@ class TestShiftedSolve:
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         x = resolve(op, lam, rhs)
-        back = lam * x - op.entries @ x
+        back = lam * x - op.dense() @ x
         assert np.linalg.norm(back - rhs) < 1e-10 * np.linalg.norm(rhs)
 
     def test_factorized_route_matches_lu(self):
@@ -208,7 +208,7 @@ class TestShiftedSolve:
         op = build_operator(spec, PER_PLUS, 8)
         lam = 1.0 + 0.5j
         k = k_operator(op.basis, lam).as_matrix()
-        v = build_v(spec, PER_PLUS, 8).entries
+        v = build_v(spec, PER_PLUS, 8).dense()
         middle = np.linalg.inv(np.eye(op.dim) - k @ v @ k)
         factored = k @ middle @ k
         direct = resolve(op, lam, np.eye(op.dim, dtype=complex))
@@ -241,7 +241,7 @@ class TestKvkNorm:
         lam = 2.3 + 0.7j
         basis = basis_index_set(bc, K)
         k = k_operator(basis, lam).as_matrix()
-        v = build_v(spec, bc, K).entries
+        v = build_v(spec, bc, K).dense()
         dense = float(np.linalg.norm(k @ v @ k))
         assert kvk_hs_norm(spec, bc, lam, K) == pytest.approx(dense, rel=1e-10)
 

@@ -13,9 +13,10 @@ Runs are reproducible by construction: a config file (JSON) plus flag
 overrides (flags win) fix everything, every random draw is seeded, CSV
 floats are printed with 17 significant digits, and rows are emitted in a
 deterministic order, so identical config + seed gives byte-identical CSV
-files.  The run.json metadata echoes the effective config along with
-library versions and wall-clock timings (the one file allowed to differ
-between reruns); for deviations and reconstruct its `gates` block holds
+files.  Each subcommand writes its CSVs and returns its results; main
+writes run.json once per run, with the effective config, library versions
+and wall-clock timings (the one file allowed to differ between reruns)
+next to those results.  For deviations and reconstruct its `gates` block holds
 the projection route and the worst disc gate margins (largest idempotency
 residual and |trace - rank|, smallest contour offset).
 
@@ -239,37 +240,21 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_run_json(out: Path, cfg: RunConfig, started: float, extra: dict) -> None:
-    payload = {
-        "config": dataclasses.asdict(cfg),
-        "versions": {
-            "diracproj": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
-        "timings": {"wall_s": time.perf_counter() - started},
-    }
-    payload.update(extra)
-    with open(out / "run.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
-        raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from None
-    return out
+def _threshold_and_cutoff(cfg: RunConfig, spec: PotentialSpec) -> tuple[int, int]:
+    """The verified threshold, and the cutoff N: --N when given, else the threshold."""
+    threshold = find_threshold_n(spec, cfg.bc, cfg.K)
+    return threshold, cfg.N if cfg.N is not None else threshold
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- subcommands: each writes its CSVs into out and returns its run.json results
 
-def cmd_spectrum(cfg: RunConfig, dump_matrix: bool = False) -> int:
-    started = time.perf_counter()
-    out = _outdir(cfg)
+def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace, out: Path) -> dict:
     spec = _potential_for(cfg)
     op = build_operator(spec, cfg.bc, cfg.K)
     vals, _ = eigen(op)
@@ -277,54 +262,40 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix: bool = False) -> int:
     rows = [(float(lam.real), float(lam.imag), "" if n is None else str(n)) for lam, n in zip(vals, discs)]
     _write_csv(out / "spectrum.csv", ("re", "im", "disc"), rows)
     _write_csv(out / "localization.csv", ("n", "count"), sorted(counts.items()))
-    if dump_matrix:
+    if args.dump_matrix:
         rows = zip(op.rows.tolist(), op.cols.tolist(), op.values.real.tolist(), op.values.imag.tolist())
         _write_csv(out / "matrix.csv", ("row", "col", "re", "im"), rows)
-    _write_run_json(out, cfg, started, {"potential_norm": potential_norm(spec), "dim": op.dim})
-    return EXIT_OK
+    return {"potential_norm": potential_norm(spec), "dim": op.dim}
 
 
-def cmd_deviations(cfg: RunConfig) -> int:
-    started = time.perf_counter()
-    out = _outdir(cfg)
+def cmd_deviations(cfg: RunConfig, args: argparse.Namespace, out: Path) -> dict:
     spec = _potential_for(cfg)
     op = build_operator(spec, cfg.bc, cfg.K)  # first: it refuses a K too large to hold
-    threshold = find_threshold_n(spec, cfg.bc, cfg.K)
-    N = cfg.N if cfg.N is not None else threshold
+    threshold, N = _threshold_and_cutoff(cfg, spec)
     report = deviation_report(op, N, threshold, cfg.radius, cfg.nodes)
     rows = zip(report.discs, report.ranks, report.deviations, report.cumulative)
     _write_csv(out / "deviations.csv", ("n", "rank", "deviation_hs", "cumulative_sum"), rows)
     counts, _ = localization_counts(op, cfg.radius)
     expected = lattice_step(cfg.bc)  # one eigenvalue per basis channel of a disc
-    verified = all(counts[n] == expected for n in counts if abs(n) > N)
-    _write_run_json(
-        out,
-        cfg,
-        started,
-        {
-            "threshold_N": threshold,
-            "N_used": N,
-            "tail_sum": report.tail_sum,
-            "localization_verified_beyond_N": verified,
-            "potential_norm": potential_norm(spec),
-            "gates": report.gates,
-        },
-    )
-    return EXIT_OK
+    return {
+        "threshold_N": threshold,
+        "N_used": N,
+        "tail_sum": report.tail_sum,
+        "localization_verified_beyond_N": all(counts[n] == expected for n in counts if abs(n) > N),
+        "potential_norm": potential_norm(spec),
+        "gates": report.gates,
+    }
 
 
-def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
-    if trials < 1:
-        raise ConfigError(f"--trials must be a positive integer, got {trials}")
-    M = cfg.K // 2 if M is None else M
+def cmd_reconstruct(cfg: RunConfig, args: argparse.Namespace, out: Path) -> dict:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
+    M = cfg.K // 2 if args.M is None else args.M
     if not 1 <= M <= cfg.K // 2:
         raise ConfigError(f"--M must lie in 1..K/2 = {cfg.K // 2}, got {M}")
-    started = time.perf_counter()
-    out = _outdir(cfg)
     spec = _potential_for(cfg)
     op = build_operator(spec, cfg.bc, cfg.K)
-    threshold = find_threshold_n(spec, cfg.bc, cfg.K)
-    N = cfg.N if cfg.N is not None else threshold
+    threshold, N = _threshold_and_cutoff(cfg, spec)
     # seeded band-limited input spread over the low modes
     rng = np.random.default_rng([cfg.seed, 101])
     low = [(n, ch) for (n, ch) in op.basis.indices if abs(n) <= min(8, cfg.K / 4)]
@@ -333,99 +304,61 @@ def cmd_reconstruct(cfg: RunConfig, M: int | None, trials: int) -> int:
         op.basis,
     )
     expansion = disc_expansion(f, op, N, threshold, M, cfg.radius, cfg.nodes)
-    curve = reconstruction_curve(expansion)
-    _write_csv(out / "reconstruction.csv", ("M", "error"), curve)
-    report = unconditionality_test(expansion, trials=trials, seed=cfg.seed)
+    _write_csv(out / "reconstruction.csv", ("M", "error"), reconstruction_curve(expansion))
+    report = unconditionality_test(expansion, trials=args.trials, seed=cfg.seed)
     _write_csv(
         out / "excursions.csv",
         ("trial", "excursion", "terminal_error"),
         [(t, exc, term) for t, (exc, term) in enumerate(zip(report.trial_excursions, report.trial_terminals))],
     )
-    with open(out / "unconditionality.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "trials": report.trials,
-                "seed": report.seed,
-                "base_error": report.base_error,
-                "max_reordered_error": report.max_reordered_error,
-                "max_partial_sum_spread": report.max_partial_sum_spread,
-                "bari_markus_tail": report.bari_markus_tail,
-                "f_norm": report.f_norm,
-                "excursion_constant": report.excursion_constant,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    _write_run_json(
-        out, cfg, started, {"threshold_N": threshold, "N_used": N, "M_used": M, "gates": expansion.report.gates}
-    )
-    return EXIT_OK
+    keys = ("trials", "seed", "base_error", "max_reordered_error", "max_partial_sum_spread", "bari_markus_tail",
+            "f_norm", "excursion_constant")
+    _write_json(out / "unconditionality.json", {key: getattr(report, key) for key in keys})
+    return {"threshold_N": threshold, "N_used": N, "M_used": M, "gates": expansion.report.gates}
 
 
 def _params_str(parameters: dict) -> str:
     return ";".join(f"{k}={parameters[k]}" for k in sorted(parameters))
 
 
-def cmd_verify_bounds(cfg: RunConfig, draws: int, window: int, self_test: bool) -> int:
-    if draws < 1:
-        raise ConfigError(f"--draws must be a positive integer, got {draws}")
+def cmd_verify_bounds(cfg: RunConfig, args: argparse.Namespace, out: Path) -> dict:
+    if args.draws < 1:
+        raise ConfigError(f"--draws must be a positive integer, got {args.draws}")
     cutoff = max(BATTERY_CUTOFFS)
-    if window <= cutoff:
-        raise ConfigError(f"--window must exceed the battery's cutoff N = {cutoff}, got {window}")
-    started = time.perf_counter()
-    out = _outdir(cfg)
+    if args.window <= cutoff:
+        raise ConfigError(f"--window must exceed the battery's cutoff N = {cutoff}, got {args.window}")
     checks: list[BoundCheck] = list(check_elementary(n_max=1000))
-    checks += run_battery(seed=cfg.seed, draws=draws, K=window)
-    if self_test:
-        checks.insert(
-            0, BoundCheck("row_shift_sum", 2.0, 1.0, 2.0, {"self_test": 1})
-        )
+    checks += run_battery(seed=cfg.seed, draws=args.draws, K=args.window)
+    if args.self_test:
+        checks.insert(0, BoundCheck("row_shift_sum", 2.0, 1.0, 2.0, {"self_test": 1}))
     _write_csv(
         out / "bounds.csv",
         ("check", "parameters", "lhs", "rhs", "ratio"),
         [(c.name, _params_str(c.parameters), c.lhs, c.rhs_without_constant, c.ratio) for c in checks],
     )
     bad = violations(checks)
-    _write_run_json(
-        out,
-        cfg,
-        started,
-        {
-            "checks": len(checks),
-            "violations": len(bad),
-            "worst_ratios": worst_ratios(checks),
-            "self_test": bool(self_test),
-        },
-    )
-    if bad:
-        for c in bad[:10]:
-            print(
-                f"violated: {c.name} ratio={c.ratio:.6g} ({_params_str(c.parameters)})",
-                file=sys.stderr,
-            )
-        return EXIT_BOUNDS
-    return EXIT_OK
+    for c in bad[:10]:
+        print(f"violated: {c.name} ratio={c.ratio:.6g} ({_params_str(c.parameters)})", file=sys.stderr)
+    return {
+        "checks": len(checks),
+        "violations": len(bad),
+        "worst_ratios": worst_ratios(checks),
+        "self_test": bool(args.self_test),
+    }
 
 
-def cmd_threshold(cfg: RunConfig, samples: int) -> int:
-    if samples < 4:
-        raise ConfigError(f"--samples must be at least 4, got {samples}")
-    started = time.perf_counter()
-    out = _outdir(cfg)
+def cmd_threshold(cfg: RunConfig, args: argparse.Namespace, out: Path) -> dict:
+    if args.samples < 4:
+        raise ConfigError(f"--samples must be at least 4, got {args.samples}")
     spec = _potential_for(cfg)
-    profile = circle_norm_profile(spec, cfg.bc, cfg.K, samples)
+    profile = circle_norm_profile(spec, cfg.bc, cfg.K, args.samples)
     rows = sorted(profile.items(), key=lambda kv: (abs(kv[0]), kv[0]))
     _write_csv(out / "threshold.csv", ("n", "max_kvk_hs"), rows)
-    N = threshold_from_profile(profile, cfg.K)
-    _write_run_json(
-        out,
-        cfg,
-        started,
-        {"threshold_N": N, "samples_per_circle": samples, "potential_norm": potential_norm(spec)},
-    )
-    return EXIT_OK
+    return {
+        "threshold_N": threshold_from_profile(profile, cfg.K),
+        "samples_per_circle": args.samples,
+        "potential_norm": potential_norm(spec),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,26 +432,30 @@ def cmd_classify_bc(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
+    commands = {"spectrum": cmd_spectrum, "deviations": cmd_deviations, "reconstruct": cmd_reconstruct,
+                "verify-bounds": cmd_verify_bounds, "threshold": cmd_threshold}
     fresh: list[Path] = []  # the levels of --out that do not exist yet, innermost first
     try:
         if args.command == "classify-bc":
             return cmd_classify_bc(args)
         cfg = _merge_config(args)
-        fresh = [level for level in (Path(cfg.out), *Path(cfg.out).parents) if not os.path.lexists(level)]
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, dump_matrix=args.dump_matrix)
-        if args.command == "deviations":
-            return cmd_deviations(cfg)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, M=args.M, trials=args.trials)
-        if args.command == "verify-bounds":
-            return cmd_verify_bounds(cfg, draws=args.draws, window=args.window, self_test=args.self_test)
-        if args.command == "threshold":
-            return cmd_threshold(cfg, samples=args.samples)
-        raise AssertionError(f"unhandled command {args.command}")
+        started = time.perf_counter()
+        out = Path(cfg.out)
+        fresh = [level for level in (out, *out.parents) if not os.path.lexists(level)]
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from None
+        results = commands[args.command](cfg, args, out)
+        run = {
+            "config": dataclasses.asdict(cfg),
+            "versions": {"diracproj": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                         "python": sys.version.split()[0]},
+            "timings": {"wall_s": time.perf_counter() - started},
+        }
+        _write_json(out / "run.json", {**run, **results})
+        return EXIT_BOUNDS if results.get("violations") else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG

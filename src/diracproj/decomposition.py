@@ -27,7 +27,7 @@ from .operator import BasisIndexSet, OperatorMatrix
 from .projections import DeviationReport, _disc_sweep, global_projection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionVector:
     """Coefficients of a two-component function in one truncation basis."""
 
@@ -64,7 +64,7 @@ def expand(coeffs, basis: BasisIndexSet) -> FunctionVector:
     return FunctionVector(basis, vector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscExpansion:
     """S_N f and the disc terms P_n f of one function over N < |n| <= M.
 

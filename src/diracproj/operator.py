@@ -135,7 +135,7 @@ def basis_index_set(bc: str, K: int) -> BasisIndexSet:
     return basis
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorMatrix:
     """A truncation of an operator in a BasisIndexSet ordering, held as its
     nonzero entries: values[k] sits at (rows[k], cols[k]), in row-major

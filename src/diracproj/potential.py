@@ -124,10 +124,6 @@ class PotentialSpec:
             self.max_mode,
         )
 
-    @staticmethod
-    def zero(max_mode: int = 0) -> "PotentialSpec":
-        return PotentialSpec({}, {}, {}, {}, max_mode)
-
 
 def from_samples(p_samples, q_samples, max_mode: int) -> PotentialSpec:
     """Build a PotentialSpec from uniform samples on [0, pi).

@@ -127,7 +127,7 @@ class ContourSpec:
             raise ValueError("contour nodes must be an even integer >= 8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
     """A rank-r projection P = left @ right, kept as its dim x r and r x dim factors."""
 
@@ -137,11 +137,6 @@ class ProjectionResult:
     idempotency_residual: float
     contour: ContourSpec
     route: str
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense P, formed on demand; the library itself never asks for it."""
-        return self.left @ self.right
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _apply(self.left[None], self.right[None], x)[0]
@@ -302,7 +297,7 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
     return _mm(basis, filt), _mm(inverse, rows), valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Batch:
     """Projections of a batch of contours: stacked factors, zero-padded to the
     batch's largest r, and each contour's gate values."""

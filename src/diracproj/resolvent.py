@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .operator import OperatorMatrix, disc_centers, eigen, lattice_points, lattice_step
+from .operator import OperatorMatrix, _lattice_range, basis_index_set, eigen, lattice_step
 from .potential import DIRICHLET, PotentialSpec, dirichlet_w
 
 CONDITION_LIMIT = 1e12
@@ -117,7 +117,8 @@ def _circle_double_sums(
     at index (L - 1 - i) + j/s, and each anti-diagonal j reduces to one
     shifted product of the reciprocal gaps with their reversal.
     """
-    lat = np.array(lattice_points(bc, K), dtype=float)
+    lattice = _lattice_range(bc, K)
+    lat = np.arange(lattice.start, lattice.stop, lattice.step, dtype=float)
     step = lattice_step(bc)
     L = lat.size
     total = np.zeros((len(centers), samples))
@@ -149,7 +150,17 @@ def circle_norm_profile(
     """
     if samples_per_circle < 4:
         raise ValueError("samples_per_circle must be at least 4")
-    centers = np.array([n for n in disc_centers(bc, K / 2) if n != 0], dtype=float)
+    points = basis_index_set(bc, K).dim // lattice_step(bc)  # by arithmetic: len() overflows past 2**63
+    try:  # one disc's (sample, lattice) block, below which the scan's blocks cannot split
+        np.empty((samples_per_circle, points), dtype=complex)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        raise MemoryError(
+            f"the smallness scan at K = {K} needs {16 * samples_per_circle * points:.3g} bytes for one disc's "
+            f"{samples_per_circle} x {points} complex (sample, lattice) block: {exc}"
+        ) from None
+    lattice = _lattice_range(bc, K)
+    lat = np.arange(lattice.start, lattice.stop, lattice.step, dtype=float)
+    centers = lat[(lat != 0) & (np.abs(lat) <= K / 2)]
     total = _circle_double_sums(_antidiagonal_weights(spec, bc), bc, K, centers, samples_per_circle)
     worst = np.sqrt(total.max(axis=1))
     return {int(n): float(v) for n, v in zip(centers, worst)}

@@ -44,6 +44,7 @@ from diracproj.projections import (
     riesz_projection,
 )
 from diracproj.resolvent import circle_norm_profile, find_threshold_n
+from helpers import projection_matrix, zero_potential
 from test_projections import free_matrix
 
 CONSTANT = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
@@ -64,12 +65,12 @@ def test_criterion_01_free_operator_exactness():
     exact free ones to 1e-10 in HS norm with the right ranks, under 30 s."""
     started = time.perf_counter()
     for bc in BC_TAGS:
-        op = build_operator(PotentialSpec.zero(), bc, 64)
+        op = build_operator(zero_potential(), bc, 64)
         expected_rank = 1 if bc == "dir" else 2
         for n in disc_centers(bc, 32):
             p = riesz_projection(op, ContourSpec(n, 0.5, 64))
             p0 = free_matrix(bc, n, 64)
-            assert np.linalg.norm(p.matrix - p0) <= 1e-10, (bc, n)
+            assert np.linalg.norm(projection_matrix(p) - p0) <= 1e-10, (bc, n)
             assert p.rank == np.trace(p0).real == expected_rank, (bc, n)
     assert time.perf_counter() - started < 30.0
 
@@ -166,7 +167,7 @@ def test_criterion_05_quadrature_convergence():
         m: riesz_projection(op, ContourSpec(2, 0.5, m), quality_threshold=None)
         for m in (16, 32, 64)
     }
-    assert np.linalg.norm(p[32].matrix - p[64].matrix) <= 0.1 * np.linalg.norm(p[16].matrix - p[32].matrix)
+    assert np.linalg.norm(projection_matrix(p[32]) - projection_matrix(p[64])) <= 0.1 * np.linalg.norm(projection_matrix(p[16]) - projection_matrix(p[32]))
 
 
 def test_criterion_06_projection_algebra():
@@ -180,12 +181,12 @@ def test_criterion_06_projection_algebra():
     chosen = by_dist[:2] + by_dist[-2:]  # innermost and outermost discs
     projs = [riesz_projection(op, ContourSpec(n, 0.5, 64)) for n in chosen]
     for p in projs + [S]:
-        assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) <= 1e-6
+        assert np.linalg.norm(projection_matrix(p) @ projection_matrix(p) - projection_matrix(p)) <= 1e-6
     for i, p in enumerate(projs):
-        assert np.linalg.norm(p.matrix @ S.matrix) <= 1e-6
-        assert np.linalg.norm(S.matrix @ p.matrix) <= 1e-6
+        assert np.linalg.norm(projection_matrix(p) @ projection_matrix(S)) <= 1e-6
+        assert np.linalg.norm(projection_matrix(S) @ projection_matrix(p)) <= 1e-6
         for q in projs[i + 1 :]:
-            assert np.linalg.norm(p.matrix @ q.matrix) <= 1e-6
+            assert np.linalg.norm(projection_matrix(p) @ projection_matrix(q)) <= 1e-6
     f = band_limited(op, 8, 42)
     [(_, err)] = reconstruction_curve(disc_expansion(f, op, N, N, 64), [64])
     assert err <= 1e-5

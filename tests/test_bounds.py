@@ -42,6 +42,7 @@ from diracproj.potential import (
     validate_bc,
 )
 from diracproj.resolvent import circle_samples
+from helpers import zero_potential
 from test_resolvent import dominated_hs_norm
 
 # W(-2) = p(2)/2 = 1/2 is the only coupling coefficient: a one-point
@@ -499,7 +500,7 @@ class TestChainSumOracles:
     @pytest.mark.parametrize("bc", BC_TAGS)
     @pytest.mark.parametrize("s", (0, 1))
     def test_zero_and_point_mass_envelopes(self, bc, s):
-        self._assert_chains_match(PotentialSpec.zero(8), bc, s, (bc, s, "zero"))
+        self._assert_chains_match(zero_potential(8), bc, s, (bc, s, "zero"))
         hit = 0
         for spec in self.POINT_MASSES:
             self._assert_chains_match(spec, bc, s, (bc, s, spec.max_mode))
@@ -510,7 +511,7 @@ class TestChainSumOracles:
     @pytest.mark.parametrize("bc", BC_TAGS)
     def test_anchor_disc_sums_match_gather(self, bc):
         envelopes = [random_potential(seed) for seed in range(3)]
-        envelopes += [PotentialSpec.zero(8), *self.POINT_MASSES]
+        envelopes += [zero_potential(8), *self.POINT_MASSES]
         for spec in envelopes:
             r = r_sequence(spec, bc)
             for N, K in self.CASES:

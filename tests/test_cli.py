@@ -46,6 +46,7 @@ HUGE = {"max_mode": 2, "p_even": [[2, 50.0, 0.0]]}
 P_ONLY = {"max_mode": 4, "p_even": [[-4, 0.3, 0.0], [2, 0.2, 0.1]]}
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 TRACER_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+CHECK_PY = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
 
 
 @pytest.fixture
@@ -646,31 +647,56 @@ class TestUnusableResources:
         assert "more memory than there is" in err and "Unable to allocate" in err
         assert list(tmp_path.iterdir()) == []  # the refusal takes back both directories it made
 
-    @pytest.mark.parametrize("K", [10**7, 10**21])  # 10^21 is past len() and numpy's largest array
-    def test_oversized_K_refused_before_the_lattice(self, tmp_path, K):
-        # dim 4K + 2 follows from (bc, K) by arithmetic, and the dense L it
-        # would need is refused before any of the 2K + 1 lattice points exists.
-        # The child's own peak is its VmHWM: its ru_maxrss also counts the
-        # parent's resident set, which the exec inherits from the fork
+    @staticmethod
+    def run_child(argv, preexec_fn=None):
+        """(exit code, peak resident set in kB, stderr) of main(argv) in a fresh interpreter.
+
+        The child's own peak is its VmHWM: its ru_maxrss also counts the
+        parent's resident set, which the exec inherits from the fork."""
         if not Path("/proc/self/status").exists():
             pytest.skip("needs /proc/self/status for the child's peak resident set")
-        out = tmp_path / "run"
         script = (
             "import re, sys; from diracproj.cli import main; code = main(sys.argv[1:]); "
             "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))"
         )
         source_root = Path(diracproj.__file__).resolve().parent.parent
         proc = subprocess.run(
-            [sys.executable, "-c", script, "spectrum", "--K", str(K), "--out", str(out)],
+            [sys.executable, "-c", script, *argv],
             capture_output=True,
             text=True,
             timeout=120,
             env={**os.environ, "PYTHONPATH": str(source_root)},
+            preexec_fn=preexec_fn,
         )
         code, max_rss_kb = map(int, proc.stdout.split())
-        assert code == EXIT_CONFIG, proc.stderr
+        return code, max_rss_kb, proc.stderr
+
+    @pytest.mark.parametrize("K", [10**7, 10**21])  # 10^21 is past len() and numpy's largest array
+    def test_oversized_K_refused_before_the_lattice(self, tmp_path, K):
+        # dim 4K + 2 follows from (bc, K) by arithmetic, and the dense L it
+        # would need is refused before any of the 2K + 1 lattice points exists
+        code, max_rss_kb, stderr = self.run_child(["spectrum", "--K", str(K), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG, stderr
         dim = 4 * K + 2
-        assert f"has dim {dim}:" in proc.stderr and f"complex matrix needs {16 * dim**2:.3g} bytes" in proc.stderr
+        assert f"has dim {dim}:" in stderr and f"complex matrix needs {16 * dim**2:.3g} bytes" in stderr
+        assert max_rss_kb < 200 * 1024
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("K", [10**7, 10**21])
+    def test_oversized_K_scan_refused_before_the_lattice(self, tmp_path, K):
+        # one disc's (16 sample, 2K + 1 point) complex block is tried before the
+        # lattice or the disc centers are built; at K = 10^7 it is 4.77 GiB,
+        # past the 3 GiB address space the child is given
+        import resource  # POSIX only, as is /proc
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        argv = ["threshold", "--K", str(K), "--out", str(tmp_path / "run")]
+        code, max_rss_kb, stderr = self.run_child(argv, preexec_fn=limit_address_space)
+        assert code == EXIT_CONFIG, stderr
+        points = 2 * K + 1
+        assert f"needs {16 * 16 * points:.3g} bytes for one disc's 16 x {points} complex (sample, lattice) block" in stderr
         assert max_rss_kb < 200 * 1024
         assert list(tmp_path.iterdir()) == []
 
@@ -729,6 +755,75 @@ class TestGateMargins:
         assert 0.0 <= gates["max_idempotency_residual"] <= projections.QUALITY_TOL
         assert 0.0 <= gates["max_trace_gap"] <= projections.QUALITY_TOL
         assert projections.PROXIMITY_TOL <= gates["min_contour_offset"] <= 0.5
+
+
+class TestOutputSchema:
+    """The files, CSV headers and JSON keys each file-writing subcommand
+    writes, and every one of them that perfbench/check.py compares."""
+
+    METADATA = {"config", "versions", "timings"}
+    GATES = {"route", "max_idempotency_residual", "max_trace_gap", "min_contour_offset"}
+    RESULTS = {
+        "spectrum": {"potential_norm", "dim"},
+        "threshold": {"threshold_N", "samples_per_circle", "potential_norm"},
+        "deviations": {"threshold_N", "N_used", "tail_sum", "localization_verified_beyond_N", "potential_norm",
+                       "gates"},
+        "reconstruct": {"threshold_N", "N_used", "M_used", "gates"},
+        "verify-bounds": {"checks", "violations", "worst_ratios", "self_test"},
+    }
+    HEADERS = {
+        "spectrum.csv": ["re", "im", "disc"],
+        "localization.csv": ["n", "count"],
+        "matrix.csv": ["row", "col", "re", "im"],
+        "threshold.csv": ["n", "max_kvk_hs"],
+        "deviations.csv": ["n", "rank", "deviation_hs", "cumulative_sum"],
+        "reconstruction.csv": ["M", "error"],
+        "excursions.csv": ["trial", "excursion", "terminal_error"],
+        "bounds.csv": ["check", "parameters", "lhs", "rhs", "ratio"],
+    }
+    FILES = {
+        "spectrum": {"spectrum.csv", "localization.csv", "matrix.csv"},
+        "threshold": {"threshold.csv"},
+        "deviations": {"deviations.csv"},
+        "reconstruct": {"reconstruction.csv", "excursions.csv", "unconditionality.json"},
+        "verify-bounds": {"bounds.csv"},
+    }
+    UNCONDITIONALITY = {"trials", "seed", "base_error", "max_reordered_error", "max_partial_sum_spread",
+                        "bari_markus_tail", "f_norm", "excursion_constant"}
+
+    def test_schema(self, tmp_path, small_potential):
+        spec = importlib.util.spec_from_file_location("benchmark_check", CHECK_PY)
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        jobs = [(command, [command, *extra, "--bc", bc, "--K", "16", "--potential", small_potential])
+                for command, extra in (("spectrum", ["--dump-matrix"]), ("threshold", []), ("deviations", []),
+                                       ("reconstruct", ["--trials", "2"]))
+                for bc in ("per+", "dir")]
+        jobs.append(("verify-bounds", ["verify-bounds", "--draws", "1", "--window", "16"]))
+        run_keys, unconditionality_keys = set(), set()
+        for k, (command, argv) in enumerate(jobs):
+            out = tmp_path / f"job{k}"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK, argv
+            assert {path.name for path in out.iterdir()} == self.FILES[command] | {"run.json"}, argv
+            assert set(check.OUTPUTS[command]) <= self.FILES[command]
+            for name in self.FILES[command] - {"unconditionality.json"}:
+                assert read_csv(out / name)[0] == self.HEADERS[name], (argv, name)
+            run = read_run(out)
+            assert set(run) == self.METADATA | self.RESULTS[command], argv
+            assert set(run["config"]) == {field.name for field in dataclasses.fields(RunConfig)}
+            assert set(run["versions"]) == {"diracproj", "numpy", "scipy", "python"}
+            assert set(run["timings"]) == {"wall_s"}
+            if "gates" in run:
+                assert set(run["gates"]) == self.GATES, argv
+            run_keys |= set(run)
+            if command == "reconstruct":
+                unconditionality = json.loads((out / "unconditionality.json").read_text(encoding="utf-8"))
+                assert set(unconditionality) == self.UNCONDITIONALITY
+                unconditionality_keys |= set(unconditionality)
+        assert set(check.OUTPUTS) == set(self.FILES)
+        assert set(check.RUN_KINDS) <= run_keys
+        assert set(check.UNCONDITIONALITY_KINDS) <= unconditionality_keys
+        assert set(check.CSV_KINDS) <= set(self.HEADERS)
 
 
 class TestWorkPerJob:
@@ -858,8 +953,6 @@ class TestReachability:
     UNREACHED = {
         "resolvent.ShiftedSolve.__post_init__",  # the tests' LU oracle; the benchmark tracer patches it
         "resolvent.ShiftedSolve.solve",
-        "projections.ProjectionResult.matrix",
-        "potential.PotentialSpec.zero",
     }
 
     @staticmethod

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diracproj import projections
 from diracproj.decomposition import (
     FunctionVector,
     disc_expansion,
@@ -17,10 +18,10 @@ from diracproj.potential import (
     BC_TAGS,
     DIRICHLET,
     PER_PLUS,
-    PotentialSpec,
     random_potential,
 )
 from diracproj.resolvent import find_threshold_n
+from helpers import zero_potential
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,7 +117,7 @@ class TestOrthonormality:
 
 class TestReconstruct:
     def test_free_dirichlet(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
+        op = build_operator(zero_potential(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         expansion = disc_expansion(f, op, 1, 1, 8, nodes=64, global_nodes=256)
         [(_, err)] = reconstruction_curve(expansion, [8])
@@ -124,7 +125,7 @@ class TestReconstruct:
         assert np.max(np.abs(expansion.start + sum(expansion.terms) - f.coeffs)) < 1e-9
 
     def test_window_beyond_trusted_rejected(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
+        op = build_operator(zero_potential(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         with pytest.raises(ValueError):
             disc_expansion(f, op, 1, 1, 12)
@@ -138,21 +139,21 @@ class TestReconstruct:
             disc_expansion(f, op, 2, threshold, 32)
 
     def test_curve_defaults_to_every_shell(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
+        op = build_operator(zero_potential(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         expansion = disc_expansion(f, op, 2, 1, 6, global_nodes=256)
         assert expansion.report.discs == (-3, 3, -4, 4, -5, 5, -6, 6)
         assert reconstruction_curve(expansion) == reconstruction_curve(expansion, [3, 4, 5, 6])
 
     def test_curve_of_empty_window_rejected(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 16)
+        op = build_operator(zero_potential(), DIRICHLET, 16)
         f = random_vector(op.basis, seed=1, max_abs_n=4)
         # the sweep refuses the window before any contour is integrated
         with pytest.raises(ValueError, match="no discs in the window"):
             disc_expansion(f, op, 3, 1, 3, global_nodes=256)
 
     def test_curve_nonincreasing_and_consistent(self):
-        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
+        op = build_operator(zero_potential(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=2, max_abs_n=6)
         Ms = [2, 4, 6, 8]
         curve = reconstruction_curve(disc_expansion(f, op, 1, 1, max(Ms), nodes=64, global_nodes=256), Ms)
@@ -163,7 +164,7 @@ class TestReconstruct:
             assert err == pytest.approx(single, abs=1e-12)
 
     def test_curve_rejects_window_beyond_expansion(self):
-        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
+        op = build_operator(zero_potential(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=2, max_abs_n=6)
         expansion = disc_expansion(f, op, 1, 1, 4, global_nodes=256)
         with pytest.raises(ValueError):
@@ -182,7 +183,7 @@ class TestReconstruct:
 
 class TestUnconditionality:
     def test_free_case_terminals_agree(self):
-        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
+        op = build_operator(zero_potential(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         rep = unconditionality_test(disc_expansion(f, op, 1, 1, 8, nodes=64, global_nodes=256), trials=6)
         assert rep.base_error < 1e-9
@@ -193,7 +194,7 @@ class TestUnconditionality:
         assert len(rep.trial_terminals) == 6
 
     def test_deterministic_in_seed(self):
-        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
+        op = build_operator(zero_potential(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         a = unconditionality_test(disc_expansion(f, op, 1, 1, 8, global_nodes=256), trials=3, seed=9)
         b = unconditionality_test(disc_expansion(f, op, 1, 1, 8, global_nodes=256), trials=3, seed=9)
@@ -213,7 +214,30 @@ class TestUnconditionality:
         assert rep.max_partial_sum_spread >= rep.base_error
 
     def test_rejects_no_trials(self):
-        op = build_operator(PotentialSpec.zero(), PER_PLUS, 16)
+        op = build_operator(zero_potential(), PER_PLUS, 16)
         f = random_vector(op.basis, seed=6, max_abs_n=6)
         with pytest.raises(ValueError):
             unconditionality_test(disc_expansion(f, op, 1, 1, 8), trials=0)
+
+
+def _small_operator():
+    return build_operator(random_potential(3, norm=0.3), DIRICHLET, 8)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _small_operator,
+        lambda: projections.global_projection(_small_operator(), 2),
+        lambda: projections._project(_small_operator(), [projections.ContourSpec(3, 0.5, 64)]),
+        lambda: random_vector(basis_index_set(DIRICHLET, 8), seed=0),
+        lambda: disc_expansion(random_vector(basis_index_set(DIRICHLET, 8), seed=0), _small_operator(), 2, 2, 4),
+    ],
+    ids=["OperatorMatrix", "ProjectionResult", "_Batch", "FunctionVector", "DiscExpansion"],
+)
+def test_array_holders_compare_by_identity(build):
+    # a generated field-by-field __eq__ would compare arrays, whose truth value is ambiguous
+    a, b = build(), build()
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a) != hash(b)

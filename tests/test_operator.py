@@ -31,6 +31,7 @@ from diracproj.potential import (
     random_potential,
 )
 from diracproj.projections import SPECTRAL_COND_LIMIT
+from helpers import zero_potential
 
 # the canonical coupling quadruple (a, b, c, d) of each named bc
 BC_QUADRUPLES = {PER_PLUS: (0, -1, -1, 0), PER_MINUS: (0, 1, 1, 0), DIRICHLET: (-1, 0, 0, -1)}
@@ -106,21 +107,21 @@ class TestLattices:
 
 class TestFreeOperator:
     def test_per_plus_diagonal(self):
-        op = build_operator(PotentialSpec.zero(), PER_PLUS, 1)
+        op = build_operator(zero_potential(), PER_PLUS, 1)
         dense = op.dense()
         assert np.array_equal(dense, np.diag(np.diag(dense)))
         assert np.allclose(np.diag(dense).real, [-2, -2, 0, 0, 2, 2])
 
     def test_per_minus_diagonal(self):
-        op = build_operator(PotentialSpec.zero(), PER_MINUS, 0)
+        op = build_operator(zero_potential(), PER_MINUS, 0)
         assert np.allclose(np.diag(op.dense()).real, [-1, -1, 1, 1])
 
     def test_dirichlet_diagonal(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 1)
+        op = build_operator(zero_potential(), DIRICHLET, 1)
         assert np.allclose(np.diag(op.dense()).real, [-1, 0, 1])
 
     def test_eigen_of_diagonal(self):
-        op = build_operator(PotentialSpec.zero(), PER_PLUS, 2)
+        op = build_operator(zero_potential(), PER_PLUS, 2)
         vals, vecs = eigen(op)
         assert np.allclose(vals.real, [-4, -4, -2, -2, 0, 0, 2, 2, 4, 4])
         assert np.allclose(vecs @ vecs.conj().T, np.eye(op.dim))
@@ -130,7 +131,7 @@ class TestFreeOperator:
     @pytest.mark.parametrize("K", [0, 1, 8, 64])
     def test_free_eigen_is_exact(self, bc, K):
         # LAPACK returns the diagonal and the identity bit for bit, already sorted
-        op = build_operator(PotentialSpec.zero(), bc, K)
+        op = build_operator(zero_potential(), bc, K)
         vals, vecs = eigen(op)
         assert np.array_equal(vals, np.sort_complex(np.diagonal(op.dense())))
         assert np.array_equal(vecs, np.eye(op.dim))
@@ -139,7 +140,7 @@ class TestFreeOperator:
 class TestEigenbasisCondition:
     def test_singular_basis_reads_as_infinite(self):
         # two equal columns of the identity: zgesv meets an exact zero pivot (info > 0)
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 4)
+        op = build_operator(zero_potential(), DIRICHLET, 4)
         vals, vecs = eigen(op)
         vecs = vecs.copy()
         vecs[:, 1] = vecs[:, 0]
@@ -260,7 +261,7 @@ class TestCouplingMatrix:
         cases = [(tiny, 4), (random_potential(0), 128)]
         for (spec, K), bc in itertools.product(cases, (PER_PLUS, PER_MINUS, DIRICHLET)):
             op = build_operator(spec, bc, K)
-            free = build_operator(PotentialSpec.zero(), bc, K)
+            free = build_operator(zero_potential(), bc, K)
             v = build_v(spec, bc, K)
             assert np.array_equal(op.dense(), free.dense() + v.dense())
 
@@ -335,7 +336,7 @@ class TestEigen:
             eigen(op)
 
     def test_eigen_cached(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
+        op = build_operator(zero_potential(), DIRICHLET, 8)
         assert eigen(op)[0] is eigen(op)[0]
 
 

@@ -21,6 +21,7 @@ from diracproj.potential import (
     tail_norm,
     validate_bc,
 )
+from helpers import zero_potential
 
 
 def grid(n):
@@ -75,7 +76,7 @@ class TestValidation:
         assert potential_norm(doubled) == pytest.approx(2 * potential_norm(spec))
 
     def test_zero(self):
-        z = PotentialSpec.zero()
+        z = zero_potential()
         assert potential_norm(z) == 0.0
         assert z.p(0) == 0.0
 
@@ -252,7 +253,7 @@ class TestTailAndRho:
 
     def test_rho_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            rho(PotentialSpec.zero(), PER_PLUS, 0)
+            rho(zero_potential(), PER_PLUS, 0)
 
 
 class TestRandomPotential:

@@ -40,6 +40,7 @@ from diracproj.resolvent import (
     find_threshold_n,
     threshold_from_profile,
 )
+from helpers import zero_potential
 
 
 # One-point oracles for the broadcast smallness kernel: the lattice double
@@ -185,7 +186,7 @@ class TestKOperator:
 
 class TestShiftedSolve:
     def test_free_dirichlet_scalar_case(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 4)
+        op = build_operator(zero_potential(), DIRICHLET, 4)
         rhs = np.zeros(op.dim, dtype=complex)
         rhs[op.basis.position(0, 0)] = 1.0
         out = resolve(op, 0.5, rhs)
@@ -215,13 +216,13 @@ class TestShiftedSolve:
         assert np.max(np.abs(factored - direct)) < 1e-9
 
     def test_near_eigenvalue_refused(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
+        op = build_operator(zero_potential(), DIRICHLET, 8)
         with pytest.raises(IllConditionedError) as err:
             ShiftedSolve(op, 1e-14)
         assert "nearest eigenvalue" in str(err.value)
 
     def test_condition_estimate_recorded(self):
-        op = build_operator(PotentialSpec.zero(), DIRICHLET, 8)
+        op = build_operator(zero_potential(), DIRICHLET, 8)
         s = ShiftedSolve(op, 0.5)
         assert 1.0 < s.condition_estimate < 1e4
 
@@ -284,7 +285,7 @@ class TestCircleSampling:
         assert len(np.unique(np.round(pts, 12))) == 16
 
     def test_profile_keys_and_zero_potential(self):
-        profile = circle_norm_profile(PotentialSpec.zero(), PER_PLUS, 16)
+        profile = circle_norm_profile(zero_potential(), PER_PLUS, 16)
         assert sorted(profile) == [-8, -6, -4, -2, 2, 4, 6, 8]
         assert all(v == 0.0 for v in profile.values())
 
@@ -295,7 +296,7 @@ class TestCircleSampling:
         # sample; only the summation order differs, hence 1e-12 relative
         full = random_potential(11, norm=0.8)
         spec = {
-            "zero": PotentialSpec.zero(),
+            "zero": zero_potential(),
             "p_only": PotentialSpec(full.p_even, {}, full.p_odd, {}, full.max_mode),
             "q_only": PotentialSpec({}, full.q_even, {}, full.q_odd, full.max_mode),
             "constant": PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0),
@@ -314,7 +315,7 @@ class TestCircleSampling:
 
     def test_profile_rejects_few_samples(self):
         with pytest.raises(ValueError):
-            circle_norm_profile(PotentialSpec.zero(), PER_PLUS, 16, samples_per_circle=2)
+            circle_norm_profile(zero_potential(), PER_PLUS, 16, samples_per_circle=2)
 
 
 def _every_mode_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
@@ -412,7 +413,7 @@ class TestStoredModes:
 class TestThreshold:
     def test_zero_potential(self):
         for bc in BC_TAGS:
-            assert find_threshold_n(PotentialSpec.zero(), bc, 16) == 1
+            assert find_threshold_n(zero_potential(), bc, 16) == 1
 
     def test_deterministic(self):
         spec = random_potential(4)

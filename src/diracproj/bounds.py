@@ -205,8 +205,14 @@ def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
 def _offset_table(tables: _Tables, d: int, T: int, a: int, b: int) -> np.ndarray:
     """g(u) = sum_t (d|t|)^-a |u - dt|^-b over 0 < |t| <= T, 0 < |u - dt| <= dT,
     for -2dT <= u <= 2dT: one convolution per residue class of u mod d (see
-    the module docstring)."""
-    x = np.arange(-d * T, d * T + 1)
+    the module docstring).  A window past numpy's largest array is a
+    MemoryError, as one that does not fit in memory is."""
+    try:
+        x = np.arange(-d * T, d * T + 1)
+    except ValueError:
+        raise MemoryError(
+            f"a window of {T} lattice steps needs {2 * d * T + 1} offsets, past numpy's largest array"
+        ) from None
     recip = np.zeros(x.size)
     recip[x != 0] = 1.0 / np.abs(x[x != 0])
     # x = dt runs over recip[::d]; u = dt + y with y = u - dt in u's class

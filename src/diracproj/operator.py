@@ -20,8 +20,11 @@ becomes the single Toeplitz-like family W(k + n).
 A truncation is held as its nonzeros, one coefficient per anti-diagonal of
 each block: about 10 a row for the benchmark potentials.  The dense L is
 formed only by OperatorMatrix.dense(), fresh for each LAPACK or BLAS call
-that takes it, so no dense L outlives its call and the largest step is the
-eigenbasis inverse (V, its LU copy and V^{-1}).
+that takes it, so no dense L outlives its call.  In units of one dim x dim
+complex matrix, the largest step is zgeev itself, about 2.3 (L, the
+eigenvectors and its workspace).  The eigenbasis inverse holds V and V^{-1}
+(2 plus zgetri's workspace), and eigen's residual gate and the condition
+number's 1-norms work one column block of dim/COLUMN_BLOCKS at a time.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ from .potential import (
 )
 
 EIGEN_RESIDUAL_TOL = 1e-8
-# eigenvector columns per product of eigen's residual gate
-RESIDUAL_BLOCK = 128
+# eigen's residual gate and the condition number's 1-norms take the columns
+# in this many blocks: each temporary is a fraction of dim x dim
+COLUMN_BLOCKS = 8
 
 
 class EigenResidualError(Exception):
@@ -238,6 +242,11 @@ def build_operator(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
     return OperatorMatrix(v.basis, rows, cols, np.concatenate([v.values, v.basis.free_diagonal()]))
 
 
+def _column_blocks(dim: int) -> list[slice]:
+    width = -(-dim // COLUMN_BLOCKS)
+    return [slice(start, start + width) for start in range(0, dim, width)]
+
+
 def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the truncation, cached on the operator.
 
@@ -250,17 +259,18 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
         order = np.lexsort((vals.imag, vals.real))
         vals = vals[order]
         vecs = vecs[:, order]
-        vecs /= np.linalg.norm(vecs, axis=0)
         scale = max(op.hs_norm, 1.0)
-        # in scipy's BLAS, next to eig (see eigenbasis_inverse), one block of
-        # columns at a time: the temporaries stay a fraction of dim x dim
+        # in scipy's BLAS, next to eig (see eigenbasis_inverse), one column block
+        # at a time: L V_b - V_b diag(vals_b) overwrites its one temporary
         matrix = op.dense()
-        blocks = [slice(start, start + RESIDUAL_BLOCK) for start in range(0, op.dim, RESIDUAL_BLOCK)]
-        residual = np.max([
-            np.linalg.norm(scipy.linalg.blas.zgemm(1.0, matrix, vecs[:, b]) - vecs[:, b] * vals[b], axis=0).max()
-            for b in blocks
-        ])
+        residuals = []
+        for b in _column_blocks(op.dim):
+            vecs[:, b] /= np.linalg.norm(vecs[:, b], axis=0)
+            r = scipy.linalg.blas.zgemm(1.0, matrix, vecs[:, b], beta=-1.0, c=vecs[:, b] * vals[b], overwrite_c=1)
+            pairs = r.T.view(float)  # a row of real and imaginary parts per column, squared and summed in place
+            residuals.append(math.sqrt(np.einsum("ij,ij->i", pairs, pairs).max()))
         del matrix
+        residual = np.max(residuals)
         # a NaN residual fails, and so does an overflowed norm, which would pass anything
         if not residual <= EIGEN_RESIDUAL_TOL * scale < np.inf:
             raise EigenResidualError(
@@ -276,24 +286,34 @@ def eigenbasis_condition(op: OperatorMatrix) -> float:
     if "cond" not in op._aux_cache:
         _, vecs = eigen(op)
         try:
-            op._aux_cache["cond"] = float(np.linalg.norm(vecs, 1) * np.linalg.norm(eigenbasis_inverse(op), 1))
+            vinv = eigenbasis_inverse(op)
         except np.linalg.LinAlgError:
             op._aux_cache["cond"] = np.inf
+        else:
+            # the largest column sum, one column block at a time
+            norms = [np.max([np.linalg.norm(x[:, b], 1) for b in _column_blocks(op.dim)]) for x in (vecs, vinv)]
+            op._aux_cache["cond"] = float(norms[0] * norms[1])
     return op._aux_cache["cond"]
 
 
 def eigenbasis_inverse(op: OperatorMatrix) -> np.ndarray:
-    """V^{-1} by one zgesv against the identity, as numpy's inv computes it,
-    but in scipy's OpenBLAS, whose thread pool eig already holds; raises
+    """V^{-1} by one zgetrf and one zgetri in place on a row-major copy of V,
+    which is V^T in LAPACK's column-major order: (V^T)^{-1} = (V^{-1})^T
+    overwrites it, so the copy ends as V^{-1}, row-major as numpy's inv
+    returns it, and nothing else of size dim x dim is formed.  Runs in
+    scipy's OpenBLAS, whose thread pool eig already holds; raises
     np.linalg.LinAlgError when V is singular."""
     if "vinv" not in op._aux_cache:
         _, vecs = eigen(op)
-        eye = np.eye(op.dim, dtype=complex, order="F")
-        _, _, vinv, info = scipy.linalg.lapack.zgesv(vecs, eye, overwrite_b=True)
+        vinv = np.array(vecs, order="C")
+        lapack = scipy.linalg.lapack
+        _, pivots, info = lapack.zgetrf(vinv.T, overwrite_a=1)
+        if info == 0:
+            lwork = int(lapack.zgetri_lwork(op.dim)[0].real)
+            _, info = lapack.zgetri(vinv.T, pivots, lwork=lwork, overwrite_lu=1)
         if info > 0:
-            raise np.linalg.LinAlgError(f"eigenvector basis is singular (zgesv info {info})")
-        # row-major, as numpy's inv returns it, so norms and row slices sum in the same order
-        op._aux_cache["vinv"] = np.ascontiguousarray(vinv)
+            raise np.linalg.LinAlgError(f"eigenvector basis is singular (zero pivot {info})")
+        op._aux_cache["vinv"] = vinv
     return op._aux_cache["vinv"]
 
 

@@ -26,12 +26,14 @@ The spectral route diagonalizes L once and filters each eigenvalue
 (legitimate by linearity); its factors V[:, J] diag(f_J) and V^{-1}[J, :]
 are gathers, at O(dim r) per contour.  When the eigenvector basis is
 ill-conditioned (defective or nearly so), the Schur route works on one
-complex Schur form L = Z T Z^H per operator, computed in place on the
-operator's dense() scratch matrix and reordered once so that the w
-eigenvalues of the window |lambda| < K/2 + 1/2, which holds every trusted
-disc, lead.  Each contour reorders only that w x w block, so that J leads,
-and B = Z_W Q[:, :r] is an orthonormal basis of J's right invariant
-subspace.  S L is exactly complex symmetric, S the channel swap, so the
+complex Schur form L = Z T Z^H per operator.  zgees computes it in place
+on the operator's dense() scratch matrix, and one ztrsen reorders it in
+place so that the w eigenvalues of the window |lambda| < K/2 + 1/2, which
+holds every trusted disc, lead.  V^{-1} is dropped once the route is
+chosen, so the step holds about 3 dim x dim complex matrices (V, T and
+Z) plus zgees's workspace.  Each contour reorders only that w x w block,
+so that J leads, and B = Z_W Q[:, :r] is an orthonormal basis of J's
+right invariant subspace.  S L is exactly complex symmetric, S the channel swap, so the
 rows B^T S span the left one and P = B F (B^T S B)^{-1} B^T S, F the
 trapezoid filter of the leading r x r block (Horn & Johnson, Matrix
 Analysis, 4.4), in O(w^2 r + dim w r) per contour.  A contour whose J
@@ -229,22 +231,49 @@ def _spectral_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, no
     return left.transpose(1, 0, 2), right, valid
 
 
+def _complex_schur(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, Z) with matrix = Z T Z^H, bit for bit as scipy.linalg.schur(matrix,
+    output="complex", overwrite_a=True) gives them, from the same zgees call
+    with scipy's own workspace size.  T overwrites the Fortran-ordered
+    complex matrix, and the workspace query's outputs are dropped before the
+    factorization runs: the step holds matrix, Z and the workspace.  Raises
+    np.linalg.LinAlgError when the QR algorithm fails."""
+    zgees = scipy.linalg.lapack.zgees
+    # no sorting (sort_t = 0): the selection callback is never called; a
+    # workspace query (lwork = -1) returns before LAPACK reads the matrix
+    lwork = int(zgees(lambda _: None, matrix, lwork=-1, overwrite_a=1)[-2][0].real)
+    T, _, _, Z, _, info = zgees(lambda _: None, matrix, lwork=lwork, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
+    return T, Z
+
+
+def _swap_symmetric(op: OperatorMatrix) -> bool:
+    """Whether S L is exactly complex symmetric, S the channel swap, read from
+    L's nonzeros: entry (r, c) of L is entry (swap[r], c) of S L."""
+    rows, cols = op.basis.swap[op.rows], op.cols
+    flat, mirrored = rows * op.dim + cols, cols * op.dim + rows
+    here, there = np.argsort(flat), np.argsort(mirrored)
+    return np.array_equal(flat[here], mirrored[there]) and np.array_equal(op.values[here], op.values[there])
+
+
 def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int]:
     """L = Z T Z^H, once per operator, with the w eigenvalues of the window
     |lambda| < K/2 + 1/2 (every trusted disc) leading diag(T); w = dim when
     none lies there.  Raises ProjectionQualityError unless S L is exactly
     complex symmetric, S the channel swap, as every build_operator L is.
+
+    The route reads V^{-1} for its choice only, so it is dropped here: with
+    V, the step holds T, Z and zgees's workspace, and ztrsen reorders in place.
     """
     if "schur" not in op._aux_cache:
-        matrix = op.dense()
-        swapped = matrix[op.basis.swap]
-        if not np.array_equal(swapped, swapped.T):
+        op._aux_cache.pop("vinv", None)
+        if not _swap_symmetric(op):
             raise ProjectionQualityError("the Schur route needs S L exactly complex symmetric, S the channel swap")
-        del swapped
-        T, Z = scipy.linalg.schur(matrix, output="complex", overwrite_a=True)
+        T, Z = _complex_schur(op.dense())
         window = np.abs(np.diagonal(T)) < op.basis.trusted_limit + 0.5
         # complex ztrsen fails only on illegal arguments
-        T, Z, _, w, _, _, _ = scipy.linalg.lapack.ztrsen(window, T, Z, job="N")
+        T, Z, _, w, _, _, _ = scipy.linalg.lapack.ztrsen(window, T, Z, job="N", overwrite_t=1, overwrite_q=1)
         op._aux_cache["schur"] = (T, Z, w or op.dim)
     return op._aux_cache["schur"]
 

@@ -647,6 +647,14 @@ class TestUnusableResources:
         assert "more memory than there is" in err and "Unable to allocate" in err
         assert list(tmp_path.iterdir()) == []  # the refusal takes back both directories it made
 
+    def test_window_past_numpy_largest_array_exits_two(self, tmp_path, capsys):
+        # np.arange refuses 4 * 10^21 + 1 offsets with a ValueError, not a MemoryError
+        argv = ["verify-bounds", "--draws", "1", "--window", str(10**21), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "more memory than there is" in err and f"a window of {10**21} lattice steps" in err
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def run_child(argv, preexec_fn=None):
         """(exit code, peak resident set in kB, stderr) of main(argv) in a fresh interpreter.
@@ -837,7 +845,7 @@ class TestWorkPerJob:
         "reconstruct": ["reconstruct", "--trials", "2"],
         "verify-bounds": ["verify-bounds", "--draws", "1", "--window", "32"],
     }
-    # (eig, smallness scans, V^-1 solves) per job
+    # (eig, smallness scans, V^-1 inversions) per job
     EXPECTED = {
         "spectrum": (1, 0, 0),
         "threshold": (0, 1, 0),
@@ -855,15 +863,15 @@ class TestWorkPerJob:
         # reconstruct one global contour (riesz_projection's batch of one)
         batches = count_calls(monkeypatch, projections._project)
         # numpy and scipy each ship an OpenBLAS with its own thread pool: V^-1 is
-        # one zgesv in scipy's, next to eig, and no dim x dim inverse goes to numpy's
-        solves = count_calls(monkeypatch, scipy.linalg.lapack.zgesv, owners=[scipy.linalg.lapack])
+        # one zgetri in scipy's, next to eig, and no dim x dim inverse goes to numpy's
+        inversions = count_calls(monkeypatch, scipy.linalg.lapack.zgetri, owners=[scipy.linalg.lapack])
         inverses = count_calls(monkeypatch, np.linalg.inv, owners=[np.linalg])
         out = tmp_path / "run"
         argv = self.JOBS[command] + ["--out", str(out)]
         if command != "verify-bounds":
             argv += ["--bc", bc, "--K", "16", "--potential", small_potential]
         assert main(argv) == EXIT_OK
-        assert (len(eigs), len(scans), len(solves)) == self.EXPECTED[command]
+        assert (len(eigs), len(scans), len(inversions)) == self.EXPECTED[command]
         assert all(args[0].shape[-1] < basis_index_set(bc, 16).dim for args in inverses)
         contours = [c for args in batches for c in args[1]]
         if command == "deviations":
@@ -888,24 +896,25 @@ class TestWorkPerJob:
         # window only, and no Sylvester equation is solved
         path = tmp_path / "p_only.json"
         path.write_text(json.dumps(P_ONLY), encoding="utf-8")
-        schurs = count_calls(monkeypatch, scipy.linalg.schur, owners=[scipy.linalg])
+        schurs = count_calls(monkeypatch, scipy.linalg.lapack.zgees, owners=[scipy.linalg.lapack])
         reorders = count_calls(monkeypatch, scipy.linalg.lapack.ztrsen, owners=[scipy.linalg.lapack])
         sylvesters = count_calls(monkeypatch, scipy.linalg.lapack.ztrsyl, owners=[scipy.linalg.lapack])
         inverses = count_calls(monkeypatch, np.linalg.inv, owners=[np.linalg])
-        eigenbasis_solves = count_calls(monkeypatch, scipy.linalg.lapack.zgesv, owners=[scipy.linalg.lapack])
+        eigenbasis_inverses = count_calls(monkeypatch, scipy.linalg.lapack.zgetri, owners=[scipy.linalg.lapack])
         solves = []
         post_init = ShiftedSolve.__post_init__
         monkeypatch.setattr(ShiftedSolve, "__post_init__", lambda self: solves.append(self) or post_init(self))
         argv = ["deviations", "--bc", "per+", "--K", "32", "--potential", str(path), "--out", str(tmp_path / "run")]
         assert main(argv) == EXIT_OK
-        assert (len(solves), len(schurs), len(sylvesters)) == (0, 1, 0)
+        # zgees runs twice for the one Schur form: scipy's workspace query, then the factorization
+        assert (len(solves), len(schurs), len(sylvesters)) == (0, 2, 0)
         dim, w = 130, 34
         _, rows = read_csv(tmp_path / "run" / "deviations.csv")
         reordered = [len(args[1]) for args in reorders]
         assert reordered == [dim] + [w] * len(rows)
         # V^-1 still sets the route; each chunk of discs inverts its r x r filter
         # nodes in one batch and its r x r Gram matrices B^T S B in another
-        assert len(eigenbasis_solves) == 1
+        assert len(eigenbasis_inverses) == 1
         chunks = math.ceil(len(rows) / projections.DISC_CHUNK)
         assert sorted(args[0].ndim for args in inverses) == [3] * chunks + [4] * chunks
         assert all(args[0].shape[-1] < w for args in inverses)

@@ -2,10 +2,10 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import diracproj.operator as operator_module
 from diracproj.cli import load_potential_file
@@ -31,7 +31,7 @@ from diracproj.potential import (
     random_potential,
 )
 from diracproj.projections import SPECTRAL_COND_LIMIT
-from helpers import zero_potential
+from helpers import traced_peak, zero_potential
 
 # the canonical coupling quadruple (a, b, c, d) of each named bc
 BC_QUADRUPLES = {PER_PLUS: (0, -1, -1, 0), PER_MINUS: (0, 1, 1, 0), DIRICHLET: (-1, 0, 0, -1)}
@@ -139,7 +139,7 @@ class TestFreeOperator:
 
 class TestEigenbasisCondition:
     def test_singular_basis_reads_as_infinite(self):
-        # two equal columns of the identity: zgesv meets an exact zero pivot (info > 0)
+        # two equal columns of the identity: zgetrf, on V^T, meets an exact zero pivot (info > 0)
         op = build_operator(zero_potential(), DIRICHLET, 4)
         vals, vecs = eigen(op)
         vecs = vecs.copy()
@@ -151,7 +151,7 @@ class TestEigenbasisCondition:
 
     @pytest.mark.parametrize("bc", [PER_PLUS, DIRICHLET])
     def test_inverse_matches_numpy(self, bc):
-        # the same zgesv against the identity as numpy's inv, run in scipy's LAPACK
+        # zgetrf and zgetri on V^T, in place in scipy's LAPACK, against numpy's inv
         op = build_operator(random_potential(0), bc, 32)
         got, want = eigenbasis_inverse(op), np.linalg.inv(eigen(op)[1])
         assert got.flags.c_contiguous
@@ -286,18 +286,14 @@ class TestMemory:
         assert held and all(array.size < op.dim**2 for array in held)
 
     def test_eigendecomposition_peak(self):
-        # from a fresh operator through eigen and eigenbasis_inverse, at most three
-        # dim x dim arrays live at once: V, its LU copy and V^-1 in zgesv
+        # from a fresh operator through eigen, the condition number and V^-1, no step
+        # holds more than zgeev itself: L, the eigenvectors and its workspace, 2.6
+        # dim x dim complex matrices here; the inverse holds V, V^-1 and zgetri's workspace
         spec = random_potential(0)
-        tracemalloc.start()
-        try:
-            op = build_operator(spec, PER_PLUS, 64)
-            eigen(op)
-            eigenbasis_inverse(op)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * 3 * op.dim**2 * 16
+        zgeev = traced_peak(spec, PER_PLUS, 64, lambda op: scipy.linalg.eig(op.dense(), overwrite_a=True))
+        steps = (eigen, eigenbasis_condition, eigenbasis_inverse)
+        whole = traced_peak(spec, PER_PLUS, 64, lambda op: [step(op) for step in steps])
+        assert whole <= zgeev + 0.02
 
 
 class TestEigen:

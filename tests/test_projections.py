@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from diracproj.projections import (
     DISC_CHUNK,
     PROXIMITY_TOL,
     SPECTRAL_COND_LIMIT,
+    _complex_schur,
     _disc_sweep,
     _filter,
     _project,
@@ -54,7 +56,7 @@ from diracproj.projections import (
     riesz_projection,
 )
 from diracproj.resolvent import CONDITION_LIMIT, IllConditionedError, ShiftedSolve, circle_samples, find_threshold_n
-from helpers import projection_matrix, zero_potential
+from helpers import projection_matrix, traced_peak, zero_potential
 
 CONST = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
 
@@ -544,6 +546,34 @@ class TestSchurWindow:
             self.check(op, [contour])
         # one batch, one contour inside the window and one leaving it
         self.check(op, [ContourSpec(0, 0.5, 64), ContourSpec(2, 0.5, 64)])
+
+    def test_complex_schur_matches_scipy(self, benchmark_cases):
+        # the direct zgees, with scipy's own workspace size, gives scipy's T and Z bit for bit
+        cases = [case for case in benchmark_cases("defective", [0]) if case[1] == PER_PLUS]
+        assert [(Path(path).stem, K) for path, _, K in cases] == [(f"defective-0-{name}", 32) for name in ("p_only", "q_only")]
+        for path, bc, K in cases:
+            op = build_operator(load_potential_file(path), bc, K)
+            T, Z = _complex_schur(op.dense())
+            want_T, want_Z = scipy.linalg.schur(op.dense(), output="complex")
+            assert T.tobytes() == want_T.tobytes() and Z.tobytes() == want_Z.tobytes()
+
+    def test_schur_route_peak(self):
+        # from a fresh P-only per+ operator through the route choice and the Schur
+        # form, no step holds more than V next to zgees's own step (T, Z and its
+        # workspace), nor more than zgeev's: V^-1 is dropped once the route is chosen,
+        # the workspace query's outputs never meet the factorization, and ztrsen
+        # reorders in place
+        spec = structured_potential(0, 1.0, 0.0)
+        zgeev = traced_peak(spec, PER_PLUS, 64, lambda op: scipy.linalg.eig(op.dense(), overwrite_a=True))
+        zgees = traced_peak(spec, PER_PLUS, 64, lambda op: _complex_schur(op.dense()))
+
+        def route_and_form(op):
+            assert eigenbasis_condition(op) > SPECTRAL_COND_LIMIT
+            _schur_form(op)
+            assert "vinv" not in op._aux_cache
+
+        whole = traced_peak(spec, PER_PLUS, 64, route_and_form)
+        assert whole <= max(zgeev, 1 + zgees) + 0.05
 
     def test_whole_form_without_window(self):
         # shifted by 5, no eigenvalue lies in the window |z| < 1: w = dim, and every contour works on the whole form

@@ -7,9 +7,10 @@ rule with M equispaced nodes lambda_j = c + R e^{i theta_j} this becomes
     P  ~=  (R / M) * sum_j e^{i theta_j} (lambda_j - L)^{-1},
 
 which for each eigenvalue mu of L is a scalar filter: exactly
-1/(1 - d^M) with d = (mu - c)/R when mu is inside the circle, and
--1/(d^M - 1) when outside.  Both tails die geometrically in M, which is
-why node-doubling checks are a meaningful convergence diagnostic.
+1/(1 - d^M) with d = (mu - c)/R (Trefethen & Weideman, SIAM Review 56,
+2014), evaluated as -e/(1 - e), e = d^-M, when mu is outside the circle.
+Both tails die geometrically in M, which is why node-doubling checks are
+a meaningful convergence diagnostic.
 
 Projections are computed in batches.  One pass (_project) takes circles of
 one radius and node count and computes, as stacked array operations, each
@@ -18,8 +19,8 @@ factors of its projection and its trace and idempotency gates.  The disc
 sweep sends the window's disc contours through it in chunks of DISC_CHUNK
 and, in the same pass, takes each disc's deviation from the free P_n^0 and,
 with f given, P_n f; riesz_projection is the pass on a batch of one
-contour.  The filter is summed only for the eigenvalues within reach of a
-contour, and J holds those whose filter value is above roundoff.
+contour.  The filter is evaluated in that closed form, and J holds the
+eigenvalues whose filter value is above roundoff.
 
 Two routes build the factors; both apply the same filter rule and gates.
 The spectral route diagonalizes L once and filters each eigenvalue
@@ -90,15 +91,11 @@ QUALITY_TOL = 1e-6
 # (against the LU oracle); above this limit the Schur route, whose error does
 # not grow with it, takes over
 SPECTRAL_COND_LIMIT = 1e5
-# eigenvalues whose quadrature filter value is at or below this floor are
-# left out of the spectral route's factors.  Far from the contour the
-# computed filter is pure roundoff (about 1e-17..5e-16 where the exact value
-# is below 1e-30), so dropping those terms leaves P as accurate as before.
+# eigenvalues whose filter value is at or below this floor are left out of
+# J: such a term moves no entry of P beyond roundoff.  Far from the contour
+# the closed form is exact (below 1e-30 a few radii out), where a node sum
+# leaves 1e-17..5e-16 of roundoff; both keep the same J.
 FILTER_FLOOR = 1e-15
-# the filter is summed only within R * FILTER_REACH^(1/M) of the center,
-# where the exact filter falls below 1 / FILTER_REACH.  The full sum beyond
-# is roundoff, which on wide global circles passed FILTER_FLOOR at 1e17
-FILTER_REACH = 1e28
 # discs per batched pass: at dim 514 and r = 2 a chunk's stacked factors
 # are about 0.26 MB each
 DISC_CHUNK = 16
@@ -196,15 +193,16 @@ def _split_deviation(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> n
 
 def _filter(centers: np.ndarray, radius: float, nodes: int, mu: np.ndarray) -> np.ndarray:
     """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) of each circle
-    c + R z_j at each value of mu, as a len(centers) x len(mu) array;
-    0 beyond the reach set by FILTER_REACH."""
-    phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    lams = centers[:, None] + radius * phases
-    reach = radius * FILTER_REACH ** (1 / nodes)
-    disc, near = np.nonzero(np.abs(mu - centers[:, None]) < reach)
-    filt = np.zeros((len(centers), len(mu)), dtype=complex)
-    filt[disc, near] = (radius / nodes) * (phases / (lams[disc] - mu[near, None])).sum(axis=1)
-    return filt
+    c + R z_j at each value of mu, as a len(centers) x len(mu) array, in
+    closed form: 1/(1 - d^M), d = (mu - c)/R, and -e/(1 - e), e = d^-M,
+    outside the circle, so |e| <= 1 and nothing overflows.  M is capped at
+    2^64, where d^M already underflows to 0 for every float |d| < 1, so any
+    node count is a float exponent."""
+    d = (mu - centers[:, None]) / radius
+    outside = np.abs(d) >= 1
+    np.reciprocal(d, out=d, where=outside)
+    e = d ** float(min(nodes, 2**64))
+    return np.where(outside, -e, 1.0) / (1 - e)
 
 
 def _spectral_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes: int):
@@ -290,6 +288,8 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
     right, valid); raises ProjectionQualityError at the first contour whose
     projector norm bound ||(B^T S B)^{-1}||_F exceeds CONDITION_LIMIT (it
     bounds ||P||_2: B has orthonormal columns and B^T S orthonormal rows).
+    F is a sum over the nodes: a node stack too large to hold raises
+    MemoryError, naming the node count.
     """
     T, Z, w = _schur_form(op)
     select = np.abs(_filter(centers, radius, nodes, np.diagonal(T))) > FILTER_FLOOR
@@ -317,8 +317,11 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
         )
 
     # lambda_j - T11 at every node (as circle_samples); padding slots invert the identity and are masked out of F
-    points = centers[:, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
-    shifted = np.repeat(-t11[:, None], nodes, axis=1)
+    try:
+        points = centers[:, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+        shifted = np.repeat(-t11[:, None], nodes, axis=1)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        raise MemoryError(f"a contour of {nodes} quadrature nodes needs a node stack too large to hold: {exc}") from None
     np.einsum("kjaa->kja", shifted)[...] += np.where(valid[:, None, :], points[:, :, None], 1.0)
     phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     filt = (radius / nodes) * np.einsum("j,kjab->kab", phases, np.linalg.inv(shifted))

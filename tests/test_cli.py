@@ -56,6 +56,13 @@ def small_potential(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def p_only_potential(tmp_path_factory):
+    path = tmp_path_factory.mktemp("potential") / "p_only.json"
+    path.write_text(json.dumps(P_ONLY), encoding="utf-8")
+    return str(path)
+
+
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -638,14 +645,41 @@ class TestUnusableResources:
     @pytest.mark.parametrize("argv", [
         ["threshold", "--K", "16", "--samples", "1000000000000000"],  # 56.8 PiB of circle samples
         ["verify-bounds", "--draws", "1", "--window", "1000000000000000"],  # 28.4 PiB of window offsets
-        ["deviations", "--K", "64", "--nodes", "100000000000000000"],  # 711 PiB of quadrature nodes
+        # 711 PiB of quadrature nodes: the Schur route sums its matrix filter node by node
+        ["deviations", "--K", "16", "--nodes", "100000000000000000", "--potential", "p_only"],
     ])
-    def test_oversized_allocation_exits_two(self, tmp_path, capsys, argv):
+    def test_oversized_allocation_exits_two(self, tmp_path, capsys, p_only_potential, argv):
         # each request exceeds any address space, so it is refused at once
+        argv = [p_only_potential if arg == "p_only" else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "run" / "sub")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "more memory than there is" in err and "Unable to allocate" in err
         assert list(tmp_path.iterdir()) == []  # the refusal takes back both directories it made
+
+    @pytest.mark.parametrize("command", ["deviations", "reconstruct"])
+    # 10^30 is past numpy's largest array, 10^400 past the float range
+    @pytest.mark.parametrize("nodes", [10**17, 10**30, 10**400], ids=["1e17", "1e30", "1e400"])
+    def test_oversized_node_stack_exits_two(self, tmp_path, capsys, p_only_potential, command, nodes):
+        # the Schur route (a defective per+ truncation) refuses the node stack, naming the node count
+        argv = [command, "--K", "16", "--nodes", str(nodes), "--potential", p_only_potential]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "more memory than there is" in err and f"a contour of {nodes} quadrature nodes" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["deviations", "reconstruct"])
+    @pytest.mark.parametrize("nodes", [10**17, 10**30, 10**400], ids=["1e17", "1e30", "1e400"])
+    def test_huge_node_count_on_the_spectral_route(self, tmp_path, command, nodes):
+        # the spectral route's filter is closed-form: no node count costs memory, and
+        # the projections are the exact spectral projectors, inside every gate
+        out = tmp_path / "run"
+        argv = [command, "--K", "64", "--nodes", str(nodes), "--out", str(out)]
+        assert main(argv + (["--trials", "2"] if command == "reconstruct" else [])) == EXIT_OK
+        gates = read_run(out)["gates"]
+        assert gates["route"] == "spectral"
+        assert gates["max_idempotency_residual"] <= projections.QUALITY_TOL
+        assert gates["max_trace_gap"] <= projections.QUALITY_TOL
+        assert gates["min_contour_offset"] >= projections.PROXIMITY_TOL
 
     def test_window_past_numpy_largest_array_exits_two(self, tmp_path, capsys):
         # np.arange refuses 4 * 10^21 + 1 offsets with a ValueError, not a MemoryError

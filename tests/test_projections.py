@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -583,14 +584,40 @@ class TestSchurWindow:
         self.check(op, [ContourSpec(5, 0.5, 64), ContourSpec(7, 0.5, 64)])
 
 
-class TestFilterReach:
-    """_filter sums only the values within reach of the contour.  On every
-    operator of the benchmark's spectral and defective workloads it keeps the
-    eigenvalues the full len(mu) x nodes evaluation keeps, and the spectral
-    route's factors are those of the full evaluation, bit for bit."""
+def far_values(contour, mu, count=8):
+    """Indices of up to `count` values of mu at |d| >= 2, d = (mu - c)/R, spread
+    from the nearest to the farthest."""
+    dist = np.abs(mu - contour.center) / contour.radius
+    far = np.flatnonzero(dist >= 2)
+    far = far[np.argsort(dist[far])]
+    return far[np.unique(np.linspace(0, len(far) - 1, count).astype(int))] if len(far) else far
+
+
+def exact_filter(contour, mu):
+    """1/(1 - d^M) at one value mu in 30-digit arithmetic, from the float inputs taken as exact."""
+    with mpmath.workdps(30):
+        d = (mpmath.mpc(mu) - mpmath.mpc(contour.center)) / contour.radius
+        return 1 / (1 - d**contour.nodes)
+
+
+class TestClosedFormFilter:
+    """_filter evaluates the trapezoid sum in closed form.  On every operator
+    of the benchmark's spectral and defective workloads, on the disc and the
+    global contours, it keeps the eigenvalues the node sum (full_filter)
+    keeps, the spectral route's factors match those of the node sum, and far
+    from the contour, where the node sum is pure roundoff, it matches a
+    30-digit evaluation."""
+
+    # measured over these operators: 2.7e-15
+    FACTOR_TOL = 1e-14
+    # the filter's condition number in mu is M far from the contour, so a
+    # float64 d carries M ulp into d^M; measured: 1.4 M ulp on the discs
+    # (M = 64) and 2.7 M ulp on the global contours
+    FAR_ULPS = 4
 
     @pytest.mark.parametrize("workload", ["spectral", "defective"])
-    def test_keeps_the_full_evaluation_set(self, benchmark_cases, workload):
+    def test_matches_the_node_sum(self, benchmark_cases, workload):
+        eps = np.finfo(float).eps
         for path, bc, K in benchmark_cases(workload, range(3)):
             spec = load_potential_file(path)
             N = find_threshold_n(spec, bc, K)
@@ -607,15 +634,40 @@ class TestFilterReach:
                     for k, contour in enumerate(batch):
                         keep = np.flatnonzero(np.abs(full_filter(contour, mu)) > FILTER_FLOOR)
                         assert np.array_equal(np.flatnonzero(np.abs(filt[k]) > FILTER_FLOOR), keep)
+                        for i in far_values(contour, mu):
+                            want = exact_filter(contour, mu[i])
+                            # underflow: below the smallest normal float64 the closed form may read 0
+                            tol = self.FAR_ULPS * contour.nodes * eps * abs(want) + np.finfo(float).smallest_normal
+                            assert abs(mpmath.mpc(filt[k, i]) - want) <= tol, (contour, mu[i])
                 if spectral:
                     # the batch's gathered factors, padding stripped
                     left, right, valid = _spectral_factors(op, centers, batch[0].radius, batch[0].nodes)
                     for k, contour in enumerate(batch):
                         full = full_filter(contour, vals)
                         keep = np.flatnonzero(np.abs(full) > FILTER_FLOOR)
-                        assert np.array_equal(left[k][:, valid[k]], vecs[:, keep] * full[keep])
+                        want = vecs[:, keep] * full[keep]
+                        assert np.max(np.abs(left[k][:, valid[k]] - want)) <= self.FACTOR_TOL * np.max(np.abs(want))
                         assert np.array_equal(right[k][valid[k]], eigenbasis_inverse(op)[keep, :])
                         assert not left[k][:, ~valid[k]].any() and not right[k][~valid[k]].any()
+
+    @pytest.mark.parametrize("nodes", [10**17, 10**30, 10**400], ids=["1e17", "1e30", "1e400"])
+    def test_huge_node_counts_cost_nothing(self, nodes):
+        # nothing grows with the node count: at 10^17 nodes or more a chunk's
+        # filter holds a few (disc, value) arrays, raises no floating-point
+        # warning (the suite turns RuntimeWarning into an error) and is the
+        # exact indicator of each disc; mu holds every center, where d = 0
+        centers = np.arange(-8, 8) + 0j
+        rng = np.random.default_rng(5)
+        mu = np.concatenate([centers, 5 * rng.standard_normal(500) + 1j * rng.standard_normal(500)])
+        tracemalloc.start()
+        try:
+            filt = _filter(centers, 0.5, nodes, mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * filt.nbytes
+        inside = np.abs(mu - centers[:, None]) < 0.5
+        assert np.array_equal(filt, inside.astype(complex))
 
 
 class TestFactoredForm:

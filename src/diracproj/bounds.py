@@ -45,17 +45,22 @@ The chain sums sample the circle l = n + z, z = e^{i theta}/2, on which
 |l - n| = 1/2, an index x = a - n (a on the support of r) has |l - x| =
 |z - u| with u = a - 2n, and an s = 1 free end k = n + d has |l - k| =
 |z - d| on every disc.  So one circle-offset table 1/|z - u| (sample x u)
-serves every disc by gather, and one (sample x d) table holds the free-end
-gaps.  The s = 1 free chains are formed one circle sample's (disc x d)
-block at a time and folded into running maxima over the samples, so no
-per-draw array outgrows one block.  The anchor's (k, m) term sees n only
-through u_k, as u_m - u_k = a_m - a_k: it reads the pair table
-H[t, u] = max_theta |z - u|^-2 |z - u - t d|^-2 at u = min(u_k, u_m),
-t d = |a_m - a_k|.  Its sum over discs is a matvec per support point
-against the number of discs at each offset (a bincount), because u_k and
-u_0 differ by a_k - a_0 on every disc.  End factors (the s = 0 free
-chain's, both of the anchor's) drop u = 0, the index x = n; the s = 1
-closed and free chains keep their interior index j = n.
+serves every disc by gather: the memo holds it, the (disc x support)
+indices of u into its u axis and the column of u = 0, and nothing of size
+sample x disc x support.  One (sample x d) table holds the free-end gaps.
+At s = 1 each circle sample's gaps are gathered on (disc x support) in the
+loop over the samples, and its closed chains (per disc) and free chains
+(disc x d) are folded into running maxima over the samples there, so no
+per-draw array outgrows one sample's block.  The anchor's (k, m) term
+sees n only through u_k, as u_m - u_k = a_m - a_k: it reads the pair
+table H[t, u] = max_theta |z - u|^-2 |z - u - t d|^-2 at
+u = min(u_k, u_m), t d = |a_m - a_k|.  Its sum over discs is a matvec per
+support point against the number of discs at each offset (a bincount),
+because u_k and u_0 differ by a_k - a_0 on every disc.  End factors (the
+s = 0 free chain's, both of the anchor's) drop u = 0, the index x = n; the
+s = 1 closed and free chains keep their interior index j = n.  The end
+factors 1/|z - u|^2 are formed only while the s = 0 maxima and the pair
+table are built, and are not kept.
 
 None of those tables depends on the potential: the convolution tables see
 (d, T, a, b), the tail and chain tables see the lattice (bc, N, K, samples)
@@ -136,7 +141,8 @@ class _Tables:
         if (build, *key) not in self._built:
             built = build(self, *key)
             for table in built if isinstance(built, tuple) else (built,):
-                table.flags.writeable = False
+                if isinstance(table, np.ndarray):
+                    table.flags.writeable = False
             self._built[(build, *key)] = built
         return self._built[(build, *key)]
 
@@ -341,11 +347,11 @@ def check_tail_sums(r: RSequence, N: int, K: int) -> list[BoundCheck]:
 # -- squared chains through the discs -----------------------------------------
 
 def _circle_offsets(tables: _Tables, bc: str, N: int, K: int, samples: int, support: tuple) -> tuple:
-    """(u, at, z, recip, ends_sq) for the discs N < |n| <= K.
+    """(at, recip, origin) for the discs N < |n| <= K.
 
-    u = a - 2n on axes (disc, support); recip[:, at] = 1/|z - u| with z on
-    the sample axis, the table's range holding u = 0; ends_sq is recip^2
-    with u = 0 dropped, for the end factors.
+    recip[:, at] = 1/|z - u| for u = a - 2n on axes (disc, support), with z
+    on the sample axis; recip's column origin holds u = 0, which the end
+    factors drop.
     """
     supp = np.array(support, dtype=int)
     centers = np.array([n for n in disc_centers(bc, K) if abs(n) > N], dtype=int)
@@ -353,30 +359,32 @@ def _circle_offsets(tables: _Tables, bc: str, N: int, K: int, samples: int, supp
     lo = u.min(initial=0)
     z = circle_samples(0, 0.5, samples)[:, None]
     recip = 1.0 / np.sqrt((z.real - np.arange(lo, u.max(initial=0) + 1)) ** 2 + z.imag**2)  # (sample, u)
-    ends_sq = recip**2
-    ends_sq[:, -lo] = 0.0
-    return u, u - lo, z, recip, ends_sq
+    return u - lo, recip, int(-lo)
 
 
 def _chain_tables(
     tables: _Tables, bc: str, s: int, N: int, K: int, samples: int, support: tuple, step: int
 ) -> tuple:
-    """What the order-s chain sums read besides r.
+    """What the order-s chain sums read besides r and the circle offsets.
 
     s = 0: the hits a = 2n and the sample maxima of the end factors on
-    (disc, support).  s = 1: the gaps g on (sample, disc, support), the
-    shift indicator whose product with r(a) gives r(a + d), the free-end
-    factors 2/|z - d| on (sample, d) and the anchor's pair table summed
-    over discs, on (support, support).
+    (disc, support).  s = 1: the shift indicator whose product with r(a)
+    gives r(a + d), the free-end factors 2/|z - d| on (sample, d) and the
+    anchor's pair table summed over discs, on (support, support).  The
+    end factors 1/|z - u|^2 with u = 0 dropped are formed here and not kept.
     """
-    u, at, z, recip, ends_sq = tables(_circle_offsets, bc, N, K, samples, support)
+    at, recip, origin = tables(_circle_offsets, bc, N, K, samples, support)
     if s == 0:
-        return u == 0, ends_sq.max(axis=0)[at]
+        # squaring is monotone on the nonnegative recip, so it commutes with the maxima
+        end_maxima = recip.max(axis=0) ** 2
+        end_maxima[origin] = 0.0
+        return at == origin, end_maxima[at]
     supp = np.array(support, dtype=int)
-    g = np.take(recip, at, axis=1)  # 1/|l - j| for j = a - n
     diffs = np.setdiff1d(supp[:, None] - supp, [0])
     shift = supp[:, None] + diffs[:, None, None] == supp
-    free_ends = 2.0 / np.abs(z - diffs)
+    free_ends = 2.0 / np.abs(circle_samples(0, 0.5, samples)[:, None] - diffs)
+    ends_sq = recip**2
+    ends_sq[:, origin] = 0.0
     # pair[t, u] = max over samples of ends_sq(u) ends_sq(u + t d), zero past the table
     width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
     pair = np.zeros((width // step + 1, span))
@@ -390,7 +398,7 @@ def _chain_tables(
     for k, offset in enumerate(supp - supp[:1]):
         per_point[:, k] = pair[:, offset : offset + discs.size] @ discs
     lower = np.minimum.outer(np.arange(supp.size), np.arange(supp.size))
-    return g, shift, free_ends, per_point[np.abs(supp[:, None] - supp) // step, lower]
+    return shift, free_ends, per_point[np.abs(supp[:, None] - supp) // step, lower]
 
 
 def check_chain_sums(
@@ -424,23 +432,29 @@ def check_chain_sums(
     rho_sq = rho(spec, bc, N) ** 2  # read from the same cached r
 
     # every chain carries 1/|l - n|^2 = 4
-    built = _tables()(_chain_tables, bc, s, N, K, samples, r.support, r.step)
+    tables = _tables()
+    built = tables(_chain_tables, bc, s, N, K, samples, r.support, r.step)
     anchor = 0.0
     if s == 0:
         hits, end_maxima = built
         closed = 4.0 * float((hits @ wa).sum())
         free = 4.0 * float((end_maxima @ wa).sum())
     else:
-        g, shift, free_ends, anchor_pairs = built
-        # every factor is nonnegative, so squaring commutes with the sample maxima
-        closed = float(np.square(4.0 * (g @ wa).max(axis=0)).sum())
+        shift, free_ends, anchor_pairs = built
+        at, recip, _ = tables(_circle_offsets, bc, N, K, samples, r.support)
         # 2 r(a) r(a + d) / |z - d| on (sample, support, d)
         links = (ra * (shift @ ra)).T * free_ends[:, None, :]
-        # one sample's (disc, d) block at a time, folded into the sample maxima
-        free_max = np.zeros((g.shape[1], links.shape[2]))
+        # one sample's gaps 1/|l - j|, j = a - n, on (disc, support) at a time,
+        # folded into the sample maxima of the closed and the free chains
+        closed_max = np.zeros(at.shape[0])
+        free_max = np.zeros((at.shape[0], links.shape[2]))
         block = np.empty_like(free_max)
-        for gaps, sample_links in zip(g, links):
+        for sample_recip, sample_links in zip(recip, links):
+            gaps = sample_recip[at]
+            np.maximum(closed_max, gaps @ wa, out=closed_max)
             np.maximum(free_max, np.matmul(gaps, sample_links, out=block), out=free_max)
+        # every factor is nonnegative, so squaring commutes with the sample maxima
+        closed = float(np.square(4.0 * closed_max).sum())
         free = float(np.square(free_max, out=free_max).sum())
         anchor = 4.0 * float(wa @ anchor_pairs @ wa)
 

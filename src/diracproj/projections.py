@@ -483,12 +483,15 @@ def _disc_sweep(
     """The one pass over the disc window N < |n| <= M (M defaults to K/2).
 
     `threshold` is the verified threshold of the operator's potential
-    (find_threshold_n).  N below it is refused, so every contour integrated
-    over satisfies the smallness test; so are M beyond the trusted window
-    K/2 and a window with no disc in it.  The discs go through the batched
-    pass DISC_CHUNK at a time; each gets its projection P_n, its deviation
-    from the free P_n^0 and, with f given, P_n f.  A chunk's projections are
-    dropped before the next chunk.
+    (find_threshold_n).  N below it is refused, so the radius-1/2 circle
+    around every disc of the window passes the smallness test, which
+    circle_norm_profile samples at radius 1/2 only; for a smaller radius
+    it is the disc's eigenvalue count that localization_counts checks
+    (deviations reports it as localization_verified_beyond_N).  M beyond
+    the trusted window K/2 and a window with no disc in it are refused too.
+    The discs go through the batched pass DISC_CHUNK at a time; each gets
+    its projection P_n, its deviation from the free P_n^0 and, with f given,
+    P_n f.  A chunk's projections are dropped before the next chunk.
     """
     if N < threshold:
         raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")

@@ -1,6 +1,7 @@
 """Memory of one CLI job, each measured in a fresh interpreter.
 
     python tests/memory_probe.py deviations --bc per+ --K 128 --potential p.json
+    python tests/memory_probe.py verify-bounds --window 4096 --draws 2
 
 Runs `diracproj.cli.main(argv)` twice, each in its own child process:
 - untraced, and prints the child's own peak resident set (VmHWM from
@@ -11,11 +12,13 @@ Runs `diracproj.cli.main(argv)` twice, each in its own child process:
   A stage's peak is that of its first call, the one that computes (later
   calls read the operator's cache).  It counts everything the job holds
   while the stage runs, such as V while the Schur form is computed, and
-  takes in the stages it calls.
+  takes in the stages it calls.  The bound battery, which has no operator,
+  is printed in MiB alone.
 
 The stages are operator.eigen (eigen), operator.eigenbasis_condition
 (inverse and condition, which computes V^-1), operator.eigenbasis_inverse
-(inverse) and projections._schur_form (Schur form).  A stage the job never
+(inverse), projections._schur_form (Schur form) and bounds.run_battery
+(battery, the whole battery of verify-bounds).  A stage the job never
 enters is left out.  `--out` defaults to a temporary directory.  Not a
 pytest module: it has no test_ prefix.  Needs Linux (/proc/self/status).
 """
@@ -33,32 +36,34 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = r"""
 import json, re, sys, tracemalloc
-import diracproj.cli, diracproj.operator, diracproj.projections
+import diracproj.bounds, diracproj.cli, diracproj.operator, diracproj.projections
 
 STAGES = {
     "eigen": (diracproj.operator, "eigen"),
     "inverse and condition": (diracproj.operator, "eigenbasis_condition"),
     "inverse": (diracproj.operator, "eigenbasis_inverse"),
     "Schur form": (diracproj.projections, "_schur_form"),
+    "battery": (diracproj.bounds, "run_battery"),
 }
 traced = sys.argv[1] == "traced"
 peaks, dims, running = {}, {}, []  # running: each open stage's peak so far, outermost first
 
 
 def wrap(stage, fn):
-    def probed(op, *args, **kwargs):
+    def probed(*args, **kwargs):
         if running:  # reset_peak below forgets the enclosing stage's peak
             running[-1] = max(running[-1], tracemalloc.get_traced_memory()[1])
         running.append(0)
         tracemalloc.reset_peak()
         try:
-            return fn(op, *args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
             peak = max(running.pop(), tracemalloc.get_traced_memory()[1])
             if running:
                 running[-1] = max(running[-1], peak)
             if stage not in peaks:
-                peaks[stage], dims[stage] = peak, op.dim
+                # the operator's dim; None for the battery, which takes none
+                peaks[stage], dims[stage] = peak, getattr(args[0], "dim", None) if args else None
     return probed
 
 
@@ -100,7 +105,10 @@ def main(argv: list[str]) -> int:
         traced = run_child("traced", argv + traced_out)
     print(f"exit code {plain['code']}; VmHWM {plain['vmhwm_kb'] / 1024:.1f} MB")
     for stage, (peak, dim) in traced["stages"].items():
-        print(f"{stage:>22}: {peak / (16 * dim**2):5.2f} dim^2  ({peak / 2**20:.1f} MiB traced, dim {dim})")
+        if dim is None:
+            print(f"{stage:>22}: {peak / 2**20:.2f} MiB traced")
+        else:
+            print(f"{stage:>22}: {peak / (16 * dim**2):5.2f} dim^2  ({peak / 2**20:.1f} MiB traced, dim {dim})")
     return 0
 
 

@@ -34,6 +34,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
+import scipy.linalg
 
 PER_PLUS = "per+"
 PER_MINUS = "per-"
@@ -149,8 +150,8 @@ def from_samples(p_samples, q_samples, max_mode: int) -> PotentialSpec:
     x = np.arange(n) * (np.pi / n)
     modes = np.arange(-max_mode, max_mode + 1)
     design = np.exp(1j * np.outer(x, modes))
-    cp = np.linalg.lstsq(design, p, rcond=None)[0]
-    cq = np.linalg.lstsq(design, q, rcond=None)[0]
+    cp = scipy.linalg.lstsq(design, p)[0]
+    cq = scipy.linalg.lstsq(design, q)[0]
     return PotentialSpec.from_coefficients(
         {int(m): complex(c) for m, c in zip(modes, cp)}, {int(m): complex(c) for m, c in zip(modes, cq)}, max_mode
     )

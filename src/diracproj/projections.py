@@ -60,11 +60,12 @@ exact because Q^H has orthonormal rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||
 would cancel to about 1e-16 / dev^2 relative.  In a batch the factors are
 zero-padded to the largest r; the padding adds nothing to any of these.
 
-numpy and scipy each load their own OpenBLAS with its own thread pool,
-and eig runs in scipy's.  A single contour's products (the global circle
-holds r = 40-50 eigenvalues at K = 128) run in scipy's BLAS, oriented as
-numpy's row-major calls; a chunk's stacked disc products have inner size
-r and stay in numpy's matmul, too small to wake its threads.
+numpy and scipy each load their own OpenBLAS, and eig runs in scipy's.
+Every product and factorization here runs in scipy's too, one raw BLAS or
+LAPACK call per matrix of a stack (zgemm, zgemv, zgeqrf, zgesv), so a job
+never wakes numpy's and pays for one set of BLAS work buffers.  The Schur
+route's node matrices (lambda_j - T11) are upper triangular and are
+inverted by back-substitution, batched over contours and nodes.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class ProjectionResult:
     route: str
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _apply(self.left[None], self.right[None], x)[0]
+        return _gemv(self.left, _gemv(self.right, x))
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,13 +148,14 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked a @ b.  A stack of one runs in scipy's BLAS; a longer stack
-    is a chunk of small disc products, left to numpy."""
-    return _gemm(a[0], b[0])[None] if len(a) == 1 else a @ b
+    """Stacked a @ b, one zgemm per matrix of the stack."""
+    return np.stack([_gemm(x, y) for x, y in zip(a, b)])
 
 
 def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x in scipy's BLAS, in the orientation numpy's matmul picks for a's layout."""
+    if not a.size:  # zgemv refuses empty operands
+        return np.zeros(len(a), dtype=complex)
     if a.flags.f_contiguous:
         return scipy.linalg.blas.zgemv(1.0, a, x)
     return scipy.linalg.blas.zgemv(1.0, a.T, x, trans=1)
@@ -161,9 +163,27 @@ def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _apply(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
     """left[k] @ (right[k] @ x) for every k of a stack, x one vector."""
-    if len(left) == 1:
-        return _gemv(left[0], _gemv(right[0], x))[None]
-    return (left @ (right @ x)[:, :, None])[:, :, 0]
+    return np.stack([_gemv(a, _gemv(b, x)) for a, b in zip(left, right)])
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """a^{-1} by zgesv against I, as np.linalg.inv computes it; all inf when a
+    is exactly singular, where zgesv leaves I in place of the solution."""
+    x, info = scipy.linalg.lapack.zgesv(a, np.eye(len(a), dtype=complex))[2:]
+    if info:
+        x[...] = np.inf
+    return x
+
+
+def _triangular_inverse(u: np.ndarray) -> np.ndarray:
+    """Inverts each upper triangular matrix of a stack in place, by back-substitution:
+    row i of U X = I gives X[i, i:] = (e_i - U[i, i+1:] X[i+1:, i:]) / U[i, i], and
+    row i of U is last read there, so X's rows replace U's from the bottom up."""
+    for i in reversed(range(u.shape[-1])):
+        row = -np.einsum("...j,...jk->...k", u[..., i, i + 1 :], u[..., i + 1 :, i:])
+        row[..., 0] += 1.0
+        u[..., i, i:] = row / u[..., i, i, None]
+    return u
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -181,7 +201,8 @@ def _split_deviation(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> n
     orthonormal rows.
     """
     at = np.arange(len(left))[:, None]
-    r = np.linalg.qr(right.conj().transpose(0, 2, 1), mode="r")
+    # R of each right^H = Q R: the upper triangle of zgeqrf's leading r rows
+    r = np.stack([np.triu(scipy.linalg.lapack.zgeqrf(x.conj().T, overwrite_a=1)[0][: len(x)]) for x in right])
     far = left.copy()
     far[at, rows] = 0.0
     far_norm = _frobenius(_mm(far, r.conj().transpose(0, 2, 1)))
@@ -284,12 +305,13 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
     TW = Q [[T11, T12], [0, T22]] Q^H, B = Z_W Q[:, :r], and F is the
     trapezoid filter of T11; when J reaches outside the window, the whole
     form is the window (w = dim).  The F of every contour come from one
-    batched inverse, and the (B^T S B)^{-1} from another.  Returns (left,
-    right, valid); raises ProjectionQualityError at the first contour whose
-    projector norm bound ||(B^T S B)^{-1}||_F exceeds CONDITION_LIMIT (it
-    bounds ||P||_2: B has orthonormal columns and B^T S orthonormal rows).
-    F is a sum over the nodes: a node stack too large to hold raises
-    MemoryError, naming the node count.
+    back-substitution, in place, over the stack of triangular node matrices,
+    and each (B^T S B)^{-1} from one zgesv.  Returns (left, right, valid);
+    raises ProjectionQualityError at the first contour whose projector norm
+    bound ||(B^T S B)^{-1}||_F exceeds CONDITION_LIMIT (it bounds ||P||_2: B
+    has orthonormal columns and B^T S orthonormal rows), or is infinite
+    because B^T S B is singular.  F is a sum over the nodes: a node stack
+    too large to hold raises MemoryError, naming the node count.
     """
     T, Z, w = _schur_form(op)
     select = np.abs(_filter(centers, radius, nodes, np.diagonal(T))) > FILTER_FLOOR
@@ -307,7 +329,7 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
     rows = basis[:, op.basis.swap].transpose(0, 2, 1)  # B^T S
     gram = _mm(rows, basis)
     np.einsum("kaa->ka", gram)[...] += ~valid  # padding slots invert the identity and are masked out
-    inverse = np.linalg.inv(gram) * (valid[:, :, None] & valid[:, None, :])
+    inverse = np.where(valid[:, :, None] & valid[:, None, :], [_inverse(g) for g in gram], 0.0)
     norms = _frobenius(inverse)
     failed = np.flatnonzero(~(norms <= CONDITION_LIMIT))
     if failed.size:
@@ -324,7 +346,7 @@ def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes
         raise MemoryError(f"a contour of {nodes} quadrature nodes needs a node stack too large to hold: {exc}") from None
     np.einsum("kjaa->kja", shifted)[...] += np.where(valid[:, None, :], points[:, :, None], 1.0)
     phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    filt = (radius / nodes) * np.einsum("j,kjab->kab", phases, np.linalg.inv(shifted))
+    filt = (radius / nodes) * np.einsum("j,kjab->kab", phases, _triangular_inverse(shifted))
     filt *= valid[:, :, None] & valid[:, None, :]
     return _mm(basis, filt), _mm(inverse, rows), valid
 

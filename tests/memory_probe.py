@@ -3,10 +3,15 @@
     python tests/memory_probe.py deviations --bc per+ --K 128 --potential p.json
     python tests/memory_probe.py verify-bounds --window 4096 --draws 2
 
-Runs `diracproj.cli.main(argv)` twice, each in its own child process:
+Runs `diracproj.cli.main(argv)` three times, each in its own child process:
 - untraced, and prints the child's own peak resident set (VmHWM from
   /proc/self/status; a child's ru_maxrss also counts the resident set it
   inherits from its parent's fork);
+- untraced after a numpy.linalg warm-up (an inverse, a QR and a matmul on a
+  small stack), and prints that VmHWM too.  numpy and scipy each load their
+  own OpenBLAS, and the job runs in scipy's: the warm-up wakes numpy's, so
+  the difference is what a second OpenBLAS would cost the job, and about
+  nothing when the job already uses numpy's;
 - under tracemalloc, and prints the traced peak of each dense stage of an
   operator, in units of one dim x dim complex matrix (dim^2 * 16 bytes).
   A stage's peak is that of its first call, the one that computes (later
@@ -46,6 +51,11 @@ STAGES = {
     "battery": (diracproj.bounds, "run_battery"),
 }
 traced = sys.argv[1] == "traced"
+if sys.argv[1] == "warm":
+    import numpy as np
+
+    stack = np.eye(4, dtype=complex)[None].repeat(2, axis=0)
+    np.linalg.inv(stack), np.linalg.qr(stack, mode="r"), stack @ stack
 peaks, dims, running = {}, {}, []  # running: each open stage's peak so far, outermost first
 
 
@@ -100,10 +110,12 @@ def main(argv: list[str]) -> int:
         print(__doc__)
         return 0
     with tempfile.TemporaryDirectory() as scratch:
-        plain_out, traced_out = ([] if "--out" in argv else ["--out", str(Path(scratch) / name)] for name in "ab")
-        plain = run_child("plain", argv + plain_out)
-        traced = run_child("traced", argv + traced_out)
-    print(f"exit code {plain['code']}; VmHWM {plain['vmhwm_kb'] / 1024:.1f} MB")
+        plain, warm, traced = (
+            run_child(mode, argv + ([] if "--out" in argv else ["--out", str(Path(scratch) / mode)]))
+            for mode in ("plain", "warm", "traced")
+        )
+    print(f"exit code {plain['code']}; VmHWM {plain['vmhwm_kb'] / 1024:.1f} MB, "
+          f"{warm['vmhwm_kb'] / 1024:.1f} MB after a numpy.linalg warm-up")
     for stage, (peak, dim) in traced["stages"].items():
         if dim is None:
             print(f"{stage:>22}: {peak / 2**20:.2f} MiB traced")

@@ -934,6 +934,7 @@ class TestWorkPerJob:
         reorders = count_calls(monkeypatch, scipy.linalg.lapack.ztrsen, owners=[scipy.linalg.lapack])
         sylvesters = count_calls(monkeypatch, scipy.linalg.lapack.ztrsyl, owners=[scipy.linalg.lapack])
         inverses = count_calls(monkeypatch, np.linalg.inv, owners=[np.linalg])
+        gram_solves = count_calls(monkeypatch, scipy.linalg.lapack.zgesv, owners=[scipy.linalg.lapack])
         eigenbasis_inverses = count_calls(monkeypatch, scipy.linalg.lapack.zgetri, owners=[scipy.linalg.lapack])
         solves = []
         post_init = ShiftedSolve.__post_init__
@@ -946,12 +947,44 @@ class TestWorkPerJob:
         _, rows = read_csv(tmp_path / "run" / "deviations.csv")
         reordered = [len(args[1]) for args in reorders]
         assert reordered == [dim] + [w] * len(rows)
-        # V^-1 still sets the route; each chunk of discs inverts its r x r filter
-        # nodes in one batch and its r x r Gram matrices B^T S B in another
+        # V^-1 still sets the route; the r x r filter nodes (lambda_j - T11) are
+        # triangular and back-substituted, and each disc's r x r Gram matrix
+        # B^T S B is one zgesv in scipy's LAPACK: no inverse goes to numpy's
         assert len(eigenbasis_inverses) == 1
-        chunks = math.ceil(len(rows) / projections.DISC_CHUNK)
-        assert sorted(args[0].ndim for args in inverses) == [3] * chunks + [4] * chunks
-        assert all(args[0].shape[-1] < w for args in inverses)
+        assert inverses == []
+        assert len(gram_solves) == len(rows)
+        assert all(args[0].shape[-1] < w for args in gram_solves)
+
+    @pytest.mark.parametrize("bc", ["per+", "dir"])
+    @pytest.mark.parametrize("command", ["deviations", "reconstruct"])
+    def test_spectral_route_runs_in_scipys_blas(self, monkeypatch, tmp_path, small_potential, bc, command):
+        # numpy and scipy each load an OpenBLAS, and eig runs in scipy's; so does every
+        # product and factorization of the projections, one call per matrix of a stack,
+        # and numpy's is never woken: no numpy.linalg QR or inverse, and per contour
+        # exactly five zgemm for the gates (right left, left^H left, right right^H and
+        # the two chained products), per disc two for its deviation and one zgeqrf for
+        # its R, and two zgemv per projection applied to f
+        qrs = count_calls(monkeypatch, np.linalg.qr, owners=[np.linalg])
+        inverses = count_calls(monkeypatch, np.linalg.inv, owners=[np.linalg])
+        gemms = count_calls(monkeypatch, scipy.linalg.blas.zgemm, owners=[scipy.linalg.blas])
+        gemvs = count_calls(monkeypatch, scipy.linalg.blas.zgemv, owners=[scipy.linalg.blas])
+        factorizations = count_calls(monkeypatch, scipy.linalg.lapack.zgeqrf, owners=[scipy.linalg.lapack])
+        batches = count_calls(monkeypatch, projections._project)
+        out = tmp_path / "run"
+        argv = self.JOBS[command] + ["--bc", bc, "--K", "16", "--potential", small_potential, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert read_run(out)["gates"]["route"] == "spectral"
+        assert (qrs, inverses) == ([], [])
+        dim = basis_index_set(bc, 16).dim
+        # eigen's residual gate multiplies L by blocks of eigenvectors; the rest are stacked products
+        products = [args for args in gemms if args[1].shape != (dim, dim)]
+        assert all(x.ndim == 2 for args in products for x in args[1:])
+        contours = [c for args in batches for c in args[1]]
+        discs = [c for c in contours if c.radius == 0.5]
+        assert len(contours) == len(discs) + (command == "reconstruct")
+        assert len(products) == 5 * len(contours) + 2 * len(discs)
+        assert len(factorizations) == len(discs)
+        assert len(gemvs) == (2 * len(contours) if command == "reconstruct" else 0)
 
     def test_classify_bc_does_no_spectral_work(self, monkeypatch, capsys):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])

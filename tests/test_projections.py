@@ -45,11 +45,13 @@ from diracproj.projections import (
     _complex_schur,
     _disc_sweep,
     _filter,
+    _inverse,
     _project,
     _schur_factors,
     _schur_form,
     _spectral_factors,
     _split_deviation,
+    _triangular_inverse,
     default_global_nodes,
     deviation_report,
     global_projection,
@@ -114,7 +116,7 @@ def quadrature_schur(op, contour):
         )
     phases = np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes)
     shifted = contour_points(contour)[:, None, None] * np.eye(r) - TW[:r, :r]
-    filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, np.linalg.inv(shifted))
+    filt = (contour.radius / contour.nodes) * np.einsum("j,jab->ab", phases, _triangular_inverse(shifted))
     return basis @ filt, inverse @ rows
 
 
@@ -193,6 +195,25 @@ def free_rows(bc, K, ns):
     return np.array([[basis.position(n, ch) for ch in basis.channels] for n in ns])
 
 
+class TestScipyKernels:
+    """The projections' own inverses, which keep the work in scipy's LAPACK."""
+
+    def test_triangular_inverse_in_place(self):
+        rng = np.random.default_rng(5)
+        u = np.triu(rng.standard_normal((3, 4, 6, 6)) + 1j * rng.standard_normal((3, 4, 6, 6))) + 3 * np.eye(6)
+        want = np.linalg.inv(u)
+        got = _triangular_inverse(u)
+        assert got is u
+        assert np.array_equal(np.tril(got, -1), np.zeros_like(got))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_inverse_matches_numpy_and_marks_singular(self):
+        a = np.array([[2.0, 1.0j], [0.5, 3.0 - 1.0j]])
+        assert np.max(np.abs(_inverse(a) - np.linalg.inv(a))) <= 1e-16
+        # zgesv leaves I in place of the solution at an exact zero pivot
+        assert np.all(np.isinf(_inverse(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))))
+
+
 class TestFreeProjection:
     """P_n^0 is the coordinate projection onto the basis rows of n, one per
     channel; the disc sweep finds those rows by index arithmetic
@@ -251,6 +272,13 @@ class TestRieszProjection:
         assert c.route == "spectral"
         assert np.max(np.abs(a - projection_matrix(c))) == 0.0
         assert c.rank == int(round(np.trace(b).real))
+
+    def test_contour_around_no_eigenvalue(self):
+        # a rank-0 projection has empty factors, and applies as zero
+        op = build_operator(zero_potential(), DIRICHLET, 8)
+        p = riesz_projection(op, ContourSpec(100, 0.5, 64))
+        assert p.rank == 0 and p.left.shape == (op.dim, 0)
+        assert np.array_equal(p.apply(np.ones(op.dim, dtype=complex)), np.zeros(op.dim))
 
     def test_eigenvalue_on_contour_refused(self):
         op = build_operator(zero_potential(), DIRICHLET, 8)

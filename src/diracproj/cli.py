@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -361,6 +362,7 @@ def cmd_threshold(cfg: RunConfig, args: argparse.Namespace, out: Path) -> dict:
     }
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main() of a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracproj",

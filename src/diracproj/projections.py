@@ -12,15 +12,14 @@ which for each eigenvalue mu of L is a scalar filter: exactly
 Both tails die geometrically in M, which is why node-doubling checks are
 a meaningful convergence diagnostic.
 
-Projections are computed in batches.  One pass (_project) takes circles of
-one radius and node count and computes, as stacked array operations, each
-circle's proximity offset, the set J of eigenvalues its filter keeps, the
-factors of its projection and its trace and idempotency gates.  The disc
-sweep sends the window's disc contours through it in chunks of DISC_CHUNK
-and, in the same pass, takes each disc's deviation from the free P_n^0 and,
-with f given, P_n f; riesz_projection is the pass on a batch of one
-contour.  The filter is evaluated in that closed form, and J holds the
-eigenvalues whose filter value is above roundoff.
+Each contour is projected on its own: J holds the eigenvalues whose
+filter value is above roundoff.  The disc sweep takes the window's discs
+one at a time in (|n|, n) order, and gives each its deviation from the
+free P_n^0 and, with f given, P_n f.  Refusals keep one order.  An
+eigenvalue within PROXIMITY_TOL of a contour refuses before anything is
+integrated: the sweep checks every disc first and names the first such
+disc.  Then, disc by disc, come the Schur route's certification, the
+trace gate and the idempotency gate.
 
 Two routes build the factors; both apply the same filter rule and gates.
 The spectral route diagonalizes L once and filters each eigenvalue
@@ -40,7 +39,7 @@ trapezoid filter of the leading r x r block (Horn & Johnson, Matrix
 Analysis, 4.4), in O(w^2 r + dim w r) per contour.  A contour whose J
 leaves the window works on the whole form, w = dim (Golub & Van Loan 7.6).
 The dense LU quadrature, node by node, survives only in the tests as the
-oracle for both, next to the per-contour bodies the batched pass replaced.
+oracle for both.
 
 Both routes return P as factors left (dim x r) and right (r x dim), and P
 stays factored from there on: P f is left (right f), the trace is that of
@@ -50,22 +49,21 @@ the r x r Gram matrices left^H left and right right^H.  No dim x dim
 array is formed per contour.
 
 _split_deviation is the package's one deviation formula: the disc sweep
-calls it on each chunk.  The free projection P_n^0 is never built: it is
+calls it on each disc.  The free projection P_n^0 is never built: it is
 the coordinate projection onto the basis rows D of the lattice point n,
 which BasisIndexSet.position finds by index arithmetic.  The deviation
 ||P_n - P_n^0||_F is split by rows: the r rows in D are differenced
 explicitly (left[D] right minus the identity there), and the other rows,
 where P^0 vanishes, have norm ||left[~D] R^H||_F with right^H = Q R,
 exact because Q^H has orthonormal rows.  Expanding ||P||^2 - 2 Re tr(P^0 P) + ||P^0||^2 instead
-would cancel to about 1e-16 / dev^2 relative.  In a batch the factors are
-zero-padded to the largest r; the padding adds nothing to any of these.
+would cancel to about 1e-16 / dev^2 relative.
 
 numpy and scipy each load their own OpenBLAS, and eig runs in scipy's.
 Every product and factorization here runs in scipy's too, one raw BLAS or
-LAPACK call per matrix of a stack (zgemm, zgemv, zgeqrf, zgesv), so a job
-never wakes numpy's and pays for one set of BLAS work buffers.  The Schur
+LAPACK call per matrix (zgemm, zgemv, zgeqrf, zgesv), so a job never
+wakes numpy's and pays for one set of BLAS work buffers.  The Schur
 route's node matrices (lambda_j - T11) are upper triangular and are
-inverted by back-substitution, batched over contours and nodes.
+inverted by back-substitution, batched over the nodes.
 """
 
 from __future__ import annotations
@@ -97,9 +95,6 @@ SPECTRAL_COND_LIMIT = 1e5
 # the closed form is exact (below 1e-30 a few radii out), where a node sum
 # leaves 1e-17..5e-16 of roundoff; both keep the same J.
 FILTER_FLOOR = 1e-15
-# discs per batched pass: at dim 514 and r = 2 a chunk's stacked factors
-# are about 0.26 MB each
-DISC_CHUNK = 16
 
 
 class ContourProximityError(Exception):
@@ -147,11 +142,6 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.zgemm(1.0, b.T, a.T).T
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked a @ b, one zgemm per matrix of the stack."""
-    return np.stack([_gemm(x, y) for x, y in zip(a, b)])
-
-
 def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x in scipy's BLAS, in the orientation numpy's matmul picks for a's layout."""
     if not a.size:  # zgemv refuses empty operands
@@ -161,14 +151,11 @@ def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.zgemv(1.0, a.T, x, trans=1)
 
 
-def _apply(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """left[k] @ (right[k] @ x) for every k of a stack, x one vector."""
-    return np.stack([_gemv(a, _gemv(b, x)) for a, b in zip(left, right)])
-
-
 def _inverse(a: np.ndarray) -> np.ndarray:
     """a^{-1} by zgesv against I, as np.linalg.inv computes it; all inf when a
     is exactly singular, where zgesv leaves I in place of the solution."""
+    if not a.size:  # zgesv refuses empty operands
+        return a.copy()
     x, info = scipy.linalg.lapack.zgesv(a, np.eye(len(a), dtype=complex))[2:]
     if info:
         x[...] = np.inf
@@ -186,68 +173,51 @@ def _triangular_inverse(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, read through real views: no temporaries."""
-    x = x.reshape(len(x), -1)
-    return np.sqrt(np.einsum("ki,ki->k", x.real, x.real) + np.einsum("ki,ki->k", x.imag, x.imag))
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of a matrix, read through real views: no temporaries.  It is
+    summed over a (1, size) view: the one-axis einsum "i,i->" adds in another
+    order, which moves deviations at roundoff."""
+    x = x.reshape(1, -1)
+    return np.sqrt(np.einsum("ki,ki->k", x.real, x.real) + np.einsum("ki,ki->k", x.imag, x.imag))[0]
 
 
-def _split_deviation(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """||left[k] @ right[k] - P0_k||_F for every k of a stack, where P0_k is
-    the coordinate projection onto the basis rows rows[k].
-
-    The rows are differenced explicitly; off them the norm is
-    ||left[~rows] R^H||_F with right^H = Q R, exact because Q^H has
-    orthonormal rows.
-    """
-    at = np.arange(len(left))[:, None]
-    # R of each right^H = Q R: the upper triangle of zgeqrf's leading r rows
-    r = np.stack([np.triu(scipy.linalg.lapack.zgeqrf(x.conj().T, overwrite_a=1)[0][: len(x)]) for x in right])
+def _split_deviation(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> float:
+    """||left @ right - P0||_F, P0 the coordinate projection onto the basis
+    rows `rows`, split by rows as the module docstring sets out."""
+    # R of right^H = Q R: the upper triangle of zgeqrf's leading r rows
+    r = np.triu(scipy.linalg.lapack.zgeqrf(right.conj().T, overwrite_a=1)[0][: len(right)])
     far = left.copy()
-    far[at, rows] = 0.0
-    far_norm = _frobenius(_mm(far, r.conj().transpose(0, 2, 1)))
-    del far
-    near = _mm(left[at, rows], right)
-    near[at, np.arange(rows.shape[1]), rows] -= 1.0
-    return np.hypot(_frobenius(near), far_norm)
+    far[rows] = 0.0
+    near = _gemm(left[rows], right)
+    near[np.arange(len(rows)), rows] -= 1.0
+    return float(np.hypot(_frobenius(near), _frobenius(_gemm(far, r.conj().T))))
 
 
-def _filter(centers: np.ndarray, radius: float, nodes: int, mu: np.ndarray) -> np.ndarray:
-    """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) of each circle
-    c + R z_j at each value of mu, as a len(centers) x len(mu) array, in
-    closed form: 1/(1 - d^M), d = (mu - c)/R, and -e/(1 - e), e = d^-M,
-    outside the circle, so |e| <= 1 and nothing overflows.  M is capped at
-    2^64, where d^M already underflows to 0 for every float |d| < 1, so any
-    node count is a float exponent."""
-    d = (mu - centers[:, None]) / radius
+def _filter(contour: ContourSpec, mu: np.ndarray) -> np.ndarray:
+    """Trapezoid filter (R/M) sum_j z_j / (lambda_j - mu) of the circle
+    c + R z_j at each value of mu, in closed form: 1/(1 - d^M),
+    d = (mu - c)/R, and -e/(1 - e), e = d^-M, outside the circle, so
+    |e| <= 1 and nothing overflows.  M is capped at 2^64, where d^M already
+    underflows to 0 for every float |d| < 1, so any node count is a float
+    exponent."""
+    d = (mu - contour.center) / contour.radius
     outside = np.abs(d) >= 1
     np.reciprocal(d, out=d, where=outside)
-    e = d ** float(min(nodes, 2**64))
+    e = d ** float(min(contour.nodes, 2**64))
     return np.where(outside, -e, 1.0) / (1 - e)
 
 
-def _spectral_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes: int):
-    """Stacked factors V[:, J] diag(f_J) and V^{-1}[J, :], padded to the largest |J|.
+def _spectral_factors(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Factors V[:, J] diag(f_J) and V^{-1}[J, :] of one contour.
 
     J holds the eigenvalues whose filter value exceeds FILTER_FLOOR, chosen
     by magnitude rather than position so that coarse contours, whose filter
-    leaks to far eigenvalues, keep everything that matters.  Returns
-    (left, right, valid), valid marking the slots that are not padding.
+    leaks to far eigenvalues, keep everything that matters.
     """
     vals, vecs = eigen(op)
-    filt = _filter(centers, radius, nodes, vals)
-    keep = np.abs(filt) > FILTER_FLOOR
-    counts = keep.sum(axis=1)
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    idx = np.zeros(valid.shape, dtype=np.intp)
-    idx[valid] = np.nonzero(keep)[1]
-    weights = np.where(valid, np.take_along_axis(filt, idx, axis=1), 0.0)
-    del filt
-    left = vecs[:, idx]
-    left *= weights
-    right = eigenbasis_inverse(op)[idx]
-    right *= valid[:, :, None]
-    return left.transpose(1, 0, 2), right, valid
+    filt = _filter(contour, vals)
+    keep = np.flatnonzero(np.abs(filt) > FILTER_FLOOR)
+    return vecs[:, keep] * filt[keep], eigenbasis_inverse(op)[keep]
 
 
 def _complex_schur(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,127 +267,91 @@ def _schur_form(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int]:
     return op._aux_cache["schur"]
 
 
-def _schur_factors(op: OperatorMatrix, centers: np.ndarray, radius: float, nodes: int):
-    """Stacked factors (B F, (B^T S B)^{-1} B^T S) from the window Schur form.
+def _schur_factors(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (B F, (B^T S B)^{-1} B^T S) of one contour from the window Schur form.
 
-    One filter over diag(T) selects J for every contour.  Per contour, J is
-    moved to the leading block T11 of the window block
-    TW = Q [[T11, T12], [0, T22]] Q^H, B = Z_W Q[:, :r], and F is the
-    trapezoid filter of T11; when J reaches outside the window, the whole
-    form is the window (w = dim).  The F of every contour come from one
+    The filter over diag(T) selects J, which is moved to the leading block
+    T11 of the window block TW = Q [[T11, T12], [0, T22]] Q^H, B = Z_W Q[:, :r],
+    and F is the trapezoid filter of T11; when J reaches outside the window,
+    the whole form is the window (w = dim).  F comes from one
     back-substitution, in place, over the stack of triangular node matrices,
-    and each (B^T S B)^{-1} from one zgesv.  Returns (left, right, valid);
-    raises ProjectionQualityError at the first contour whose projector norm
-    bound ||(B^T S B)^{-1}||_F exceeds CONDITION_LIMIT (it bounds ||P||_2: B
-    has orthonormal columns and B^T S orthonormal rows), or is infinite
-    because B^T S B is singular.  F is a sum over the nodes: a node stack
-    too large to hold raises MemoryError, naming the node count.
+    and (B^T S B)^{-1} from one zgesv.  Raises ProjectionQualityError when
+    the projector norm bound ||(B^T S B)^{-1}||_F exceeds CONDITION_LIMIT (it
+    bounds ||P||_2: B has orthonormal columns and B^T S orthonormal rows),
+    or is infinite because B^T S B is singular.  F is a sum over the nodes:
+    a node stack too large to hold raises MemoryError, naming the node count.
     """
     T, Z, w = _schur_form(op)
-    select = np.abs(_filter(centers, radius, nodes, np.diagonal(T))) > FILTER_FLOOR
-    counts = select.sum(axis=1)  # r of each contour: ztrsen moves every selected eigenvalue
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    count, width = valid.shape
-    t11 = np.zeros((count, width, width), dtype=complex)
-    basis = np.zeros((count, op.dim, width), dtype=complex)
-    for k, sel in enumerate(select):
-        n = op.dim if sel[w:].any() else w
-        TW, Q, _, r, _, _, _ = scipy.linalg.lapack.ztrsen(sel[:n], T[:n, :n], np.eye(n, dtype=complex), job="N")
-        t11[k, :r, :r] = TW[:r, :r]
-        basis[k, :, :r] = _gemm(Z[:, :n], Q[:, :r])
+    radius, nodes = contour.radius, contour.nodes
+    select = np.abs(_filter(contour, np.diagonal(T))) > FILTER_FLOOR
+    n = op.dim if select[w:].any() else w
+    # ztrsen moves every selected eigenvalue: r = |J|
+    TW, Q, _, r, _, _, _ = scipy.linalg.lapack.ztrsen(select[:n], T[:n, :n], np.eye(n, dtype=complex), job="N")
+    basis = _gemm(Z[:, :n], Q[:, :r])
 
-    rows = basis[:, op.basis.swap].transpose(0, 2, 1)  # B^T S
-    gram = _mm(rows, basis)
-    np.einsum("kaa->ka", gram)[...] += ~valid  # padding slots invert the identity and are masked out
-    inverse = np.where(valid[:, :, None] & valid[:, None, :], [_inverse(g) for g in gram], 0.0)
-    norms = _frobenius(inverse)
-    failed = np.flatnonzero(~(norms <= CONDITION_LIMIT))
-    if failed.size:
+    rows = basis[op.basis.swap].T  # B^T S
+    inverse = _inverse(_gemm(rows, basis))
+    norm = _frobenius(inverse)
+    if not norm <= CONDITION_LIMIT:
         raise ProjectionQualityError(
-            f"Schur route cannot certify the projection at |z - {centers[failed[0]]}| = {radius}: "
-            f"projector norm bound {norms[failed[0]]:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            f"Schur route cannot certify the projection at |z - {contour.center}| = {radius}: "
+            f"projector norm bound {norm:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
-    # lambda_j - T11 at every node (as circle_samples); padding slots invert the identity and are masked out of F
+    # lambda_j - T11 at every node (as circle_samples)
     try:
-        points = centers[:, None] + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
-        shifted = np.repeat(-t11[:, None], nodes, axis=1)
+        points = contour.center + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+        shifted = np.repeat(-TW[None, :r, :r], nodes, axis=0)
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
         raise MemoryError(f"a contour of {nodes} quadrature nodes needs a node stack too large to hold: {exc}") from None
-    np.einsum("kjaa->kja", shifted)[...] += np.where(valid[:, None, :], points[:, :, None], 1.0)
+    np.einsum("jaa->ja", shifted)[...] += points[:, None]
     phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    filt = (radius / nodes) * np.einsum("j,kjab->kab", phases, _triangular_inverse(shifted))
-    filt *= valid[:, :, None] & valid[:, None, :]
-    return _mm(basis, filt), _mm(inverse, rows), valid
+    filt = (radius / nodes) * np.einsum("j,jab->ab", phases, _triangular_inverse(shifted))
+    return _gemm(basis, filt), _gemm(inverse, rows)
 
 
-@dataclass(frozen=True, eq=False)
-class _Batch:
-    """Projections of a batch of contours: stacked factors, zero-padded to the
-    batch's largest r, and each contour's gate values."""
-
-    left: np.ndarray  # count x dim x r
-    right: np.ndarray  # count x r x dim
-    ranks: np.ndarray
-    traces: np.ndarray
-    residuals: np.ndarray
-    offsets: np.ndarray
-    route: str
+def _proximity(op: OperatorMatrix, contour: ContourSpec) -> float:
+    """The nearest eigenvalue's distance from the contour.  Refuses the
+    contour when an eigenvalue of the truncation lies within PROXIMITY_TOL."""
+    vals, _ = eigen(op)
+    gaps = np.abs(np.abs(vals - contour.center) - contour.radius)
+    nearest = np.argmin(gaps)
+    if gaps[nearest] < PROXIMITY_TOL:
+        raise ContourProximityError(
+            f"eigenvalue {vals[nearest]} lies within {PROXIMITY_TOL:.0e} of the contour "
+            f"|z - {contour.center}| = {contour.radius}"
+        )
+    return float(gaps[nearest])
 
 
 def _project(
-    op: OperatorMatrix, contours: list[ContourSpec], quality_threshold: float | None = QUALITY_TOL
-) -> _Batch:
-    """Contour-quadrature projections of circles sharing one radius and node count.
-
-    Refuses the batch, in this order: when any contour has an eigenvalue of
-    the truncation within PROXIMITY_TOL (naming the first such contour;
-    nothing is integrated then), when the Schur route cannot certify a
-    contour, or (unless quality_threshold is None) when a contour's trace is
-    not within quality_threshold of an integer or its idempotency residual
-    exceeds it (naming the first such contour).  Schur route above
-    SPECTRAL_COND_LIMIT.
-    """
-    radius, nodes = contours[0].radius, contours[0].nodes
-    assert all((c.radius, c.nodes) == (radius, nodes) for c in contours)
-    centers = np.array([c.center for c in contours])
-    vals, _ = eigen(op)
-    gaps = np.abs(np.abs(vals - centers[:, None]) - radius)
-    nearest = np.argmin(gaps, axis=1)
-    offsets = gaps[np.arange(len(contours)), nearest]
-    close = np.flatnonzero(offsets < PROXIMITY_TOL)
-    if close.size:
-        k = close[0]
-        raise ContourProximityError(
-            f"eigenvalue {vals[nearest[k]]} lies within {PROXIMITY_TOL:.0e} of the contour "
-            f"|z - {contours[k].center}| = {contours[k].radius}"
-        )
+    op: OperatorMatrix, contour: ContourSpec, quality_threshold: float | None = QUALITY_TOL
+) -> tuple[ProjectionResult, complex]:
+    """The projection of one contour whose proximity is checked (_proximity),
+    and its trace; refused by the Schur route's certification, then (unless
+    quality_threshold is None) by the trace and idempotency gates."""
     route = "spectral" if eigenbasis_condition(op) <= SPECTRAL_COND_LIMIT else "schur"
-    factors = _spectral_factors if route == "spectral" else _schur_factors
-    left, right, valid = factors(op, centers, radius, nodes)
+    left, right = (_spectral_factors if route == "spectral" else _schur_factors)(op, contour)
 
-    gram = _mm(right, left)
+    gram = _gemm(right, left)
     # ||P^2 - P||_F^2 = ||left A right||_F^2 = tr(A^H (left^H left) A (right right^H)), A = gram - I
-    defect = gram - valid[:, :, None] * np.eye(valid.shape[1])
-    lhl = _mm(left.conj().transpose(0, 2, 1), left)
-    rrh = _mm(right, right.conj().transpose(0, 2, 1))
-    chain = _mm(_mm(lhl, defect), rrh)
-    residuals = np.sqrt(np.maximum(np.einsum("kab,kab->k", defect.conj(), chain).real, 0.0))
-    traces = np.trace(gram, axis1=1, axis2=2)
-    ranks = np.rint(traces.real).astype(int)
+    defect = gram - np.eye(len(gram))
+    lhl = _gemm(left.conj().T, left)
+    rrh = _gemm(right, right.conj().T)
+    chain = _gemm(_gemm(lhl, defect), rrh)
+    residual = math.sqrt(max(np.einsum("ab,ab->", defect.conj(), chain).real, 0.0))
+    trace = np.trace(gram)
+    rank = int(np.rint(trace.real))
     if quality_threshold is not None:
-        off_rank = np.abs(traces - ranks) > quality_threshold
-        failed = np.flatnonzero(off_rank | (residuals > quality_threshold))
-        if failed.size:
-            k = failed[0]
-            if off_rank[k]:
-                raise ProjectionQualityError(
-                    f"projection trace {complex(traces[k])} is not close to an integer rank; increase contour nodes"
-                )
+        if np.abs(trace - rank) > quality_threshold:
             raise ProjectionQualityError(
-                f"idempotency residual {residuals[k]:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
+                f"projection trace {complex(trace)} is not close to an integer rank; increase contour nodes"
             )
-    return _Batch(left, right, ranks, traces, residuals, offsets, route)
+        if residual > quality_threshold:
+            raise ProjectionQualityError(
+                f"idempotency residual {residual:.3e} exceeds {quality_threshold:.1e}; increase contour nodes"
+            )
+    return ProjectionResult(left, right, rank, residual, contour, route), trace
 
 
 def riesz_projection(
@@ -427,16 +361,13 @@ def riesz_projection(
 ) -> ProjectionResult:
     """Contour-quadrature spectral projection with proximity/quality gates.
 
-    The batched pass on one contour.  Refuses when an eigenvalue of the
-    truncation lies within PROXIMITY_TOL of the contour.  With
-    quality_threshold = None the idempotency and rank gates are skipped
-    (used by node-convergence studies that build coarse projections on
-    purpose).  Schur route above SPECTRAL_COND_LIMIT.
+    Refuses when an eigenvalue of the truncation lies within PROXIMITY_TOL
+    of the contour.  With quality_threshold = None the idempotency and rank
+    gates are skipped (used by node-convergence studies that build coarse
+    projections on purpose).  Schur route above SPECTRAL_COND_LIMIT.
     """
-    batch = _project(op, [contour], quality_threshold)
-    return ProjectionResult(
-        batch.left[0], batch.right[0], int(batch.ranks[0]), float(batch.residuals[0]), contour, batch.route
-    )
+    _proximity(op, contour)
+    return _project(op, contour, quality_threshold)[0]
 
 
 def default_global_nodes(radius: float) -> int:
@@ -511,9 +442,8 @@ def _disc_sweep(
     it is the disc's eigenvalue count that localization_counts checks
     (deviations reports it as localization_verified_beyond_N).  M beyond
     the trusted window K/2 and a window with no disc in it are refused too.
-    The discs go through the batched pass DISC_CHUNK at a time; each gets
-    its projection P_n, its deviation from the free P_n^0 and, with f given,
-    P_n f.  A chunk's projections are dropped before the next chunk.
+    Every disc's proximity is checked first; then each disc in turn gets its
+    projection P_n, its deviation from the free P_n^0 and, with f given, P_n f.
     """
     if N < threshold:
         raise ValueError(f"N = {N} is below the verified threshold {threshold} for this potential")
@@ -524,22 +454,20 @@ def _disc_sweep(
     discs = tuple(sorted((n for n in disc_centers(op.basis.bc, M) if abs(n) > N), key=lambda n: (abs(n), n)))
     if not discs:
         raise ValueError(f"no discs in the window |n| <= M = {M} past the cutoff")
-    ranks, devs, residuals, gaps, offsets, terms = [], [], [], [], [], []
-    for start in range(0, len(discs), DISC_CHUNK):
-        chunk = discs[start : start + DISC_CHUNK]
-        batch = _project(op, [ContourSpec(n, radius, nodes) for n in chunk])
-        rows = np.array([[op.basis.position(n, ch) for ch in op.basis.channels] for n in chunk])
-        devs += _split_deviation(batch.left, batch.right, rows).tolist()
+    contours = [ContourSpec(n, radius, nodes) for n in discs]
+    offsets = tuple(_proximity(op, contour) for contour in contours)
+    ranks, devs, residuals, gaps, terms = [], [], [], [], []
+    for n, contour in zip(discs, contours):
+        p, trace = _project(op, contour)
+        rows = np.array([op.basis.position(n, ch) for ch in op.basis.channels])
+        devs.append(_split_deviation(p.left, p.right, rows))
         if f is not None:
-            terms += list(_apply(batch.left, batch.right, f))
-        ranks += batch.ranks.tolist()
-        residuals += batch.residuals.tolist()
-        gaps += np.abs(batch.traces - batch.ranks).tolist()
-        offsets += batch.offsets.tolist()
+            terms.append(p.apply(f))
+        ranks.append(p.rank)
+        residuals.append(p.idempotency_residual)
+        gaps.append(float(np.abs(trace - p.rank)))
     cumulative = tuple(itertools.accumulate(d * d for d in devs))
-    report = DeviationReport(
-        discs, tuple(ranks), tuple(devs), cumulative, batch.route, tuple(residuals), tuple(gaps), tuple(offsets)
-    )
+    report = DeviationReport(discs, tuple(ranks), tuple(devs), cumulative, p.route, tuple(residuals), tuple(gaps), offsets)
     return report, tuple(terms)
 
 

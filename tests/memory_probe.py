@@ -22,8 +22,9 @@ Runs `diracproj.cli.main(argv)` three times, each in its own child process:
 
 The stages are operator.eigen (eigen), operator.eigenbasis_condition
 (inverse and condition, which computes V^-1), operator.eigenbasis_inverse
-(inverse), projections._schur_form (Schur form) and bounds.run_battery
-(battery, the whole battery of verify-bounds).  A stage the job never
+(inverse), projections._schur_form (Schur form), projections._disc_sweep
+(disc sweep, the pass over the discs of deviations and reconstruct) and
+bounds.run_battery (battery, the whole battery of verify-bounds).  A stage the job never
 enters is left out.  `--out` defaults to a temporary directory.  Not a
 pytest module: it has no test_ prefix.  Needs Linux (/proc/self/status).
 """
@@ -48,6 +49,7 @@ STAGES = {
     "inverse and condition": (diracproj.operator, "eigenbasis_condition"),
     "inverse": (diracproj.operator, "eigenbasis_inverse"),
     "Schur form": (diracproj.projections, "_schur_form"),
+    "disc sweep": (diracproj.projections, "_disc_sweep"),
     "battery": (diracproj.bounds, "run_battery"),
 }
 traced = sys.argv[1] == "traced"

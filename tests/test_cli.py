@@ -28,6 +28,7 @@ from diracproj.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     RunConfig,
+    build_parser,
     load_potential_file,
     main,
 )
@@ -893,9 +894,9 @@ class TestWorkPerJob:
     def test_counts(self, monkeypatch, tmp_path, small_potential, bc, command):
         eigs = count_calls(monkeypatch, scipy.linalg.eig, owners=[scipy.linalg])
         scans = count_calls(monkeypatch, circle_norm_profile)
-        # every contour goes through the batched pass: each disc once, and on
-        # reconstruct one global contour (riesz_projection's batch of one)
-        batches = count_calls(monkeypatch, projections._project)
+        # _project takes one contour a call: each disc once, and on
+        # reconstruct one global contour (through riesz_projection)
+        projected = count_calls(monkeypatch, projections._project)
         # numpy and scipy each ship an OpenBLAS with its own thread pool: V^-1 is
         # one zgetri in scipy's, next to eig, and no dim x dim inverse goes to numpy's
         inversions = count_calls(monkeypatch, scipy.linalg.lapack.zgetri, owners=[scipy.linalg.lapack])
@@ -907,7 +908,7 @@ class TestWorkPerJob:
         assert main(argv) == EXIT_OK
         assert (len(eigs), len(scans), len(inversions)) == self.EXPECTED[command]
         assert all(args[0].shape[-1] < basis_index_set(bc, 16).dim for args in inverses)
-        contours = [c for args in batches for c in args[1]]
+        contours = [args[1] for args in projected]
         if command == "deviations":
             _, rows = read_csv(out / "deviations.csv")
             assert sorted(c.center.real for c in contours) == sorted(float(r[0]) for r in rows)
@@ -959,7 +960,7 @@ class TestWorkPerJob:
     @pytest.mark.parametrize("command", ["deviations", "reconstruct"])
     def test_spectral_route_runs_in_scipys_blas(self, monkeypatch, tmp_path, small_potential, bc, command):
         # numpy and scipy each load an OpenBLAS, and eig runs in scipy's; so does every
-        # product and factorization of the projections, one call per matrix of a stack,
+        # product and factorization of the projections, one call per matrix,
         # and numpy's is never woken: no numpy.linalg QR or inverse, and per contour
         # exactly five zgemm for the gates (right left, left^H left, right right^H and
         # the two chained products), per disc two for its deviation and one zgeqrf for
@@ -969,17 +970,17 @@ class TestWorkPerJob:
         gemms = count_calls(monkeypatch, scipy.linalg.blas.zgemm, owners=[scipy.linalg.blas])
         gemvs = count_calls(monkeypatch, scipy.linalg.blas.zgemv, owners=[scipy.linalg.blas])
         factorizations = count_calls(monkeypatch, scipy.linalg.lapack.zgeqrf, owners=[scipy.linalg.lapack])
-        batches = count_calls(monkeypatch, projections._project)
+        projected = count_calls(monkeypatch, projections._project)
         out = tmp_path / "run"
         argv = self.JOBS[command] + ["--bc", bc, "--K", "16", "--potential", small_potential, "--out", str(out)]
         assert main(argv) == EXIT_OK
         assert read_run(out)["gates"]["route"] == "spectral"
         assert (qrs, inverses) == ([], [])
         dim = basis_index_set(bc, 16).dim
-        # eigen's residual gate multiplies L by blocks of eigenvectors; the rest are stacked products
+        # eigen's residual gate multiplies L by blocks of eigenvectors; the rest are the projections'
         products = [args for args in gemms if args[1].shape != (dim, dim)]
         assert all(x.ndim == 2 for args in products for x in args[1:])
-        contours = [c for args in batches for c in args[1]]
+        contours = [args[1] for args in projected]
         discs = [c for c in contours if c.radius == 0.5]
         assert len(contours) == len(discs) + (command == "reconstruct")
         assert len(products) == 5 * len(contours) + 2 * len(discs)
@@ -1086,6 +1087,7 @@ class TestReachability:
 
         jobs = self.jobs(tmp_path)
         codes = []
+        build_parser.cache_clear()  # an earlier main() may have built the one cached parser
         sys.setprofile(profile)
         try:
             for k, argv in enumerate(jobs):

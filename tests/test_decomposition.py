@@ -229,11 +229,10 @@ def _small_operator():
     [
         _small_operator,
         lambda: projections.global_projection(_small_operator(), 2),
-        lambda: projections._project(_small_operator(), [projections.ContourSpec(3, 0.5, 64)]),
         lambda: random_vector(basis_index_set(DIRICHLET, 8), seed=0),
         lambda: disc_expansion(random_vector(basis_index_set(DIRICHLET, 8), seed=0), _small_operator(), 2, 2, 4),
     ],
-    ids=["OperatorMatrix", "ProjectionResult", "_Batch", "FunctionVector", "DiscExpansion"],
+    ids=["OperatorMatrix", "ProjectionResult", "FunctionVector", "DiscExpansion"],
 )
 def test_array_holders_compare_by_identity(build):
     # a generated field-by-field __eq__ would compare arrays, whose truth value is ambiguous

@@ -39,7 +39,6 @@ from diracproj.projections import (
     ProjectionQualityError,
     ProjectionResult,
     FILTER_FLOOR,
-    DISC_CHUNK,
     PROXIMITY_TOL,
     SPECTRAL_COND_LIMIT,
     _complex_schur,
@@ -82,17 +81,12 @@ def free_matrix(bc, n, K):
     return np.diag([1.0 + 0j if m == n else 0j for m, _ in basis_index_set(bc, K).indices])
 
 
-def contour_filter(contour, mu):
-    """The production filter of one contour: _filter on a batch of one."""
-    return _filter(np.array([contour.center]), contour.radius, contour.nodes, mu)[0]
-
-
-# -- the per-contour pass the batched one replaced, kept as its oracle ----------
+# -- the per-contour routes in numpy's own linear algebra, kept as the oracle ----
 
 def quadrature_spectral(op, contour):
     """Factors (V[:, S] diag(f_S), V^{-1}[S, :]) of one contour."""
     vals, vecs = eigen(op)
-    filt = contour_filter(contour, vals)
+    filt = _filter(contour, vals)
     keep = np.flatnonzero(np.abs(filt) > FILTER_FLOOR)
     return vecs[:, keep] * filt[keep], eigenbasis_inverse(op)[keep, :]
 
@@ -101,7 +95,7 @@ def quadrature_schur(op, contour):
     """Factors (B F, (B^T S B)^{-1} B^T S) of one contour from the window Schur form,
     B = Z_W Q[:, :r] and S the channel swap."""
     T, Z, w = _schur_form(op)
-    select = np.abs(contour_filter(contour, np.diagonal(T))) > FILTER_FLOOR
+    select = np.abs(_filter(contour, np.diagonal(T))) > FILTER_FLOOR
     if select[w:].any():
         w = op.dim
     TW, Q, _, r, _, _, _ = scipy.linalg.lapack.ztrsen(select[:w], T[:w, :w], np.eye(w, dtype=complex), job="N")
@@ -178,7 +172,7 @@ class TestContourSpec:
         assert np.allclose(np.abs(pts - 3.0), 0.5)
         mu = np.array([3.1 + 0.2j, 5.0])
         want = (c.radius / c.nodes) * ((pts - c.center) / c.radius / (pts - mu[:, None])).sum(axis=1)
-        assert np.max(np.abs(contour_filter(c, mu) - want)) <= 1e-15
+        assert np.max(np.abs(_filter(c, mu) - want)) <= 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -505,7 +499,7 @@ def full_reorder_schur(form, contour):
 def _leaves_window(op, contour):
     """Whether the contour selects an eigenvalue outside the window."""
     T, _, w = _schur_form(op)
-    return bool(np.any(np.abs(contour_filter(contour, np.diagonal(T)))[w:] > FILTER_FLOOR))
+    return bool(np.any(np.abs(_filter(contour, np.diagonal(T)))[w:] > FILTER_FLOOR))
 
 
 def _window_cases():
@@ -523,21 +517,18 @@ WINDOW_CASES = _window_cases()
 
 
 class TestSchurWindow:
-    """The Schur route reorders a window form once per operator; the
-    batched factors must match the per-contour full reorder entrywise."""
+    """The Schur route reorders a window form once per operator; each
+    contour's factors must match the per-contour full reorder entrywise."""
 
     def check(self, op, contours):
-        """Contours of one radius and node count, through _schur_factors as one batch."""
-        centers = np.array([c.center for c in contours])
-        left, right, valid = _schur_factors(op, centers, contours[0].radius, contours[0].nodes)
-        assert len(left) == len(contours)
+        """Each contour through _schur_factors, against the full reorder."""
         form = scipy.linalg.schur(op.dense(), output="complex")
-        for k, contour in enumerate(contours):
-            got = left[k] @ right[k]
+        for contour in contours:
+            left, right = _schur_factors(op, contour)
             want = np.matmul(*full_reorder_schur(form, contour))
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(want), contour
-            selected = np.abs(contour_filter(contour, np.diagonal(form[0]))) > FILTER_FLOOR
-            assert np.count_nonzero(valid[k]) == np.count_nonzero(selected)
+            assert np.max(np.abs(left @ right - want)) <= 1e-13 * np.linalg.norm(want), contour
+            selected = np.abs(_filter(contour, np.diagonal(form[0]))) > FILTER_FLOOR
+            assert left.shape[1] == len(right) == np.count_nonzero(selected)
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_matches_full_reorder(self, case):
@@ -557,10 +548,10 @@ class TestSchurWindow:
             self.check(op, [contour])
 
     def test_coupled_triangle(self, monkeypatch):
-        # not complex symmetric: refused before any Schur work, on the batch and on riesz_projection
+        # not complex symmetric: refused before any Schur work, on the factors and on riesz_projection
         op = coupled_triangle(1e2)
         with pytest.raises(ProjectionQualityError, match="exactly complex symmetric"):
-            _schur_factors(op, np.array([0j]), 0.5, 64)
+            _schur_factors(op, ContourSpec(0, 0.5, 64))
         monkeypatch.setattr(projections, "SPECTRAL_COND_LIMIT", 0.0)
         with pytest.raises(ProjectionQualityError, match="exactly complex symmetric"):
             riesz_projection(op, ContourSpec(0, 0.5, 64))
@@ -573,8 +564,6 @@ class TestSchurWindow:
                                 (ContourSpec(2, 0.5, 64), True)]:
             assert _leaves_window(op, contour) == leaves
             self.check(op, [contour])
-        # one batch, one contour inside the window and one leaving it
-        self.check(op, [ContourSpec(0, 0.5, 64), ContourSpec(2, 0.5, 64)])
 
     def test_complex_schur_matches_scipy(self, benchmark_cases):
         # the direct zgees, with scipy's own workspace size, gives scipy's T and Z bit for bit
@@ -655,41 +644,37 @@ class TestClosedFormFilter:
             values = [vals] if spectral else [vals, np.diagonal(_schur_form(op)[0])]
             radius = N + 0.5
             discs = [ContourSpec(n, 0.5, 64) for n in disc_centers(bc, K / 2) if abs(n) > N]
-            for batch in (discs, [ContourSpec(0, radius, default_global_nodes(radius))]):
-                centers = np.array([c.center for c in batch])
+            for contour in discs + [ContourSpec(0, radius, default_global_nodes(radius))]:
                 for mu in values:
-                    filt = _filter(centers, batch[0].radius, batch[0].nodes, mu)
-                    for k, contour in enumerate(batch):
-                        keep = np.flatnonzero(np.abs(full_filter(contour, mu)) > FILTER_FLOOR)
-                        assert np.array_equal(np.flatnonzero(np.abs(filt[k]) > FILTER_FLOOR), keep)
-                        for i in far_values(contour, mu):
-                            want = exact_filter(contour, mu[i])
-                            # underflow: below the smallest normal float64 the closed form may read 0
-                            tol = self.FAR_ULPS * contour.nodes * eps * abs(want) + np.finfo(float).smallest_normal
-                            assert abs(mpmath.mpc(filt[k, i]) - want) <= tol, (contour, mu[i])
+                    filt = _filter(contour, mu)
+                    keep = np.flatnonzero(np.abs(full_filter(contour, mu)) > FILTER_FLOOR)
+                    assert np.array_equal(np.flatnonzero(np.abs(filt) > FILTER_FLOOR), keep)
+                    for i in far_values(contour, mu):
+                        want = exact_filter(contour, mu[i])
+                        # underflow: below the smallest normal float64 the closed form may read 0
+                        tol = self.FAR_ULPS * contour.nodes * eps * abs(want) + np.finfo(float).smallest_normal
+                        assert abs(mpmath.mpc(filt[i]) - want) <= tol, (contour, mu[i])
                 if spectral:
-                    # the batch's gathered factors, padding stripped
-                    left, right, valid = _spectral_factors(op, centers, batch[0].radius, batch[0].nodes)
-                    for k, contour in enumerate(batch):
-                        full = full_filter(contour, vals)
-                        keep = np.flatnonzero(np.abs(full) > FILTER_FLOOR)
-                        want = vecs[:, keep] * full[keep]
-                        assert np.max(np.abs(left[k][:, valid[k]] - want)) <= self.FACTOR_TOL * np.max(np.abs(want))
-                        assert np.array_equal(right[k][valid[k]], eigenbasis_inverse(op)[keep, :])
-                        assert not left[k][:, ~valid[k]].any() and not right[k][~valid[k]].any()
+                    # the contour's gathered factors
+                    left, right = _spectral_factors(op, contour)
+                    full = full_filter(contour, vals)
+                    keep = np.flatnonzero(np.abs(full) > FILTER_FLOOR)
+                    want = vecs[:, keep] * full[keep]
+                    assert np.max(np.abs(left - want)) <= self.FACTOR_TOL * np.max(np.abs(want))
+                    assert np.array_equal(right, eigenbasis_inverse(op)[keep, :])
 
     @pytest.mark.parametrize("nodes", [10**17, 10**30, 10**400], ids=["1e17", "1e30", "1e400"])
     def test_huge_node_counts_cost_nothing(self, nodes):
-        # nothing grows with the node count: at 10^17 nodes or more a chunk's
-        # filter holds a few (disc, value) arrays, raises no floating-point
-        # warning (the suite turns RuntimeWarning into an error) and is the
-        # exact indicator of each disc; mu holds every center, where d = 0
+        # nothing grows with the node count: at 10^17 nodes or more each
+        # disc's filter holds a few arrays of the values, raises no
+        # floating-point warning (the suite turns RuntimeWarning into an error)
+        # and is the exact indicator of the disc; mu holds every center, where d = 0
         centers = np.arange(-8, 8) + 0j
         rng = np.random.default_rng(5)
         mu = np.concatenate([centers, 5 * rng.standard_normal(500) + 1j * rng.standard_normal(500)])
         tracemalloc.start()
         try:
-            filt = _filter(centers, 0.5, nodes, mu)
+            filt = np.array([_filter(ContourSpec(c, 0.5, nodes), mu) for c in centers])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -716,7 +701,7 @@ class TestFactoredForm:
             p = riesz_projection(op, ContourSpec(n, 0.5, 64))
             assert p.route == route
             dense = np.linalg.norm(projection_matrix(p) - free_matrix(bc, n, 32))
-            split = _split_deviation(p.left[None], p.right[None], free_rows(bc, 32, [n]))[0]
+            split = _split_deviation(p.left, p.right, free_rows(bc, 32, [n])[0])
             assert abs(split - dense) <= 1e-13 * dense, n
             f = np.random.default_rng(n + 100).standard_normal(op.dim) + 0j
             assert np.max(np.abs(p.apply(f) - projection_matrix(p) @ f)) <= 1e-13 * np.linalg.norm(f)
@@ -733,26 +718,46 @@ class TestFactoredForm:
         assert s.route == route
         assert expansion.report == report  # one sweep over the same window K/2 = 8
 
-    def test_spectral_discs_allocate_no_dim_squared_array(self):
-        spec = random_potential(3, norm=0.3)
-        N = find_threshold_n(spec, PER_PLUS, 64)
-        op = build_operator(spec, PER_PLUS, 64)
-        eigenbasis_condition(op)  # the shared decomposition, condition and V^-1
+    @staticmethod
+    def sweep_peak(op, N):
+        """tracemalloc peak of deviation_report(op, N, N), in bytes, and the report."""
         tracemalloc.start()
         try:
             report = deviation_report(op, N, N)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1], report
         finally:
             tracemalloc.stop()
-        assert len(report.discs) > 20
-        assert peak < op.dim**2 * 16  # one dense complex P
+
+    def test_spectral_discs_allocate_no_dim_squared_array(self):
+        # the sweep holds one disc's factors at a time, whose width is the rank:
+        # measured 15-17 dim-vectors at K = 64 and 128
+        spec = random_potential(3, norm=0.3)
+        for bc in (PER_PLUS, DIRICHLET):
+            N = find_threshold_n(spec, bc, 64)
+            op = build_operator(spec, bc, 64)
+            eigenbasis_condition(op)  # the shared decomposition, condition and V^-1
+            peak, report = self.sweep_peak(op, N)
+            assert len(report.discs) > 20
+            assert peak <= 32 * 16 * op.dim, bc  # 32 complex dim-vectors
+
+    def test_schur_discs_allocate_less_than_a_dim_squared_array(self):
+        # what one disc holds on the Schur route is its w x w window reorder
+        # (w = 66 of dim 258 here): measured 0.43 dim^2
+        spec = structured_potential(0, 1.0, 0.0)
+        N = find_threshold_n(spec, PER_PLUS, 64)
+        op = build_operator(spec, PER_PLUS, 64)
+        eigenbasis_condition(op)
+        _schur_form(op)  # the shared Schur form, reordered to the window
+        peak, report = self.sweep_peak(op, N)
+        assert report.route == "schur" and len(report.discs) > 20
+        assert peak < 0.6 * 16 * op.dim**2
 
 
 class TestBatchedPass:
-    """The disc sweep and the batched pass against the per-disc loop they
-    replaced (oracle_sweep, oracle_projection): ranks exactly, deviations,
-    terms and gate values within 1e-13 relative, refusals by the same
-    message, on both routes."""
+    """The disc sweep and the projection pass against the per-disc oracle
+    (oracle_sweep, oracle_projection): ranks exactly, deviations, terms and
+    gate values within 1e-13 relative, refusals by the same message, on
+    both routes."""
 
     @pytest.fixture(params=["spectral", "schur"])
     def route(self, request, monkeypatch):
@@ -772,7 +777,6 @@ class TestBatchedPass:
         N = find_threshold_n(spec, bc, 64)
         f = np.random.default_rng(7).standard_normal(op.dim) + 1j * np.random.default_rng(8).standard_normal(op.dim)
         report, terms = _disc_sweep(op, N, N, None, 0.5, 64, f)
-        assert len(report.discs) > DISC_CHUNK  # more than one chunk
         ranks, devs, want_terms = oracle_sweep(op, report.discs, 0.5, 64, f)
         assert report.route == route
         assert report.ranks == tuple(ranks)
@@ -790,50 +794,62 @@ class TestBatchedPass:
     @pytest.mark.parametrize("nodes", [8, 12, 16])
     def test_coarse_contours_with_uneven_keep_sets(self, bc, nodes, route):
         # coarse filters leak to eigenvalues far from the disc; at the ends of
-        # the lattice there are fewer to leak to, so the keep sets, padded to
-        # the largest in the batch, differ in size
+        # the lattice there are fewer to leak to, so the keep sets differ in size
         op = build_operator(random_potential(3, norm=0.3), bc, 32)
         ends = lattice_points(bc, 32)[:2] + lattice_points(bc, 32)[-2:]
         discs = [n for n in disc_centers(bc, 16) if abs(n) > 4] + list(ends)
-        contours = [ContourSpec(n, 0.5, nodes) for n in discs]
-        batch = _project(op, contours, quality_threshold=None)
-        assert batch.route == route
-        widths = {np.count_nonzero(np.any(batch.left[k] != 0, axis=0)) for k in range(len(discs))}
-        assert len(widths) > 1, widths
-        devs = _split_deviation(batch.left, batch.right, free_rows(bc, 32, discs))
-        for k, contour in enumerate(contours):
-            left, right, rank, residual, trace, offset = oracle_projection(op, contour, quality_threshold=None)
-            assert batch.ranks[k] == rank
-            self.close(batch.left[k] @ batch.right[k], left @ right)
-            assert batch.residuals[k] == pytest.approx(residual, rel=1e-10)
-            assert batch.traces[k] == pytest.approx(trace, rel=1e-13)
-            self.close(devs[k], oracle_deviation(left, right, bc, discs[k], 32))
+        for n in discs:
+            contour = ContourSpec(n, 0.5, nodes)
+            p, trace = _project(op, contour, quality_threshold=None)
+            left, right, rank, residual, want_trace, _ = oracle_projection(op, contour, quality_threshold=None)
+            assert p.route == route
+            assert p.rank == rank
+            self.close(p.left @ p.right, left @ right)
+            assert p.idempotency_residual == pytest.approx(residual, rel=1e-10)
+            assert trace == pytest.approx(want_trace, rel=1e-13)
+            dev = _split_deviation(p.left, p.right, free_rows(bc, 32, [n])[0])
+            self.close(dev, oracle_deviation(left, right, bc, n, 32))
 
     def test_schur_selection_leaving_the_window(self):
         # radius 1.5 at 64 nodes keeps the neighbouring lattice points; at
-        # n = K/2 that reaches past the window, so one batch mixes contours
-        # on the window form with one on the whole form
+        # n = K/2 that reaches past the window, so that contour works on the
+        # whole form and the others on the window form
         op = build_operator(structured_potential(0, 1.0, 0.0), PER_PLUS, 32)
         contours = [ContourSpec(n, 1.5, 64) for n in (10, 12, 14, 16)]
         assert [_leaves_window(op, c) for c in contours] == [False, False, False, True]
-        batch = _project(op, contours)
-        assert batch.route == "schur"
-        for k, contour in enumerate(contours):
+        for contour in contours:
+            p = riesz_projection(op, contour)
             left, right, rank, *_ = oracle_projection(op, contour)
-            assert batch.ranks[k] == rank == 2
-            self.close(batch.left[k] @ batch.right[k], left @ right)
+            assert p.route == "schur"
+            assert p.rank == rank == 2
+            self.close(p.left @ p.right, left @ right)
 
     @staticmethod
-    def eigenvalue_on_contours():
-        """The dir K = 16 free diagonal with the eigenvalue at 6 moved to 6.5,
-        onto the contours of the discs at 6 and 7."""
+    def moved_eigenvalue(to):
+        """The dir K = 16 free diagonal with the eigenvalue at 6 moved to `to`;
+        at 6.5 it lies on the contours of the discs at 6 and 7."""
         diagonal = basis_index_set(DIRICHLET, 16).free_diagonal().astype(complex)
-        diagonal[np.flatnonzero(diagonal == 6.0)] = 6.5
+        diagonal[np.flatnonzero(diagonal == 6.0)] = to
         return dense_operator(basis_index_set(DIRICHLET, 16), np.diag(diagonal))
+
+    def test_window_with_an_empty_disc(self, route):
+        # at 6.9 the eigenvalue joins the disc at 7 and leaves the one at 6
+        # empty: its filter keeps nothing (5e-17 at |d| = 1.8), so P_6 has
+        # empty factors, and P_7 holds the rows of 6 and 7
+        op = self.moved_eigenvalue(6.9)
+        assert riesz_projection(op, ContourSpec(6, 0.5, 64)).left.shape == (op.dim, 0)
+        report = deviation_report(op, 2, 2)
+        ranks, devs, _ = oracle_sweep(op, report.discs, 0.5, 64, np.ones(op.dim))
+        at = {n: k for k, n in enumerate(report.discs)}
+        assert report.route == route
+        assert (report.ranks[at[6]], report.ranks[at[7]]) == (0, 2)
+        assert report.ranks == tuple(ranks)
+        assert report.deviations[at[6]] == report.deviations[at[7]] == 1.0
+        self.close(report.deviations, devs)
 
     def test_proximity_refusal_names_the_first_disc(self, route):
         # in (|n|, n) order the disc at 6 comes first
-        op = self.eigenvalue_on_contours()
+        op = self.moved_eigenvalue(6.5)
         with pytest.raises(ContourProximityError) as want:
             oracle_sweep(op, [-3, 3, -4, 4, -5, 5, -6, 6, -7, 7, -8, 8], 0.5, 64, np.ones(op.dim))
         with pytest.raises(ContourProximityError) as got:
@@ -843,9 +859,9 @@ class TestBatchedPass:
 
     def test_proximity_refused_before_quality(self, route):
         # at 8 nodes the first disc, -3, fails the trace gate, and the disc at 6
-        # later in the same batch has an eigenvalue on its contour: the
-        # proximity refusal comes first, and nothing is integrated
-        op = self.eigenvalue_on_contours()
+        # later in the window has an eigenvalue on its contour: the proximity
+        # of every disc is checked first, so nothing is integrated
+        op = self.moved_eigenvalue(6.5)
         with pytest.raises(ProjectionQualityError):
             oracle_sweep(op, [-3, 3], 0.5, 8, np.ones(op.dim))
         with pytest.raises(ContourProximityError, match=r"\|z - \(6\+0j\)\| = 0.5"):

@@ -41,16 +41,30 @@ nonzero terms as the full grid with 1/d of the work.  One table per summand
 shape covers every (n, j); offsets beyond its reach 2 d T contribute
 nothing.
 
-The chain sums sample the circle l = n + z, z = e^{i theta}/2, on which
-|l - n| = 1/2, an index x = a - n (a on the support of r) has |l - x| =
+The chain sums and the circle double sum are maxima over the M points
+l = n + z, z = e^{i theta}/2, theta = 2 pi k / M, of a disc's circle
+|l - n| = 1/2.  Every gap they use is |l - x| = |z - u| for a real u, and
+|z - u|^2 = u^2 + 1/4 - u cos theta is affine in c = cos theta, so each
+power |z - u|^-p (p > 0) is log-convex in c; positive sums and products
+stay log-convex, and a convex function of c peaks at an end of the grid's
+range of c.  So every such maximum lies at a peak sample, k = 0 and M/2
+for even M or k = 0 and (M -+ 1)/2 for odd M, and only those are
+evaluated.  They are chosen by index, not by comparing computed cosines
+(which can differ by an ulp within a symmetric pair), and their z are the
+grid's own, so each maximum is the whole grid's bit for bit wherever the
+maximand is not flat in c (one whose only gap is u = 0 differs between
+samples by rounding alone).  For even M the peaks are theta = 0 and pi,
+so the sampled maximum is the maximum over the whole circle.
+
+On the circle, an index x = a - n (a on the support of r) has |l - x| =
 |z - u| with u = a - 2n, and an s = 1 free end k = n + d has |l - k| =
-|z - d| on every disc.  So one circle-offset table 1/|z - u| (sample x u)
-serves every disc by gather: the memo holds it, the (disc x support)
+|z - d| on every disc.  So one circle-offset table 1/|z - u| (peak sample
+x u) serves every disc by gather: the memo holds it, the (disc x support)
 indices of u into its u axis and the column of u = 0, and nothing of size
-sample x disc x support.  One (sample x d) table holds the free-end gaps.
-At s = 1 each circle sample's gaps are gathered on (disc x support) in the
-loop over the samples, and its closed chains (per disc) and free chains
-(disc x d) are folded into running maxima over the samples there, so no
+sample x disc x support.  One (peak sample x d) table holds the free-end
+gaps.  At s = 1 each peak sample's gaps are gathered on (disc x support)
+in the loop over the peak samples, and its closed chains (per disc) and
+free chains (disc x d) are folded into running maxima there, so no
 per-draw array outgrows one sample's block.  The anchor's (k, m) term
 sees n only through u_k, as u_m - u_k = a_m - a_k: it reads the pair
 table H[t, u] = max_theta |z - u|^-2 |z - u - t d|^-2 at
@@ -89,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import disc_centers
+from .operator import _lattice_range, disc_centers
 from .potential import (
     BC_TAGS,
     PotentialSpec,
@@ -279,16 +293,25 @@ def check_shift_sums(r: RSequence, n: int, window: int = 512) -> tuple[BoundChec
 
 # -- circle check against the decay functional --------------------------------
 
+def _peak_samples(tables: _Tables, samples: int) -> np.ndarray:
+    """circle_samples(0, 0.5, samples) at its peak samples, k = 0 and the k
+    nearest samples/2, where every circle maximum of the grid lies (module
+    docstring)."""
+    return circle_samples(0, 0.5, samples)[np.unique([0, samples // 2, (samples + 1) // 2 % samples])]
+
+
 def check_circle_double_sum(
     spec: PotentialSpec, bc: str, n: int, K: int, samples: int = 16
 ) -> BoundCheck:
-    """Worst dominated HS double sum on the circle |l - n| = 1/2."""
+    """Worst dominated HS double sum over `samples` points of the circle
+    |l - n| = 1/2, evaluated at the grid's peak samples alone."""
     validate_bc(bc)
     if n == 0:
         raise ValueError("n must be nonzero")
     r = r_sequence(spec, bc)
     weights = {j: v * v for j, v in r.values.items()}
-    worst = float(_circle_double_sums(weights, bc, K, np.array([n], dtype=float), samples).max())
+    centers = np.array([n], dtype=float)
+    worst = float(_circle_double_sums(weights, bc, K, centers, _tables()(_peak_samples, samples)).max())
     rhs = r.norm_sq / math.sqrt(abs(n)) + tail_norm(r, abs(n)) ** 2
     return _check(
         "circle_double_sum", worst, rhs, {"bc": bc, "n": n, "K": K, "samples": samples}
@@ -300,7 +323,8 @@ def check_circle_double_sum(
 def _tail_tables(tables: _Tables, d: int, N: int, K: int, support: tuple) -> tuple:
     """(1/|2n - j|, g_22(j - 2n), g_12(j - 2n)) on (n, j) axes,
     N < |n| <= K and j on the support; 1/0 reads as 0."""
-    ns = np.array([n for n in range(-K, K + 1) if abs(n) > N])
+    ns = np.arange(-K, K + 1)
+    ns = ns[np.abs(ns) > N]
     js = np.array(support, dtype=int)
     # exact inner sums: |n - k| = |2n - j| along the support anti-diagonals
     gaps = np.abs(2 * ns[:, None] - js[None, :]).astype(float)
@@ -350,15 +374,17 @@ def _circle_offsets(tables: _Tables, bc: str, N: int, K: int, samples: int, supp
     """(at, recip, origin) for the discs N < |n| <= K.
 
     recip[:, at] = 1/|z - u| for u = a - 2n on axes (disc, support), with z
-    on the sample axis; recip's column origin holds u = 0, which the end
-    factors drop.
+    on the axis of the grid's peak samples; recip's column origin holds
+    u = 0, which the end factors drop.
     """
     supp = np.array(support, dtype=int)
-    centers = np.array([n for n in disc_centers(bc, K) if abs(n) > N], dtype=int)
+    lattice = _lattice_range(bc, K)
+    centers = np.arange(lattice.start, lattice.stop, lattice.step)
+    centers = centers[(np.abs(centers) > N) & (np.abs(centers) <= K)]
     u = supp - 2 * centers[:, None]
     lo = u.min(initial=0)
-    z = circle_samples(0, 0.5, samples)[:, None]
-    recip = 1.0 / np.sqrt((z.real - np.arange(lo, u.max(initial=0) + 1)) ** 2 + z.imag**2)  # (sample, u)
+    z = tables(_peak_samples, samples)[:, None]
+    recip = 1.0 / np.sqrt((z.real - np.arange(lo, u.max(initial=0) + 1)) ** 2 + z.imag**2)  # (peak, u)
     return u - lo, recip, int(-lo)
 
 
@@ -367,9 +393,9 @@ def _chain_tables(
 ) -> tuple:
     """What the order-s chain sums read besides r and the circle offsets.
 
-    s = 0: the hits a = 2n and the sample maxima of the end factors on
+    s = 0: the hits a = 2n and the circle maxima of the end factors on
     (disc, support).  s = 1: the shift indicator whose product with r(a)
-    gives r(a + d), the free-end factors 2/|z - d| on (sample, d) and the
+    gives r(a + d), the free-end factors 2/|z - d| on (peak sample, d) and the
     anchor's pair table summed over discs, on (support, support).  The
     end factors 1/|z - u|^2 with u = 0 dropped are formed here and not kept.
     """
@@ -382,10 +408,10 @@ def _chain_tables(
     supp = np.array(support, dtype=int)
     diffs = np.setdiff1d(supp[:, None] - supp, [0])
     shift = supp[:, None] + diffs[:, None, None] == supp
-    free_ends = 2.0 / np.abs(circle_samples(0, 0.5, samples)[:, None] - diffs)
+    free_ends = 2.0 / np.abs(tables(_peak_samples, samples)[:, None] - diffs)
     ends_sq = recip**2
     ends_sq[:, origin] = 0.0
-    # pair[t, u] = max over samples of ends_sq(u) ends_sq(u + t d), zero past the table
+    # pair[t, u] = max over peak samples of ends_sq(u) ends_sq(u + t d), zero past the table
     width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
     pair = np.zeros((width // step + 1, span))
     for row, t in zip(pair, range(0, width + 1, step)):
@@ -417,10 +443,11 @@ def check_chain_sums(
     Gaps come from the circle-offset tables of the module docstring, and r
     and rho_N from the envelope cached on spec.  The left- and right-free
     chains are term-by-term equal under renaming the free end, so one value
-    serves both.  Each chain is maximized over the circle samples per free
+    serves both.  Each chain is maximized over the circle's `samples`
+    points, read at the grid's peak samples (module docstring), per free
     index before the sum over free indices; at s = 1 the free chains are
-    streamed one sample's (disc x d) block at a time into those maxima,
-    and the anchor reads its disc sums from the bincount pair table.
+    streamed one peak sample's (disc x d) block at a time into those
+    maxima, and the anchor reads its disc sums from the bincount pair table.
     """
     validate_bc(bc)
     if s not in (0, 1):
@@ -442,10 +469,10 @@ def check_chain_sums(
     else:
         shift, free_ends, anchor_pairs = built
         at, recip, _ = tables(_circle_offsets, bc, N, K, samples, r.support)
-        # 2 r(a) r(a + d) / |z - d| on (sample, support, d)
+        # 2 r(a) r(a + d) / |z - d| on (peak sample, support, d)
         links = (ra * (shift @ ra)).T * free_ends[:, None, :]
-        # one sample's gaps 1/|l - j|, j = a - n, on (disc, support) at a time,
-        # folded into the sample maxima of the closed and the free chains
+        # one peak sample's gaps 1/|l - j|, j = a - n, on (disc, support) at a
+        # time, folded into the circle maxima of the closed and the free chains
         closed_max = np.zeros(at.shape[0])
         free_max = np.zeros((at.shape[0], links.shape[2]))
         block = np.empty_like(free_max)
@@ -453,7 +480,7 @@ def check_chain_sums(
             gaps = sample_recip[at]
             np.maximum(closed_max, gaps @ wa, out=closed_max)
             np.maximum(free_max, np.matmul(gaps, sample_links, out=block), out=free_max)
-        # every factor is nonnegative, so squaring commutes with the sample maxima
+        # every factor is nonnegative, so squaring commutes with the circle maxima
         closed = float(np.square(4.0 * closed_max).sum())
         free = float(np.square(free_max, out=free_max).sum())
         anchor = 4.0 * float(wa @ anchor_pairs @ wa)

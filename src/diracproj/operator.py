@@ -79,7 +79,11 @@ def lattice_step(bc: str) -> int:
 
 def disc_centers(bc: str, limit: float) -> tuple[int, ...]:
     """Lattice points n with |n| <= limit, ascending (disc centers)."""
-    return tuple(n for n in lattice_points(bc, max(math.ceil(limit), 0)) if abs(n) <= limit)
+    lattice = _lattice_range(bc, max(math.ceil(limit), 0))
+    # the lattice is symmetric, so as many points lie above limit as below
+    # -limit: ceil((-limit - start) / step) of them, in exact floor division
+    cut = max(-int((limit + lattice.start) // lattice.step), 0)
+    return tuple(lattice[cut : len(lattice) - cut])
 
 
 @dataclass(frozen=True)

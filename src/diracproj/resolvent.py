@@ -17,8 +17,8 @@ on that circle and the Riesz projection for the disc is trustworthy.
 circle_norm_profile evaluates the double sum for every disc and circle
 sample of the trusted window, broadcast over blocks of discs, and
 threshold_from_profile reads off the smallest cutoff N beyond which every
-disc passes.  The same kernel, fed the envelope weights r(j)^2, gives the
-bound audit's dominated double sum.
+disc passes.  The same kernel, fed the envelope weights r(j)^2 and the
+circle's peak samples alone, gives the bound audit's dominated double sum.
 
 ShiftedSolve factors the shifted truncation once, behind a conditioning
 gate, and solves against it.  No CLI path calls it: the tests' dense LU
@@ -105,14 +105,16 @@ def circle_samples(center: complex, radius: float, count: int) -> np.ndarray:
 
 
 def _circle_double_sums(
-    weights: dict[int, float], bc: str, K: int, centers: np.ndarray, samples: int
+    weights: dict[int, float], bc: str, K: int, centers: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """sum_j w(j) sum_i 1 / (|l - i| |l - (j - i)|) over the size-K lattice.
 
-    Evaluated at every (disc, sample) point l of the radius-1/2 circles
-    around `centers`, in blocks of discs whose (disc, sample, lattice)
-    temporaries hold about SCAN_BLOCK_FLOATS values (1 MB of float64); each
-    disc's sums do not depend on the block it lands in.  The lattice is
+    Evaluated at every (disc, sample) point l = n + z, n in `centers` and z
+    in `offsets` (points of circle_samples(0, 0.5, count)), in blocks of
+    discs whose (disc, sample, lattice) temporaries hold about
+    SCAN_BLOCK_FLOATS values (1 MB of float64); each disc's sums do not
+    depend on the block it lands in, and n + z is circle_samples(n, 0.5,
+    count) bit for bit.  The lattice is
     symmetric with step s, so the partner j - lat[i] of lattice point i sits
     at index (L - 1 - i) + j/s, and each anti-diagonal j reduces to one
     shifted product of the reciprocal gaps with their reversal.
@@ -121,10 +123,10 @@ def _circle_double_sums(
     lat = np.arange(lattice.start, lattice.stop, lattice.step, dtype=float)
     step = lattice_step(bc)
     L = lat.size
-    total = np.zeros((len(centers), samples))
-    block = max(1, SCAN_BLOCK_FLOATS // (samples * L))
+    total = np.zeros((len(centers), len(offsets)))
+    block = max(1, SCAN_BLOCK_FLOATS // (len(offsets) * L))
     for start in range(0, len(centers), block):
-        lams = circle_samples(centers[start : start + block, None], 0.5, samples)
+        lams = centers[start : start + block, None] + offsets
         inv = 1.0 / np.abs(lams[:, :, None] - lat)
         rev = inv[:, :, ::-1]
         part = total[start : start + block]
@@ -161,7 +163,8 @@ def circle_norm_profile(
     lattice = _lattice_range(bc, K)
     lat = np.arange(lattice.start, lattice.stop, lattice.step, dtype=float)
     centers = lat[(lat != 0) & (np.abs(lat) <= K / 2)]
-    total = _circle_double_sums(_antidiagonal_weights(spec, bc), bc, K, centers, samples_per_circle)
+    offsets = circle_samples(0, 0.5, samples_per_circle)
+    total = _circle_double_sums(_antidiagonal_weights(spec, bc), bc, K, centers, offsets)
     worst = np.sqrt(total.max(axis=1))
     return {int(n): float(v) for n, v in zip(centers, worst)}
 

@@ -44,8 +44,7 @@ from diracproj.projections import (
     riesz_projection,
 )
 from diracproj.resolvent import circle_norm_profile, find_threshold_n
-from helpers import projection_matrix, zero_potential
-from test_projections import free_matrix
+from helpers import free_matrix, projection_matrix, zero_potential
 
 CONSTANT = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
 # the canonical coupling quadruple (a, b, c, d) of each named bc

@@ -43,7 +43,7 @@ from diracproj.potential import (
 )
 from diracproj.resolvent import circle_samples
 from helpers import zero_potential
-from test_resolvent import dominated_hs_norm
+from test_resolvent import circle_double_sums_unblocked, dominated_hs_norm
 
 # W(-2) = p(2)/2 = 1/2 is the only coupling coefficient: a one-point
 # envelope whose chains can be enumerated by hand
@@ -202,6 +202,72 @@ def _chain_sums_by_broadcast(spec, bc, s, N, K, samples=16):
         anchor_rhs = s * r.norm_sq**2 * rho_sq ** (s - 1)
         checks.append(_check("chain_interior_anchor", anchor, anchor_rhs, dict(params)))
     return checks
+
+
+def _chain_sums_full_grid(spec, bc, s, N, K, samples=16):
+    """check_chain_sums as it stood before the peak samples, in the same
+    arithmetic: the circle-offset table, the free-end factors and the pair
+    table on every circle sample, the s = 1 chains streamed over all of
+    them, and the anchor's disc sum the same bincount matvec."""
+    r = r_sequence(spec, bc)
+    supp = np.array(r.support, dtype=int)
+    _, ra, wa = r.support_arrays
+    rho_sq = rho(spec, bc, N) ** 2
+    centers = np.array([n for n in disc_centers(bc, K) if abs(n) > N], dtype=int)
+    u = supp - 2 * centers[:, None]
+    lo = u.min(initial=0)
+    z = circle_samples(0, 0.5, samples)[:, None]
+    recip = 1.0 / np.sqrt((z.real - np.arange(lo, u.max(initial=0) + 1)) ** 2 + z.imag**2)  # (sample, u)
+    at, origin = u - lo, int(-lo)
+    anchor = 0.0
+    if s == 0:
+        end_maxima = recip.max(axis=0) ** 2
+        end_maxima[origin] = 0.0
+        closed = 4.0 * float(((at == origin) @ wa).sum())
+        free = 4.0 * float((end_maxima[at] @ wa).sum())
+    else:
+        diffs = np.setdiff1d(supp[:, None] - supp, [0])
+        shift = supp[:, None] + diffs[:, None, None] == supp
+        links = (ra * (shift @ ra)).T * (2.0 / np.abs(z - diffs))[:, None, :]
+        closed_max = np.zeros(at.shape[0])
+        free_max = np.zeros((at.shape[0], diffs.size))
+        block = np.empty_like(free_max)
+        for sample_recip, sample_links in zip(recip, links):
+            gaps = sample_recip[at]
+            np.maximum(closed_max, gaps @ wa, out=closed_max)
+            np.maximum(free_max, np.matmul(gaps, sample_links, out=block), out=free_max)
+        closed = float(np.square(4.0 * closed_max).sum())
+        free = float(np.square(free_max, out=free_max).sum())
+        ends_sq = recip**2
+        ends_sq[:, origin] = 0.0
+        width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
+        pair = np.zeros((width // r.step + 1, span))
+        for row, t in zip(pair, range(0, width + 1, r.step)):
+            np.max(ends_sq[:, : span - t] * ends_sq[:, t:], axis=0, out=row[: span - t])
+        discs = np.bincount(at[:, :1].ravel()).astype(float)
+        per_point = np.empty((pair.shape[0], supp.size))
+        for k, offset in enumerate(supp - supp[:1]):
+            per_point[:, k] = pair[:, offset : offset + discs.size] @ discs
+        lower = np.minimum.outer(np.arange(supp.size), np.arange(supp.size))
+        anchor = 4.0 * float(wa @ per_point[np.abs(supp[:, None] - supp) // r.step, lower] @ wa)
+
+    params = {"bc": bc, "s": s, "N": N, "K": K, "samples": samples}
+    rhs = r.norm_sq * rho_sq**s
+    checks = [
+        _check("chain_closed", closed, rhs, dict(params)),
+        _check("chain_left_free", free, rhs, dict(params)),
+        _check("chain_right_free", free, rhs, dict(params)),
+    ]
+    if s >= 1:
+        checks.append(_check("chain_interior_anchor", anchor, s * r.norm_sq**2 * rho_sq ** (s - 1), dict(params)))
+    return checks
+
+
+def _circle_double_sum_full_grid(spec, bc, n, K, samples):
+    """check_circle_double_sum's lhs as it stood before the peak samples:
+    the one-disc scan kernel on every circle sample."""
+    weights = {j: v * v for j, v in r_sequence(spec, bc).values.items()}
+    return float(circle_double_sums_unblocked(weights, bc, K, np.array([n], dtype=float), samples).max())
 
 
 def _offset_table_full_grid(d, T, a, b):
@@ -531,6 +597,55 @@ class TestChainSumOracles:
         self._assert_rows_match([got], [_resonance_by_loop(n_max)], (n_max,))
 
 
+class TestPeakSamples:
+    """Chain and circle maxima read at the grid's peak samples alone, against
+    the full-grid evaluation they replaced: bit for bit on the same grid,
+    and within rounding of a 4096-point grid when M is even (the module
+    docstring's log-convexity argument).  At M = 9 the cosines of the
+    symmetric pair nearest theta = pi differ by an ulp, and the rows move
+    if either of the pair is dropped."""
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("samples", (16, 8, 6, 15, 9))
+    def test_chain_rows_match_full_grid(self, bc, samples):
+        for seed in range(3):
+            spec = random_potential(seed)
+            for N, K in ((1, 12), (4, 64), (8, 256)):
+                for s in (0, 1):
+                    got = check_chain_sums(spec, bc, s, N, K, samples)
+                    assert got == _chain_sums_full_grid(spec, bc, s, N, K, samples), (seed, N, K, s)
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    @pytest.mark.parametrize("samples", (16, 8, 6, 15, 9))
+    def test_circle_double_sum_matches_full_grid(self, bc, samples):
+        for seed in range(3):
+            spec = random_potential(seed)
+            for n in (d for d in disc_centers(bc, 12) if abs(d) > 4):
+                for K in (16, 64):
+                    got = check_circle_double_sum(spec, bc, n, K, samples).lhs
+                    assert got == _circle_double_sum_full_grid(spec, bc, n, K, samples), (seed, n, K)
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_even_grids_match_a_fine_grid(self, bc):
+        spec = random_potential(0)
+        probe = next(n for n in disc_centers(bc, 32) if n > 8)
+        fine_circle = _circle_double_sum_full_grid(spec, bc, probe, 64, 4096)
+        fine_chains = {s: _chain_sums_full_grid(spec, bc, s, 4, 64, 4096) for s in (0, 1)}
+        for samples in (16, 8, 6):
+            _assert_rel(check_circle_double_sum(spec, bc, probe, 64, samples).lhs, fine_circle, 1e-15, (samples,))
+            for s, fine in fine_chains.items():
+                for got, want in zip(check_chain_sums(spec, bc, s, 4, 64, samples), fine):
+                    _assert_rel(got.lhs, want.lhs, 1e-15, (samples, s, got.name))
+
+    def test_offset_table_holds_the_peaks_alone(self):
+        # k = 0 and M/2 for even M, k = 0, (M - 1)/2 and (M + 1)/2 for odd M
+        support = r_sequence(random_potential(0), DIRICHLET).support
+        for samples, peaks in ((16, [0, 8]), (15, [0, 7, 8]), (6, [0, 3]), (3, [0, 1, 2])):
+            assert np.array_equal(bounds._peak_samples(bounds._Tables(), samples), circle_samples(0, 0.5, samples)[peaks])
+            _, recip, _ = bounds._circle_offsets(bounds._Tables(), DIRICHLET, 8, 64, samples, support)
+            assert recip.shape[0] == len(peaks)
+
+
 class TestChainSums:
     def test_order_zero_hand_enumerated(self):
         # envelope is the single point r(-2) = 1/2; for each outer n the
@@ -714,8 +829,8 @@ class TestBattery:
 
     def test_chain_sum_streams_its_samples(self):
         # with the battery's tables built, a dir s = 1 call at K = 256 holds
-        # (disc, d) arrays of one sample's size, 496 x 32 doubles, never all
-        # 16 samples' at once
+        # (disc, d) arrays of one peak sample's size, 496 x 32 doubles, never
+        # every sample's at once
         token = bounds._BATTERY_TABLES.set(bounds._Tables())
         try:
             check_chain_sums(random_potential(0), DIRICHLET, 1, 8, 256)

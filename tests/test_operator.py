@@ -83,6 +83,16 @@ class TestLattices:
         assert disc_centers(PER_MINUS, 5) == (-5, -3, -1, 1, 3, 5)
         assert disc_centers(DIRICHLET, 2.5) == (-2, -1, 0, 1, 2)
 
+    @pytest.mark.parametrize("bc", [PER_PLUS, PER_MINUS, DIRICHLET])
+    def test_disc_centers_match_the_lattice_filter(self, bc):
+        # the range arithmetic against the filter over the whole lattice,
+        # on integer, half-integer, fractional, zero and negative limits
+        for limit in [*range(-3, 40), *np.arange(-3.0, 40.0, 0.25).tolist(), 64.0, 127.5, 1e-9]:
+            lattice = lattice_points(bc, max(math.ceil(limit), 0))
+            want = tuple(n for n in lattice if abs(n) <= limit)
+            got = disc_centers(bc, limit)
+            assert got == want and all(type(n) is int for n in got), (bc, limit)
+
     def test_dimensions_at_k64(self):
         assert basis_index_set(PER_PLUS, 64).dim == 258
         assert basis_index_set(PER_MINUS, 64).dim == 260

@@ -58,7 +58,7 @@ from diracproj.projections import (
     riesz_projection,
 )
 from diracproj.resolvent import CONDITION_LIMIT, IllConditionedError, ShiftedSolve, circle_samples, find_threshold_n
-from helpers import projection_matrix, traced_peak, zero_potential
+from helpers import free_matrix, projection_matrix, traced_peak, zero_potential
 
 CONST = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
 
@@ -74,11 +74,6 @@ def _quadrature_lu(op: OperatorMatrix, contour: ContourSpec) -> np.ndarray:
 def contour_points(contour):
     """The contour's quadrature nodes lambda_j."""
     return circle_samples(contour.center, contour.radius, contour.nodes)
-
-
-def free_matrix(bc, n, K):
-    """The dense free projection P_n^0: the coordinate projection onto the basis rows of n."""
-    return np.diag([1.0 + 0j if m == n else 0j for m, _ in basis_index_set(bc, K).indices])
 
 
 # -- the per-contour routes in numpy's own linear algebra, kept as the oracle ----

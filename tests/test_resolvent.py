@@ -357,7 +357,7 @@ class TestBlockedScan:
         weights = _antidiagonal_weights(random_potential(1), bc)
         centers = np.array([n for n in disc_centers(bc, K / 2) if n != 0], dtype=float)
         want = circle_double_sums_unblocked(weights, bc, K, centers, samples)
-        assert np.array_equal(_circle_double_sums(weights, bc, K, centers, samples), want)
+        assert np.array_equal(_circle_double_sums(weights, bc, K, centers, circle_samples(0, 0.5, samples)), want)
 
     @pytest.mark.parametrize("block_floats", [1, 700, 5000])
     def test_block_edges(self, monkeypatch, block_floats):
@@ -366,7 +366,7 @@ class TestBlockedScan:
         weights = _antidiagonal_weights(random_potential(2), DIRICHLET)
         centers = np.array([n for n in disc_centers(DIRICHLET, 16) if n != 0], dtype=float)
         want = circle_double_sums_unblocked(weights, DIRICHLET, 32, centers, 16)
-        assert np.array_equal(_circle_double_sums(weights, DIRICHLET, 32, centers, 16), want)
+        assert np.array_equal(_circle_double_sums(weights, DIRICHLET, 32, centers, circle_samples(0, 0.5, 16)), want)
 
     def test_temporaries_stay_near_one_block(self):
         # dir K = 256: the unblocked broadcast holds 256 x 16 x 513 gaps
@@ -376,11 +376,32 @@ class TestBlockedScan:
         centers = np.array([n for n in disc_centers(DIRICHLET, 128) if n != 0], dtype=float)
         tracemalloc.start()
         try:
-            _circle_double_sums(weights, DIRICHLET, 256, centers, 16)
+            _circle_double_sums(weights, DIRICHLET, 256, centers, circle_samples(0, 0.5, 16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 5 * 8 * SCAN_BLOCK_FLOATS
+
+
+class TestWholeCircle:
+    """Each term |l - i|^-1 |l - (j - i)|^-1 is log-convex in cos theta, so
+    every disc's sampled maximum sits at theta = 0 or the sample nearest
+    theta = pi; for an even count those are 0 and pi themselves, and the
+    sampled maximum is the whole circle's."""
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_argmax_at_zero_or_pi(self, bc):
+        centers = np.array([n for n in disc_centers(bc, 32) if n != 0], dtype=float)
+        for seed in range(4):
+            weights = _antidiagonal_weights(random_potential(seed), bc)
+            sums = _circle_double_sums(weights, bc, 64, centers, circle_samples(0, 0.5, 16))
+            assert set(np.argmax(sums, axis=1).tolist()) <= {0, 8}, seed
+
+    @pytest.mark.parametrize("bc", BC_TAGS)
+    def test_sixteen_samples_match_4096(self, bc):
+        for seed in range(4):
+            spec = random_potential(seed)
+            assert circle_norm_profile(spec, bc, 32, 16) == circle_norm_profile(spec, bc, 32, 4096), seed
 
 
 class TestStoredModes:
@@ -402,7 +423,7 @@ class TestStoredModes:
         assert all(full[j] == w for j, w in stored.items())
         assert all(w == 0.0 for j, w in full.items() if j not in stored)
         centers = np.array([n for n in lattice_points(bc, 24) if 0 < abs(n) <= 12], dtype=float)
-        assert np.array_equal(_circle_double_sums(full, bc, 24, centers, 8), _circle_double_sums(stored, bc, 24, centers, 8))
+        assert np.array_equal(_circle_double_sums(full, bc, 24, centers, circle_samples(0, 0.5, 8)), _circle_double_sums(stored, bc, 24, centers, circle_samples(0, 0.5, 8)))
         r = r_sequence(spec, bc)
         assert list(r.values) == sorted(r.values)
         every = [r(m) for m in range(-9, 10) if m % r.step == 0]

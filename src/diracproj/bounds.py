@@ -41,44 +41,38 @@ nonzero terms as the full grid with 1/d of the work.  One table per summand
 shape covers every (n, j); offsets beyond its reach 2 d T contribute
 nothing.
 
-The chain sums and the circle double sum are maxima over the M points
-l = n + z, z = e^{i theta}/2, theta = 2 pi k / M, of a disc's circle
-|l - n| = 1/2.  Every gap they use is |l - x| = |z - u| for a real u, and
-|z - u|^2 = u^2 + 1/4 - u cos theta is affine in c = cos theta, so each
-power |z - u|^-p (p > 0) is log-convex in c; positive sums and products
-stay log-convex, and a convex function of c peaks at an end of the grid's
-range of c.  So every such maximum lies at a peak sample, k = 0 and M/2
-for even M or k = 0 and (M -+ 1)/2 for odd M, and only those are
-evaluated.  They are chosen by index, not by comparing computed cosines
-(which can differ by an ulp within a symmetric pair), and their z are the
-grid's own, so each maximum is the whole grid's bit for bit wherever the
-maximand is not flat in c (one whose only gap is u = 0 differs between
-samples by rounding alone).  For even M the peaks are theta = 0 and pi,
-so the sampled maximum is the maximum over the whole circle.
+The chain sums and the circle double sum are maxima over a disc's circle
+|l - n| = 1/2.  Every gap they use is |l - x| = |z - u| for a real u and
+z = l - n, and each maximand is a positive sum of products of gap powers,
+so it peaks at the circle's real points z = +-1/2 (resolvent.CIRCLE_PEAKS
+gives the reason); only those two are evaluated, in real arithmetic.  The
+rows record samples = RECORDED_SAMPLES: the 16-point grid's maximum is the
+one read there bit for bit, wherever the maximand is not flat on the circle
+(one whose only gap is u = 0 differs between grid points by rounding alone).
 
 On the circle, an index x = a - n (a on the support of r) has |l - x| =
 |z - u| with u = a - 2n, and an s = 1 free end k = n + d has |l - k| =
-|z - d| on every disc.  So one circle-offset table 1/|z - u| (peak sample
-x u) serves every disc by gather: the memo holds it, the (disc x support)
+|z - d| on every disc.  So one circle-offset table 1/|z - u| (point x u)
+serves every disc by gather: the memo holds it, the (disc x support)
 indices of u into its u axis and the column of u = 0, and nothing of size
-sample x disc x support.  One (peak sample x d) table holds the free-end
-gaps.  At s = 1 each peak sample's gaps are gathered on (disc x support)
-in the loop over the peak samples, and its closed chains (per disc) and
-free chains (disc x d) are folded into running maxima there, so no
-per-draw array outgrows one sample's block.  The anchor's (k, m) term
-sees n only through u_k, as u_m - u_k = a_m - a_k: it reads the pair
-table H[t, u] = max_theta |z - u|^-2 |z - u - t d|^-2 at
-u = min(u_k, u_m), t d = |a_m - a_k|.  Its sum over discs is a matvec per
-support point against the number of discs at each offset (a bincount),
-because u_k and u_0 differ by a_k - a_0 on every disc.  End factors (the
-s = 0 free chain's, both of the anchor's) drop u = 0, the index x = n; the
-s = 1 closed and free chains keep their interior index j = n.  The end
-factors 1/|z - u|^2 are formed only while the s = 0 maxima and the pair
-table are built, and are not kept.
+point x disc x support.  One (point x d) table holds the free-end gaps.
+At s = 1 each point's gaps are gathered on (disc x support) in the loop
+over the two points, and its closed chains (per disc) and free chains
+(disc x d) are folded into running maxima there, so no per-draw array
+outgrows one point's block.  The anchor's (k, m) term sees n only through
+u_k, as u_m - u_k = a_m - a_k: it reads the pair table
+H[t, u] = max_z |z - u|^-2 |z - u - t d|^-2 at u = min(u_k, u_m),
+t d = |a_m - a_k|.  Its sum over discs is a matvec per support point
+against the number of discs at each offset (a bincount), because u_k and
+u_0 differ by a_k - a_0 on every disc.  End factors (the s = 0 free
+chain's, both of the anchor's) drop u = 0, the index x = n; the s = 1
+closed and free chains keep their interior index j = n.  The end factors
+1/|z - u|^2 are formed only while the s = 0 maxima and the pair table are
+built, and are not kept.
 
 None of those tables depends on the potential: the convolution tables see
-(d, T, a, b), the tail and chain tables see the lattice (bc, N, K, samples)
-and the support of r, which every draw of the battery shares.  So
+(d, T, a, b), the tail and chain tables see the lattice (bc, N, K) and
+the support of r, which every draw of the battery shares.  So
 run_battery opens one _Tables memo for its draws and closes it on return:
 each table is built on first use, and each draw only reads r(a), r(a)^2
 and the links r(a) r(a + d) and forms the products.  A check_* call outside
@@ -114,7 +108,7 @@ from .potential import (
     tail_norm,
     validate_bc,
 )
-from .resolvent import _circle_double_sums, circle_samples
+from .resolvent import CIRCLE_PEAKS, RECORDED_SAMPLES, _circle_double_sums
 
 
 @dataclass(frozen=True)
@@ -293,28 +287,18 @@ def check_shift_sums(r: RSequence, n: int, window: int = 512) -> tuple[BoundChec
 
 # -- circle check against the decay functional --------------------------------
 
-def _peak_samples(tables: _Tables, samples: int) -> np.ndarray:
-    """circle_samples(0, 0.5, samples) at its peak samples, k = 0 and the k
-    nearest samples/2, where every circle maximum of the grid lies (module
-    docstring)."""
-    return circle_samples(0, 0.5, samples)[np.unique([0, samples // 2, (samples + 1) // 2 % samples])]
-
-
-def check_circle_double_sum(
-    spec: PotentialSpec, bc: str, n: int, K: int, samples: int = 16
-) -> BoundCheck:
-    """Worst dominated HS double sum over `samples` points of the circle
-    |l - n| = 1/2, evaluated at the grid's peak samples alone."""
+def check_circle_double_sum(spec: PotentialSpec, bc: str, n: int, K: int) -> BoundCheck:
+    """Worst dominated HS double sum on the circle |l - n| = 1/2, read at
+    its real points n +- 1/2."""
     validate_bc(bc)
     if n == 0:
         raise ValueError("n must be nonzero")
     r = r_sequence(spec, bc)
     weights = {j: v * v for j, v in r.values.items()}
-    centers = np.array([n], dtype=float)
-    worst = float(_circle_double_sums(weights, bc, K, centers, _tables()(_peak_samples, samples)).max())
+    worst = float(_circle_double_sums(weights, bc, K, np.array([n], dtype=float)).max())
     rhs = r.norm_sq / math.sqrt(abs(n)) + tail_norm(r, abs(n)) ** 2
     return _check(
-        "circle_double_sum", worst, rhs, {"bc": bc, "n": n, "K": K, "samples": samples}
+        "circle_double_sum", worst, rhs, {"bc": bc, "n": n, "K": K, "samples": RECORDED_SAMPLES}
     )
 
 
@@ -370,36 +354,35 @@ def check_tail_sums(r: RSequence, N: int, K: int) -> list[BoundCheck]:
 
 # -- squared chains through the discs -----------------------------------------
 
-def _circle_offsets(tables: _Tables, bc: str, N: int, K: int, samples: int, support: tuple) -> tuple:
+def _circle_offsets(tables: _Tables, bc: str, N: int, K: int, support: tuple) -> tuple:
     """(at, recip, origin) for the discs N < |n| <= K.
 
     recip[:, at] = 1/|z - u| for u = a - 2n on axes (disc, support), with z
-    on the axis of the grid's peak samples; recip's column origin holds
-    u = 0, which the end factors drop.
+    on the axis of CIRCLE_PEAKS; recip's column origin holds u = 0, which
+    the end factors drop.  A window with no disc past N is a ValueError.
     """
     supp = np.array(support, dtype=int)
     lattice = _lattice_range(bc, K)
     centers = np.arange(lattice.start, lattice.stop, lattice.step)
     centers = centers[(np.abs(centers) > N) & (np.abs(centers) <= K)]
+    if centers.size == 0:
+        raise ValueError(f"the window K = {K} holds no disc of the {bc} lattice past N = {N}")
     u = supp - 2 * centers[:, None]
     lo = u.min(initial=0)
-    z = tables(_peak_samples, samples)[:, None]
-    recip = 1.0 / np.sqrt((z.real - np.arange(lo, u.max(initial=0) + 1)) ** 2 + z.imag**2)  # (peak, u)
+    recip = 1.0 / np.abs(CIRCLE_PEAKS[:, None] - np.arange(lo, u.max(initial=0) + 1))  # (point, u)
     return u - lo, recip, int(-lo)
 
 
-def _chain_tables(
-    tables: _Tables, bc: str, s: int, N: int, K: int, samples: int, support: tuple, step: int
-) -> tuple:
+def _chain_tables(tables: _Tables, bc: str, s: int, N: int, K: int, support: tuple, step: int) -> tuple:
     """What the order-s chain sums read besides r and the circle offsets.
 
     s = 0: the hits a = 2n and the circle maxima of the end factors on
     (disc, support).  s = 1: the shift indicator whose product with r(a)
-    gives r(a + d), the free-end factors 2/|z - d| on (peak sample, d) and the
+    gives r(a + d), the free-end factors 2/|z - d| on (point, d) and the
     anchor's pair table summed over discs, on (support, support).  The
     end factors 1/|z - u|^2 with u = 0 dropped are formed here and not kept.
     """
-    at, recip, origin = tables(_circle_offsets, bc, N, K, samples, support)
+    at, recip, origin = tables(_circle_offsets, bc, N, K, support)
     if s == 0:
         # squaring is monotone on the nonnegative recip, so it commutes with the maxima
         end_maxima = recip.max(axis=0) ** 2
@@ -408,10 +391,10 @@ def _chain_tables(
     supp = np.array(support, dtype=int)
     diffs = np.setdiff1d(supp[:, None] - supp, [0])
     shift = supp[:, None] + diffs[:, None, None] == supp
-    free_ends = 2.0 / np.abs(tables(_peak_samples, samples)[:, None] - diffs)
+    free_ends = 2.0 / np.abs(CIRCLE_PEAKS[:, None] - diffs)
     ends_sq = recip**2
     ends_sq[:, origin] = 0.0
-    # pair[t, u] = max over peak samples of ends_sq(u) ends_sq(u + t d), zero past the table
+    # pair[t, u] = max over the two points of ends_sq(u) ends_sq(u + t d), zero past the table
     width, span = supp.max(initial=0) - supp.min(initial=0), recip.shape[1]
     pair = np.zeros((width // step + 1, span))
     for row, t in zip(pair, range(0, width + 1, step)):
@@ -427,9 +410,7 @@ def _chain_tables(
     return shift, free_ends, per_point[np.abs(supp[:, None] - supp) // step, lower]
 
 
-def check_chain_sums(
-    spec: PotentialSpec, bc: str, s: int, N: int, K: int, samples: int = 16
-) -> list[BoundCheck]:
+def check_chain_sums(spec: PotentialSpec, bc: str, s: int, N: int, K: int) -> list[BoundCheck]:
     """Audit the four chain sums at order s over discs N < |n| <= K.
 
     A chain of order s couples the disc at n to the lattice through s+1
@@ -443,11 +424,12 @@ def check_chain_sums(
     Gaps come from the circle-offset tables of the module docstring, and r
     and rho_N from the envelope cached on spec.  The left- and right-free
     chains are term-by-term equal under renaming the free end, so one value
-    serves both.  Each chain is maximized over the circle's `samples`
-    points, read at the grid's peak samples (module docstring), per free
-    index before the sum over free indices; at s = 1 the free chains are
-    streamed one peak sample's (disc x d) block at a time into those
-    maxima, and the anchor reads its disc sums from the bincount pair table.
+    serves both.  Each chain is maximized over the circle, read at its
+    real points (module docstring), per free index before the sum over free
+    indices; at s = 1 the free chains are streamed one point's (disc x d)
+    block at a time into those maxima, and the anchor reads its disc sums
+    from the bincount pair table.  A window K with no disc past N is a
+    ValueError.
     """
     validate_bc(bc)
     if s not in (0, 1):
@@ -460,7 +442,7 @@ def check_chain_sums(
 
     # every chain carries 1/|l - n|^2 = 4
     tables = _tables()
-    built = tables(_chain_tables, bc, s, N, K, samples, r.support, r.step)
+    built = tables(_chain_tables, bc, s, N, K, r.support, r.step)
     anchor = 0.0
     if s == 0:
         hits, end_maxima = built
@@ -468,24 +450,24 @@ def check_chain_sums(
         free = 4.0 * float((end_maxima @ wa).sum())
     else:
         shift, free_ends, anchor_pairs = built
-        at, recip, _ = tables(_circle_offsets, bc, N, K, samples, r.support)
-        # 2 r(a) r(a + d) / |z - d| on (peak sample, support, d)
+        at, recip, _ = tables(_circle_offsets, bc, N, K, r.support)
+        # 2 r(a) r(a + d) / |z - d| on (point, support, d)
         links = (ra * (shift @ ra)).T * free_ends[:, None, :]
-        # one peak sample's gaps 1/|l - j|, j = a - n, on (disc, support) at a
-        # time, folded into the circle maxima of the closed and the free chains
+        # one point's gaps 1/|l - j|, j = a - n, on (disc, support) at a time,
+        # folded into the circle maxima of the closed and the free chains
         closed_max = np.zeros(at.shape[0])
         free_max = np.zeros((at.shape[0], links.shape[2]))
         block = np.empty_like(free_max)
-        for sample_recip, sample_links in zip(recip, links):
-            gaps = sample_recip[at]
+        for point_recip, point_links in zip(recip, links):
+            gaps = point_recip[at]
             np.maximum(closed_max, gaps @ wa, out=closed_max)
-            np.maximum(free_max, np.matmul(gaps, sample_links, out=block), out=free_max)
+            np.maximum(free_max, np.matmul(gaps, point_links, out=block), out=free_max)
         # every factor is nonnegative, so squaring commutes with the circle maxima
         closed = float(np.square(4.0 * closed_max).sum())
         free = float(np.square(free_max, out=free_max).sum())
         anchor = 4.0 * float(wa @ anchor_pairs @ wa)
 
-    params = {"bc": bc, "s": s, "N": N, "K": K, "samples": samples}
+    params = {"bc": bc, "s": s, "N": N, "K": K, "samples": RECORDED_SAMPLES}
     rhs = r.norm_sq * rho_sq**s
     checks = [
         _check("chain_closed", closed, rhs, dict(params)),

@@ -54,6 +54,7 @@ from .operator import (
     EigenResidualError,
     build_operator,
     classify_bc,
+    disc_centers,
     eigen,
     lattice_step,
 )
@@ -71,6 +72,7 @@ from .projections import (
     localization_counts,
 )
 from .resolvent import (
+    RECORDED_SAMPLES,
     ThresholdNotFoundError,
     circle_norm_profile,
     find_threshold_n,
@@ -326,8 +328,13 @@ def cmd_verify_bounds(cfg: RunConfig, args: argparse.Namespace, out: Path) -> di
     if args.draws < 1:
         raise ConfigError(f"--draws must be a positive integer, got {args.draws}")
     cutoff = max(BATTERY_CUTOFFS)
-    if args.window <= cutoff:
-        raise ConfigError(f"--window must exceed the battery's cutoff N = {cutoff}, got {args.window}")
+    # the window must hold a disc past the cutoff on every lattice, whose steps are 1 and 2
+    reach = max(next(n for n in disc_centers(bc, cutoff + 2) if n > cutoff) for bc in BC_TAGS)
+    if args.window < reach:
+        raise ConfigError(
+            f"--window must reach a disc past the battery's cutoff N = {cutoff} on every lattice, "
+            f"i.e. be at least {reach}, got {args.window}"
+        )
     checks: list[BoundCheck] = list(check_elementary(n_max=1000))
     checks += run_battery(seed=cfg.seed, draws=args.draws, K=args.window)
     if args.self_test:
@@ -349,15 +356,13 @@ def cmd_verify_bounds(cfg: RunConfig, args: argparse.Namespace, out: Path) -> di
 
 
 def cmd_threshold(cfg: RunConfig, args: argparse.Namespace, out: Path) -> dict:
-    if args.samples < 4:
-        raise ConfigError(f"--samples must be at least 4, got {args.samples}")
     spec = _potential_for(cfg)
-    profile = circle_norm_profile(spec, cfg.bc, cfg.K, args.samples)
+    profile = circle_norm_profile(spec, cfg.bc, cfg.K)
     rows = sorted(profile.items(), key=lambda kv: (abs(kv[0]), kv[0]))
     _write_csv(out / "threshold.csv", ("n", "max_kvk_hs"), rows)
     return {
         "threshold_N": threshold_from_profile(profile, cfg.K),
-        "samples_per_circle": args.samples,
+        "samples_per_circle": RECORDED_SAMPLES,
         "potential_norm": potential_norm(spec),
     }
 
@@ -401,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("c")
     p.add_argument("d")
 
-    p = sub.add_parser("threshold", parents=[common], help="smallness-test profile and verified cutoff")
-    p.add_argument("--samples", type=int, default=16, help="samples per circle")
+    sub.add_parser("threshold", parents=[common], help="smallness-test profile and verified cutoff")
 
     return parser
 
@@ -461,7 +465,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
-    except MemoryError as exc:  # --K, --samples, --window or --nodes too large to hold
+    except MemoryError as exc:  # --K, --window or --nodes too large to hold
         print(f"config error: the arguments need more memory than there is: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except (*NUMERICAL_ERRORS, ValueError) as exc:

@@ -298,7 +298,7 @@ def _schur_factors(op: OperatorMatrix, contour: ContourSpec) -> tuple[np.ndarray
             f"projector norm bound {norm:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
-    # lambda_j - T11 at every node (as circle_samples)
+    # lambda_j - T11 at every node center + radius e^{2 pi i k / nodes}
     try:
         points = contour.center + radius * np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
         shifted = np.repeat(-TW[None, :r, :r], nodes, axis=0)
@@ -438,7 +438,7 @@ def _disc_sweep(
     `threshold` is the verified threshold of the operator's potential
     (find_threshold_n).  N below it is refused, so the radius-1/2 circle
     around every disc of the window passes the smallness test, which
-    circle_norm_profile samples at radius 1/2 only; for a smaller radius
+    circle_norm_profile evaluates on that circle only; for a smaller radius
     it is the disc's eigenvalue count that localization_counts checks
     (deviations reports it as localization_verified_beyond_N).  M beyond
     the trusted window K/2 and a window with no disc in it are refused too.

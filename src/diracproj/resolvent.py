@@ -14,11 +14,12 @@ branch of the square root is ever chosen.
 The smallness test drives everything else: once the circle of radius 1/2
 around a lattice point n has max ||K V K||_HS <= 1/2, the resolvent exists
 on that circle and the Riesz projection for the disc is trustworthy.
-circle_norm_profile evaluates the double sum for every disc and circle
-sample of the trusted window, broadcast over blocks of discs, and
+That maximum lies at the circle's two real points n +- 1/2 (CIRCLE_PEAKS),
+so circle_norm_profile evaluates the double sum there alone, for every
+disc of the trusted window, broadcast over blocks of discs, and
 threshold_from_profile reads off the smallest cutoff N beyond which every
-disc passes.  The same kernel, fed the envelope weights r(j)^2 and the
-circle's peak samples alone, gives the bound audit's dominated double sum.
+disc passes.  The same kernel, fed the envelope weights r(j)^2, gives the
+bound audit's dominated double sum.
 
 ShiftedSolve factors the shifted truncation once, behind a conditioning
 gate, and solves against it.  No CLI path calls it: the tests' dense LU
@@ -38,8 +39,22 @@ from .operator import OperatorMatrix, _lattice_range, basis_index_set, eigen, la
 from .potential import DIRICHLET, PotentialSpec, dirichlet_w
 
 CONDITION_LIMIT = 1e12
-# values per (disc, sample, lattice) block of the smallness scan: 1 MB of float64
+# values per (disc, point, lattice) block of the smallness scan: 1 MB of float64
 SCAN_BLOCK_FLOATS = 2**17
+# Where every circle maximum of the package lies: the offsets z of the real
+# points n + z of the circle |l - n| = 1/2.  Each maximand (the smallness
+# scan's double sum, the bound audit's dominated double sum and chain sums)
+# is a positive sum of products of gap powers |l - x|^-p, x real, p > 0.  At
+# l = n + e^{i theta}/2, |l - x|^2 = (n - x)^2 + 1/4 + (n - x) cos theta is
+# affine in cos theta, so each gap power is log-convex in cos theta, and so
+# are their positive sums and products; a convex function of cos theta in
+# [-1, 1] peaks at cos theta = +-1, i.e. at theta = 0 and pi.
+CIRCLE_PEAKS = np.array([0.5, -0.5])
+# The circle sampling the records report (threshold's samples_per_circle,
+# the audit rows' samples).  The 16-point grid theta = 2 pi k / 16 has its
+# k = 0 and 8 points at n +- 1/2, so its maximum is the one read at
+# CIRCLE_PEAKS bit for bit, and that is also the maximum over the circle.
+RECORDED_SAMPLES = 16
 
 
 class IllConditionedError(Exception):
@@ -99,34 +114,26 @@ def _antidiagonal_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
     return {j: abs(spec.q(j)) ** 2 + abs(spec.p(-j)) ** 2 for j in modes}
 
 
-def circle_samples(center: complex, radius: float, count: int) -> np.ndarray:
-    theta = 2 * np.pi * np.arange(count) / count
-    return center + radius * np.exp(1j * theta)
-
-
-def _circle_double_sums(
-    weights: dict[int, float], bc: str, K: int, centers: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
+def _circle_double_sums(weights: dict[int, float], bc: str, K: int, centers: np.ndarray) -> np.ndarray:
     """sum_j w(j) sum_i 1 / (|l - i| |l - (j - i)|) over the size-K lattice.
 
-    Evaluated at every (disc, sample) point l = n + z, n in `centers` and z
-    in `offsets` (points of circle_samples(0, 0.5, count)), in blocks of
-    discs whose (disc, sample, lattice) temporaries hold about
-    SCAN_BLOCK_FLOATS values (1 MB of float64); each disc's sums do not
-    depend on the block it lands in, and n + z is circle_samples(n, 0.5,
-    count) bit for bit.  The lattice is
-    symmetric with step s, so the partner j - lat[i] of lattice point i sits
-    at index (L - 1 - i) + j/s, and each anti-diagonal j reduces to one
-    shifted product of the reciprocal gaps with their reversal.
+    Evaluated at the real points l = n + z, n in `centers` and z in
+    CIRCLE_PEAKS, on (disc, point) axes, in blocks of discs whose (disc,
+    point, lattice) temporaries hold about SCAN_BLOCK_FLOATS values (1 MB of
+    float64); each disc's sums do not depend on the block it lands in.  The
+    lattice is symmetric with step s, so the partner j - lat[i] of lattice
+    point i sits at index (L - 1 - i) + j/s, and each anti-diagonal j
+    reduces to one shifted product of the reciprocal gaps with their
+    reversal.
     """
     lattice = _lattice_range(bc, K)
     lat = np.arange(lattice.start, lattice.stop, lattice.step, dtype=float)
     step = lattice_step(bc)
     L = lat.size
-    total = np.zeros((len(centers), len(offsets)))
-    block = max(1, SCAN_BLOCK_FLOATS // (len(offsets) * L))
+    total = np.zeros((len(centers), CIRCLE_PEAKS.size))
+    block = max(1, SCAN_BLOCK_FLOATS // (CIRCLE_PEAKS.size * L))
     for start in range(0, len(centers), block):
-        lams = centers[start : start + block, None] + offsets
+        lams = centers[start : start + block, None] + CIRCLE_PEAKS
         inv = 1.0 / np.abs(lams[:, :, None] - lat)
         rev = inv[:, :, ::-1]
         part = total[start : start + block]
@@ -141,30 +148,25 @@ def _circle_double_sums(
     return total
 
 
-def circle_norm_profile(
-    spec: PotentialSpec, bc: str, K: int, samples_per_circle: int = 16
-) -> dict[int, float]:
-    """Worst sampled ||K V K||_HS on the radius-1/2 circle of each disc.
+def circle_norm_profile(spec: PotentialSpec, bc: str, K: int) -> dict[int, float]:
+    """max ||K V K||_HS on the radius-1/2 circle of each disc.
 
     Covers every nonzero lattice point in the trusted window |n| <= K/2;
     the squared norms are _circle_double_sums with the anti-diagonal
-    weights w.
+    weights w, read at the circle's real points n +- 1/2.
     """
-    if samples_per_circle < 4:
-        raise ValueError("samples_per_circle must be at least 4")
     points = basis_index_set(bc, K).dim // lattice_step(bc)  # by arithmetic: len() overflows past 2**63
-    try:  # one disc's (sample, lattice) block, below which the scan's blocks cannot split
-        np.empty((samples_per_circle, points), dtype=complex)
+    try:  # one disc's (point, lattice) block, below which the scan's blocks cannot split
+        np.empty((CIRCLE_PEAKS.size, points))
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
         raise MemoryError(
-            f"the smallness scan at K = {K} needs {16 * samples_per_circle * points:.3g} bytes for one disc's "
-            f"{samples_per_circle} x {points} complex (sample, lattice) block: {exc}"
+            f"the smallness scan at K = {K} needs {8 * CIRCLE_PEAKS.size * points:.3g} bytes for one disc's "
+            f"{CIRCLE_PEAKS.size} x {points} float (point, lattice) block: {exc}"
         ) from None
     lattice = _lattice_range(bc, K)
     lat = np.arange(lattice.start, lattice.stop, lattice.step, dtype=float)
     centers = lat[(lat != 0) & (np.abs(lat) <= K / 2)]
-    offsets = circle_samples(0, 0.5, samples_per_circle)
-    total = _circle_double_sums(_antidiagonal_weights(spec, bc), bc, K, centers, offsets)
+    total = _circle_double_sums(_antidiagonal_weights(spec, bc), bc, K, centers)
     worst = np.sqrt(total.max(axis=1))
     return {int(n): float(v) for n, v in zip(centers, worst)}
 
@@ -184,14 +186,14 @@ def threshold_from_profile(profile: dict[int, float], K: int) -> int:
     if not window:
         raise ThresholdNotFoundError(
             f"no threshold within truncation: disc at |n| = {N} still has "
-            f"max sampled ||K V K||_HS > 1/2 at the edge of the trusted window (K = {K})"
+            f"max ||K V K||_HS > 1/2 on its circle at the edge of the trusted window (K = {K})"
         )
     return N
 
 
-def find_threshold_n(spec: PotentialSpec, bc: str, K: int, samples_per_circle: int = 16) -> int:
+def find_threshold_n(spec: PotentialSpec, bc: str, K: int) -> int:
     """Smallest cutoff N <= K/2 with max ||K V K||_HS <= 1/2 past it.
 
     One smallness scan (circle_norm_profile) read by threshold_from_profile.
     """
-    return threshold_from_profile(circle_norm_profile(spec, bc, K, samples_per_circle), K)
+    return threshold_from_profile(circle_norm_profile(spec, bc, K), K)

@@ -1,6 +1,7 @@
 """Memory of one CLI job, each measured in a fresh interpreter.
 
     python tests/memory_probe.py deviations --bc per+ --K 128 --potential p.json
+    python tests/memory_probe.py threshold --bc dir --K 128
     python tests/memory_probe.py verify-bounds --window 4096 --draws 2
 
 Runs `diracproj.cli.main(argv)` three times, each in its own child process:
@@ -17,15 +18,16 @@ Runs `diracproj.cli.main(argv)` three times, each in its own child process:
   A stage's peak is that of its first call, the one that computes (later
   calls read the operator's cache).  It counts everything the job holds
   while the stage runs, such as V while the Schur form is computed, and
-  takes in the stages it calls.  The bound battery, which has no operator,
-  is printed in MiB alone.
+  takes in the stages it calls.  The smallness scan and the bound battery,
+  which have no operator, are printed in MiB alone.
 
 The stages are operator.eigen (eigen), operator.eigenbasis_condition
 (inverse and condition, which computes V^-1), operator.eigenbasis_inverse
 (inverse), projections._schur_form (Schur form), projections._disc_sweep
-(disc sweep, the pass over the discs of deviations and reconstruct) and
-bounds.run_battery (battery, the whole battery of verify-bounds).  A stage the job never
-enters is left out.  `--out` defaults to a temporary directory.  Not a
+(disc sweep, the pass over the discs of deviations and reconstruct),
+resolvent.circle_norm_profile (smallness scan, the threshold scan of every
+job but verify-bounds) and bounds.run_battery (battery, the whole battery of
+verify-bounds).  A stage the job never enters is left out.  `--out` defaults to a temporary directory.  Not a
 pytest module: it has no test_ prefix.  Needs Linux (/proc/self/status).
 """
 
@@ -42,7 +44,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = r"""
 import json, re, sys, tracemalloc
-import diracproj.bounds, diracproj.cli, diracproj.operator, diracproj.projections
+import diracproj.bounds, diracproj.cli, diracproj.operator, diracproj.projections, diracproj.resolvent
 
 STAGES = {
     "eigen": (diracproj.operator, "eigen"),
@@ -50,6 +52,7 @@ STAGES = {
     "inverse": (diracproj.operator, "eigenbasis_inverse"),
     "Schur form": (diracproj.projections, "_schur_form"),
     "disc sweep": (diracproj.projections, "_disc_sweep"),
+    "smallness scan": (diracproj.resolvent, "circle_norm_profile"),
     "battery": (diracproj.bounds, "run_battery"),
 }
 traced = sys.argv[1] == "traced"
@@ -74,7 +77,7 @@ def wrap(stage, fn):
             if running:
                 running[-1] = max(running[-1], peak)
             if stage not in peaks:
-                # the operator's dim; None for the battery, which takes none
+                # the operator's dim; None for the scan and the battery, which take none
                 peaks[stage], dims[stage] = peak, getattr(args[0], "dim", None) if args else None
     return probed
 

@@ -43,8 +43,9 @@ from diracproj.projections import (
     localization_counts,
     riesz_projection,
 )
-from diracproj.resolvent import circle_norm_profile, find_threshold_n
+from diracproj.resolvent import circle_norm_profile, find_threshold_n, threshold_from_profile
 from helpers import free_matrix, projection_matrix, zero_potential
+from test_resolvent import grid_profile
 
 CONSTANT = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
 # the canonical coupling quadruple (a, b, c, d) of each named bc
@@ -147,16 +148,18 @@ def test_criterion_03b_deviations_stable_under_truncation_doubling():
 
 
 def test_criterion_04_threshold_certifies_smallness():
-    """find_threshold_n returns N with every sampled outer-circle HS norm
-    <= 1/2, unchanged when the circle sampling is doubled."""
+    """find_threshold_n returns N with every outer-circle HS norm <= 1/2,
+    unchanged when the circle sampling is doubled: the scan reads n +- 1/2
+    alone, and its N is the one read from 16-, 32- and 4096-point grids."""
     spec = random_potential(0)
     for bc in BC_TAGS:
-        N = find_threshold_n(spec, bc, 64, 16)
-        profile = circle_norm_profile(spec, bc, 64, 16)
+        N = find_threshold_n(spec, bc, 64)
+        profile = circle_norm_profile(spec, bc, 64)
         outer = {n: v for n, v in profile.items() if abs(n) > N}
         assert outer, bc
         assert max(outer.values()) <= 0.5, bc
-        assert find_threshold_n(spec, bc, 64, 32) == N, bc
+        for count in (16, 32, 4096):
+            assert threshold_from_profile(grid_profile(spec, bc, 64, count), 64) == N, (bc, count)
 
 
 def test_criterion_05_quadrature_convergence():

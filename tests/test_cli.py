@@ -596,11 +596,12 @@ class TestVerifyBounds:
         assert rows[0][0] == "row_shift_sum" and rows[0][1] == "self_test=1"
 
     @pytest.mark.parametrize(
-        "flag, value", [("--draws", "0"), ("--draws", "-1"), ("--window", "0"), ("--window", "8")]
+        "flag, value", [("--draws", "0"), ("--draws", "-1"), ("--window", "0"), ("--window", "8"), ("--window", "9")]
     )
     def test_rejected_arguments(self, tmp_path, capsys, flag, value):
         # no draws audits no potential; a window at or below the battery's
-        # cutoff N = 8 leaves no disc beyond it
+        # cutoff N = 8 leaves no disc beyond it, and one of 9 none on the
+        # even lattice, whose chain rows would read 0 and pass vacuously
         out = tmp_path / "run"
         code = main(["verify-bounds", "--window", "32", "--draws", "1", flag, value, "--out", str(out)])
         assert code == EXIT_CONFIG
@@ -612,13 +613,14 @@ class TestThreshold:
     def test_outputs(self, tmp_path, small_potential):
         out = tmp_path / "run"
         code = main(
-            ["threshold", "--bc", "per+", "--K", "16", "--samples", "8",
+            ["threshold", "--bc", "per+", "--K", "16",
              "--potential", small_potential, "--out", str(out)]
         )
         assert code == EXIT_OK
         run = read_run(out)
         assert run["threshold_N"] == 2
-        assert run["samples_per_circle"] == 8
+        # the scan reads n +- 1/2, the 16-point grid's maximum, and records that grid
+        assert run["samples_per_circle"] == 16
         assert run["potential_norm"] == pytest.approx(0.32015621187164245)
         header, rows = read_csv(out / "threshold.csv")
         assert header == ["n", "max_kvk_hs"]
@@ -631,11 +633,13 @@ class TestThreshold:
 
     @pytest.mark.parametrize("value", ["3", "0", "-1"])
     def test_too_few_samples_rejected(self, monkeypatch, tmp_path, small_potential, capsys, value):
+        # threshold takes no sample count at all: argparse refuses the flag
         scans = count_calls(monkeypatch, circle_norm_profile)
         out = tmp_path / "run"
-        code = main(["threshold", "--K", "16", "--samples", value, "--potential", small_potential, "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert "--samples" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--K", "16", "--samples", value, "--potential", small_potential, "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err
         assert scans == []
         assert not out.exists()
 
@@ -644,7 +648,7 @@ class TestUnusableResources:
     """Arguments the machine cannot serve exit 2 naming the cause, not with a traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ["threshold", "--K", "16", "--samples", "1000000000000000"],  # 56.8 PiB of circle samples
+        ["threshold", "--K", "1000000000000000"],  # 28.4 PiB for one disc's scan block
         ["verify-bounds", "--draws", "1", "--window", "1000000000000000"],  # 28.4 PiB of window offsets
         # 711 PiB of quadrature nodes: the Schur route sums its matrix filter node by node
         ["deviations", "--K", "16", "--nodes", "100000000000000000", "--potential", "p_only"],
@@ -725,11 +729,11 @@ class TestUnusableResources:
         assert max_rss_kb < 200 * 1024
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("K", [10**7, 10**21])
+    @pytest.mark.parametrize("K", [10**9, 10**21])
     def test_oversized_K_scan_refused_before_the_lattice(self, tmp_path, K):
-        # one disc's (16 sample, 2K + 1 point) complex block is tried before the
-        # lattice or the disc centers are built; at K = 10^7 it is 4.77 GiB,
-        # past the 3 GiB address space the child is given
+        # one disc's (2 point, 2K + 1 lattice point) float block is tried
+        # before the lattice or the disc centers are built; at K = 10^9 it is
+        # 29.8 GiB, past the 3 GiB address space the child is given
         import resource  # POSIX only, as is /proc
 
         def limit_address_space():
@@ -739,7 +743,7 @@ class TestUnusableResources:
         code, max_rss_kb, stderr = self.run_child(argv, preexec_fn=limit_address_space)
         assert code == EXIT_CONFIG, stderr
         points = 2 * K + 1
-        assert f"needs {16 * 16 * points:.3g} bytes for one disc's 16 x {points} complex (sample, lattice) block" in stderr
+        assert f"needs {16 * points:.3g} bytes for one disc's 2 x {points} float (point, lattice) block" in stderr
         assert max_rss_kb < 200 * 1024
         assert list(tmp_path.iterdir()) == []
 

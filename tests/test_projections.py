@@ -57,8 +57,8 @@ from diracproj.projections import (
     localization_counts,
     riesz_projection,
 )
-from diracproj.resolvent import CONDITION_LIMIT, IllConditionedError, ShiftedSolve, circle_samples, find_threshold_n
-from helpers import free_matrix, projection_matrix, traced_peak, zero_potential
+from diracproj.resolvent import CONDITION_LIMIT, IllConditionedError, ShiftedSolve, find_threshold_n
+from helpers import circle_samples, free_matrix, projection_matrix, traced_peak, zero_potential
 
 CONST = PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0)
 

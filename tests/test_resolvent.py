@@ -29,6 +29,7 @@ from diracproj.potential import (
 )
 from diracproj import resolvent
 from diracproj.resolvent import (
+    CIRCLE_PEAKS,
     SCAN_BLOCK_FLOATS,
     IllConditionedError,
     ShiftedSolve,
@@ -36,11 +37,10 @@ from diracproj.resolvent import (
     _antidiagonal_weights,
     _circle_double_sums,
     circle_norm_profile,
-    circle_samples,
     find_threshold_n,
     threshold_from_profile,
 )
-from helpers import zero_potential
+from helpers import STRUCTURED, circle_samples, structured_potential, zero_potential
 
 
 # One-point oracles for the broadcast smallness kernel: the lattice double
@@ -290,32 +290,33 @@ class TestCircleSampling:
         assert all(v == 0.0 for v in profile.values())
 
     @pytest.mark.parametrize("bc", BC_TAGS)
-    @pytest.mark.parametrize("kind", ["zero", "p_only", "q_only", "constant", "scaled_random"])
+    @pytest.mark.parametrize("kind", ["zero", *STRUCTURED])
     def test_profile_matches_per_sample_oracle(self, bc, kind):
-        # the broadcast kernel against the one-point lattice sum, sample by
-        # sample; only the summation order differs, hence 1e-12 relative
-        full = random_potential(11, norm=0.8)
-        spec = {
-            "zero": zero_potential(),
-            "p_only": PotentialSpec(full.p_even, {}, full.p_odd, {}, full.max_mode),
-            "q_only": PotentialSpec({}, full.q_even, {}, full.q_odd, full.max_mode),
-            "constant": PotentialSpec(p_even={0: 1.0}, q_even={0: 1.0}, p_odd={}, q_odd={}, max_mode=0),
-            "scaled_random": full.scaled(2.5),
-        }[kind]
-        K, samples = 24, 12
-        profile = circle_norm_profile(spec, bc, K, samples)
+        # the two-point kernel against the one-point lattice sum on a 12-point
+        # grid, which holds n +- 1/2; only the summation order differs, hence
+        # 1e-12 relative.  The odd grids miss theta = pi and stay below.
+        spec = structured_potential(kind)
+        K = 24
+        profile = circle_norm_profile(spec, bc, K)
         centers = [n for n in lattice_points(bc, K) if 0 < abs(n) <= K / 2]
         assert list(profile) == centers
         for n in centers:
-            want = max(kvk_hs_norm(spec, bc, lam, K) for lam in circle_samples(n, 0.5, samples))
+            want = max(kvk_hs_norm(spec, bc, lam, K) for lam in circle_samples(n, 0.5, 12))
             if want == 0.0:
                 assert profile[n] == 0.0, (bc, kind, n)
             else:
                 assert abs(profile[n] - want) <= 1e-12 * want, (bc, kind, n)
+            for count in (15, 9):
+                odd = max(kvk_hs_norm(spec, bc, lam, K) for lam in circle_samples(n, 0.5, count))
+                assert profile[n] >= odd * (1 - 1e-12), (bc, kind, n, count)
 
     def test_profile_rejects_few_samples(self):
-        with pytest.raises(ValueError):
+        # the scan takes no sample count: it reads the circle at n +- 1/2 alone
+        with pytest.raises(TypeError):
             circle_norm_profile(zero_potential(), PER_PLUS, 16, samples_per_circle=2)
+        with pytest.raises(TypeError):
+            circle_norm_profile(zero_potential(), PER_PLUS, 16, 16)
+        assert CIRCLE_PEAKS.tolist() == [0.5, -0.5]
 
 
 def _every_mode_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
@@ -326,12 +327,14 @@ def _every_mode_weights(spec: PotentialSpec, bc: str) -> dict[int, float]:
     return {j: abs(spec.q(j)) ** 2 + abs(spec.p(-j)) ** 2 for j in range(-top, top + 1, 2)}
 
 
-def circle_double_sums_unblocked(weights, bc, K, centers, samples):
-    """The smallness scan's double sums in one broadcast over every disc:
-    the body the blocked scan replaced, kept as its oracle."""
+def circle_double_sums_unblocked(weights, bc, K, centers, offsets):
+    """The smallness scan's double sums at every (disc, point) l = n + z,
+    n in `centers` and z in `offsets`, in one broadcast over every disc:
+    the body the blocked scan replaced, kept as its oracle.  Given a grid
+    of circle_samples, it evaluates the circle's maximand on that grid."""
     lat = np.array(lattice_points(bc, K), dtype=float)
     step = 1 if bc == DIRICHLET else 2
-    lams = circle_samples(centers[:, None], 0.5, samples)
+    lams = centers[:, None] + np.asarray(offsets)
     inv = 1.0 / np.abs(lams[:, :, None] - lat)
     rev = inv[:, :, ::-1]
     L = lat.size
@@ -347,17 +350,36 @@ def circle_double_sums_unblocked(weights, bc, K, centers, samples):
     return total
 
 
+def grid_profile(spec, bc, K, count):
+    """circle_norm_profile's maximum taken over the count-point grid of each
+    circle, one disc at a time."""
+    weights = _antidiagonal_weights(spec, bc)
+    grid = circle_samples(0, 0.5, count)
+    centers = [n for n in lattice_points(bc, K) if 0 < abs(n) <= K / 2]
+    return {
+        n: float(np.sqrt(circle_double_sums_unblocked(weights, bc, K, np.array([n], dtype=float), grid).max()))
+        for n in centers
+    }
+
+
 class TestBlockedScan:
     """_circle_double_sums works through blocks of discs; each disc's sums
-    are bit for bit those of the one-pass broadcast."""
+    are bit for bit those of the one-pass broadcast at the same two points,
+    and their maximum is that of an even grid (which holds n +- 1/2) and at
+    least that of an odd one."""
 
     @pytest.mark.parametrize("bc", BC_TAGS)
     @pytest.mark.parametrize("K,samples", [(8, 16), (32, 16), (128, 16), (64, 5)])
     def test_matches_unblocked(self, bc, K, samples):
         weights = _antidiagonal_weights(random_potential(1), bc)
         centers = np.array([n for n in disc_centers(bc, K / 2) if n != 0], dtype=float)
-        want = circle_double_sums_unblocked(weights, bc, K, centers, samples)
-        assert np.array_equal(_circle_double_sums(weights, bc, K, centers, circle_samples(0, 0.5, samples)), want)
+        got = _circle_double_sums(weights, bc, K, centers)
+        assert np.array_equal(got, circle_double_sums_unblocked(weights, bc, K, centers, CIRCLE_PEAKS))
+        grid = circle_double_sums_unblocked(weights, bc, K, centers, circle_samples(0, 0.5, samples)).max(axis=1)
+        if samples % 2 == 0:
+            assert np.array_equal(got.max(axis=1), grid)
+        else:  # theta = 0 is on every grid; theta = pi on the even ones alone
+            assert np.all(got.max(axis=1) >= grid) and np.any(got.max(axis=1) > grid)
 
     @pytest.mark.parametrize("block_floats", [1, 700, 5000])
     def test_block_edges(self, monkeypatch, block_floats):
@@ -365,18 +387,18 @@ class TestBlockedScan:
         monkeypatch.setattr(resolvent, "SCAN_BLOCK_FLOATS", block_floats)
         weights = _antidiagonal_weights(random_potential(2), DIRICHLET)
         centers = np.array([n for n in disc_centers(DIRICHLET, 16) if n != 0], dtype=float)
-        want = circle_double_sums_unblocked(weights, DIRICHLET, 32, centers, 16)
-        assert np.array_equal(_circle_double_sums(weights, DIRICHLET, 32, centers, circle_samples(0, 0.5, 16)), want)
+        want = circle_double_sums_unblocked(weights, DIRICHLET, 32, centers, CIRCLE_PEAKS)
+        assert np.array_equal(_circle_double_sums(weights, DIRICHLET, 32, centers), want)
 
     def test_temporaries_stay_near_one_block(self):
-        # dir K = 256: the unblocked broadcast holds 256 x 16 x 513 gaps
-        # (17 MB of float64, twice that complex); a block's complex
-        # differences, moduli and reciprocals take about four block sizes
+        # dir K = 256: the unblocked broadcast holds 256 x 2 x 513 gaps
+        # (2.1 MB of float64); a block's differences, moduli and
+        # reciprocals take about three block sizes
         weights = _antidiagonal_weights(random_potential(0), DIRICHLET)
         centers = np.array([n for n in disc_centers(DIRICHLET, 128) if n != 0], dtype=float)
         tracemalloc.start()
         try:
-            _circle_double_sums(weights, DIRICHLET, 256, centers, circle_samples(0, 0.5, 16))
+            _circle_double_sums(weights, DIRICHLET, 256, centers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -385,23 +407,34 @@ class TestBlockedScan:
 
 class TestWholeCircle:
     """Each term |l - i|^-1 |l - (j - i)|^-1 is log-convex in cos theta, so
-    every disc's sampled maximum sits at theta = 0 or the sample nearest
-    theta = pi; for an even count those are 0 and pi themselves, and the
-    sampled maximum is the whole circle's."""
+    every disc's maximum over a grid sits at theta = 0 or the point nearest
+    theta = pi; for an even count those are n +- 1/2 themselves, the two
+    points the scan reads, and its maximum is the whole circle's."""
+
+    SPECS = [*(random_potential(seed) for seed in range(2)), *(structured_potential(kind) for kind in STRUCTURED)]
 
     @pytest.mark.parametrize("bc", BC_TAGS)
     def test_argmax_at_zero_or_pi(self, bc):
         centers = np.array([n for n in disc_centers(bc, 32) if n != 0], dtype=float)
-        for seed in range(4):
-            weights = _antidiagonal_weights(random_potential(seed), bc)
-            sums = _circle_double_sums(weights, bc, 64, centers, circle_samples(0, 0.5, 16))
-            assert set(np.argmax(sums, axis=1).tolist()) <= {0, 8}, seed
+        for k, spec in enumerate(self.SPECS):
+            weights = _antidiagonal_weights(spec, bc)
+            sums = circle_double_sums_unblocked(weights, bc, 64, centers, circle_samples(0, 0.5, 16))
+            assert set(np.argmax(sums, axis=1).tolist()) <= {0, 8}, k
 
     @pytest.mark.parametrize("bc", BC_TAGS)
     def test_sixteen_samples_match_4096(self, bc):
-        for seed in range(4):
-            spec = random_potential(seed)
-            assert circle_norm_profile(spec, bc, 32, 16) == circle_norm_profile(spec, bc, 32, 4096), seed
+        # the two-point profile is the 16- and the 4096-point grids' maximum,
+        # and at least the maximum of the odd grids, which miss theta = pi
+        for k, spec in enumerate(self.SPECS):
+            got = circle_norm_profile(spec, bc, 64)
+            for count in (16, 4096):
+                want = grid_profile(spec, bc, 64, count)
+                assert list(got) == list(want)
+                for n, value in got.items():
+                    assert abs(value - want[n]) <= 1e-15 * want[n], (k, count, n)
+            for count in (15, 9):
+                odd = grid_profile(spec, bc, 64, count)
+                assert all(value >= odd[n] for n, value in got.items()), (k, count)
 
 
 class TestStoredModes:
@@ -423,7 +456,7 @@ class TestStoredModes:
         assert all(full[j] == w for j, w in stored.items())
         assert all(w == 0.0 for j, w in full.items() if j not in stored)
         centers = np.array([n for n in lattice_points(bc, 24) if 0 < abs(n) <= 12], dtype=float)
-        assert np.array_equal(_circle_double_sums(full, bc, 24, centers, circle_samples(0, 0.5, 8)), _circle_double_sums(stored, bc, 24, centers, circle_samples(0, 0.5, 8)))
+        assert np.array_equal(_circle_double_sums(full, bc, 24, centers), _circle_double_sums(stored, bc, 24, centers))
         r = r_sequence(spec, bc)
         assert list(r.values) == sorted(r.values)
         every = [r(m) for m in range(-9, 10) if m % r.step == 0]

@@ -30,16 +30,18 @@ The windowed grid sums (grid_shift_sum, tail_sum_grid_sq, tail_sum_mixed)
 run over window offsets i = n + d t, 0 < |t| <= T, against a support point
 j of r, with partner k = j - i.  The summand's two gaps are |n - i| = d|t|
 and |n - k| = |u - d t| with u = j - 2n, so for each (n, j) the inner sum
-is an offset kernel g(u) = sum_t (d|t|)^-a |u - d t|^-b.  The window keeps
-0 < |u - d t| <= d T, a condition on y = u - d t alone, and t ranges over
-the nonzero multiples x = d t in [-d T, d T], a condition on x alone; so g
-is exactly the full convolution of two reciprocal-power vectors on
-[-d T, d T], evaluated as a direct sum (no FFT).  Since x is a multiple
-of d, y = u - x lies in u's residue class mod d, so each class of u is one
-convolution on the compressed grid (every d-th point), which sums the same
-nonzero terms as the full grid with 1/d of the work.  One table per summand
-shape covers every (n, j); offsets beyond its reach 2 d T contribute
-nothing.
+is an offset kernel g_d(u) = sum_t (d|t|)^-a |u - d t|^-b.  The window
+keeps 0 < |u - d t| <= d T, a condition on y = u - d t alone, and t ranges
+over 0 < |t| <= T, a condition on t alone; so g_1 is exactly the full
+convolution of two reciprocal-power vectors on [-T, T], evaluated as a
+direct sum (no FFT).  Every offset read lies in dZ, as j does (RSequence
+refuses support off its lattice) and 2n is even; at u = d v both gaps are
+d times a step-1 gap, so g_d(d v) = d^-(a+b) g_1(v).  That holds bit for
+bit: d is a power of two, so 1/|d t| = d^-1 (1/|t|) exactly, and every
+product and partial sum of the step-d convolution is the step-1 one scaled
+by d^-(a+b), with no rounding of its own.  One step-1 table per summand
+shape (T, a, b) serves both lattices and every (n, j); offsets beyond its
+reach 2 d T contribute nothing.
 
 The chain sums and the circle double sum are maxima over a disc's circle
 |l - n| = 1/2.  Every gap they use is |l - x| = |z - u| for a real u and
@@ -71,7 +73,7 @@ closed and free chains keep their interior index j = n.  The end factors
 built, and are not kept.
 
 None of those tables depends on the potential: the convolution tables see
-(d, T, a, b), the tail and chain tables see the lattice (bc, N, K) and
+(T, a, b), the tail and chain tables see the lattice (bc, N, K) and
 the support of r, which every draw of the battery shares.  So
 run_battery opens one _Tables memo for its draws and closes it on return:
 each table is built on first use, and each draw only reads r(a), r(a)^2
@@ -216,31 +218,31 @@ def check_elementary(n_max: int = 10_000) -> list[BoundCheck]:
 
 # -- single-disc shift sums ---------------------------------------------------
 
-def _offset_table(tables: _Tables, d: int, T: int, a: int, b: int) -> np.ndarray:
-    """g(u) = sum_t (d|t|)^-a |u - dt|^-b over 0 < |t| <= T, 0 < |u - dt| <= dT,
-    for -2dT <= u <= 2dT: one convolution per residue class of u mod d (see
-    the module docstring).  A window past numpy's largest array is a
-    MemoryError, as one that does not fit in memory is."""
+def _offset_table(tables: _Tables, T: int, a: int, b: int) -> np.ndarray:
+    """The step-1 kernel g_1(v) = sum_t |t|^-a |v - t|^-b over 0 < |t| <= T,
+    0 < |v - t| <= T, for -2T <= v <= 2T: one convolution (see the module
+    docstring).  A window past numpy's largest array is a MemoryError, as
+    one that does not fit in memory is."""
     try:
-        x = np.arange(-d * T, d * T + 1)
+        x = np.arange(-T, T + 1)
     except ValueError:
         raise MemoryError(
-            f"a window of {T} lattice steps needs {2 * d * T + 1} offsets, past numpy's largest array"
+            f"a window of {T} lattice steps needs {2 * T + 1} offsets, past numpy's largest array"
         ) from None
     recip = np.zeros(x.size)
     recip[x != 0] = 1.0 / np.abs(x[x != 0])
-    # x = dt runs over recip[::d]; u = dt + y with y = u - dt in u's class
-    table = np.empty(2 * x.size - 1)
-    for c in range(d):
-        table[c::d] = np.convolve(recip[::d] ** a, recip[c::d] ** b)
-    return table
+    return np.convolve(recip**a, recip**b)
 
 
-def _offset_kernel(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The table's g at offsets u; offsets beyond its reach 2dT read as 0."""
+def _offset_kernel(tables: _Tables, d: int, T: int, a: int, b: int, u: np.ndarray) -> np.ndarray:
+    """The step-d kernel g_d at offsets u in dZ, read as d^-(a+b) g_1(u/d)
+    from the step-1 table (module docstring); offsets beyond its reach 2dT
+    read as 0."""
+    table = tables(_offset_table, T, a, b)
     reach = table.size // 2
-    inside = np.abs(u) <= reach
-    return np.where(inside, table[np.where(inside, u + reach, 0)], 0.0)
+    v = u // d
+    inside = np.abs(v) <= reach
+    return np.where(inside, table[np.where(inside, v + reach, 0)], 0.0) * float(d) ** -(a + b)
 
 
 def _row_shift_sum(r: RSequence, n: int) -> float:
@@ -275,7 +277,7 @@ def check_shift_sums(r: RSequence, n: int, window: int = 512) -> tuple[BoundChec
     )
 
     js, _, ws = r.support_arrays
-    lhs_grid = float(ws @ _offset_kernel(_tables()(_offset_table, d, window, 1, 1), js - 2 * n))
+    lhs_grid = float(ws @ _offset_kernel(_tables(), d, window, 1, 1, js - 2 * n))
     grid = _check(
         "grid_shift_sum",
         lhs_grid,
@@ -316,8 +318,8 @@ def _tail_tables(tables: _Tables, d: int, N: int, K: int, support: tuple) -> tup
     inv = np.where(live, 1.0 / np.where(live, gaps, 1.0), 0.0)
     # windowed grids: the inner sums depend on (n, j) only through j - 2n
     offsets = js[None, :] - 2 * ns[:, None]
-    grid_sq = _offset_kernel(tables(_offset_table, d, 2 * K, 2, 2), offsets)
-    mixed = _offset_kernel(tables(_offset_table, d, 2 * K, 1, 2), offsets)
+    grid_sq = _offset_kernel(tables, d, 2 * K, 2, 2, offsets)
+    mixed = _offset_kernel(tables, d, 2 * K, 1, 2, offsets)
     return inv, grid_sq, mixed
 
 
@@ -389,7 +391,8 @@ def _chain_tables(tables: _Tables, bc: str, s: int, N: int, K: int, support: tup
         end_maxima[origin] = 0.0
         return at == origin, end_maxima[at]
     supp = np.array(support, dtype=int)
-    diffs = np.setdiff1d(supp[:, None] - supp, [0])
+    diffs = np.unique(supp[:, None] - supp)
+    diffs = diffs[diffs != 0]
     shift = supp[:, None] + diffs[:, None, None] == supp
     free_ends = 2.0 / np.abs(CIRCLE_PEAKS[:, None] - diffs)
     ends_sq = recip**2
@@ -507,31 +510,22 @@ def run_battery(
     try:
         for i in range(draws):
             spec = random_potential([seed, i])
+            drawn: list[BoundCheck] = []
             for bc in BC_TAGS:
                 r = r_sequence(spec, bc)
                 probe = next(n for n in disc_centers(bc, 4 * max(Ns)) if n > max(Ns))
-                for check in check_shift_sums(r, probe, window=K):
-                    checks.append(_tag(check, i))
-                checks.append(_tag(check_circle_double_sum(spec, bc, probe, operator_K), i))
+                drawn += check_shift_sums(r, probe, window=K)
+                drawn.append(check_circle_double_sum(spec, bc, probe, operator_K))
                 for N in Ns:
-                    for check in check_tail_sums(r, N, K):
-                        checks.append(_tag(check, i))
+                    drawn += check_tail_sums(r, N, K)
                     for s in (0, 1):
-                        for check in check_chain_sums(spec, bc, s, N, K):
-                            checks.append(_tag(check, i))
+                        drawn += check_chain_sums(spec, bc, s, N, K)
+            for check in drawn:
+                check.parameters["draw"] = i  # every check_* call gives each check a dict of its own
+            checks += drawn
     finally:
         _BATTERY_TABLES.reset(token)
     return checks
-
-
-def _tag(check: BoundCheck, draw: int) -> BoundCheck:
-    return BoundCheck(
-        check.name,
-        check.lhs,
-        check.rhs_without_constant,
-        check.ratio,
-        {**check.parameters, "draw": draw},
-    )
 
 
 def worst_ratios(checks) -> dict[str, float]:

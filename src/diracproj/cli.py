@@ -237,10 +237,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    # plain floats and strings, most cells of every row, skip _fmt's isinstance chain
+    lines = [",".join(f"{v:.17g}" if type(v) is float else v if type(v) is str else _fmt(v) for v in row)
+             for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join([",".join(header), *lines, ""]))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -273,12 +273,26 @@ def _circle_double_sum_full_grid(spec, bc, n, K, samples):
 
 
 def _offset_table_full_grid(d, T, a, b):
-    """_offset_table as one convolution over the whole grid [-dT, dT], the
-    off-class entries of the t factor zeroed."""
+    """The step-d kernel g_d(u), -2dT <= u <= 2dT, as one convolution over
+    the whole grid [-dT, dT], the off-class entries of the t factor zeroed."""
     x = np.arange(-d * T, d * T + 1)
     recip = np.zeros(x.size)
     recip[x != 0] = 1.0 / np.abs(x[x != 0])
     return np.convolve(np.where(x % d == 0, recip, 0.0) ** a, recip**b)
+
+
+def _offset_table_by_class(d, T, a, b):
+    """The step-d kernel g_d(u), -2dT <= u <= 2dT, one convolution per
+    residue class of u mod d, as _offset_table built it before the step-1
+    table."""
+    x = np.arange(-d * T, d * T + 1)
+    recip = np.zeros(x.size)
+    recip[x != 0] = 1.0 / np.abs(x[x != 0])
+    # x = dt runs over recip[::d]; u = dt + y with y = u - dt in u's class
+    table = np.empty(2 * x.size - 1)
+    for c in range(d):
+        table[c::d] = np.convolve(recip[::d] ** a, recip[c::d] ** b)
+    return table
 
 
 def _anchor_pairs_by_gather(bc, N, K, support, step):
@@ -526,14 +540,25 @@ class TestOffsetKernelOracles:
     @pytest.mark.parametrize("d", (1, 2, 4))
     @pytest.mark.parametrize("T", (1, 2, 3, 8, 512))
     def test_residue_classes_match_full_grid(self, d, T):
-        # every entry, u = 0 and the reach u = +-2dT included
+        # every offset u in dZ, u = 0 and the reach u = +-2dT included
+        u = np.arange(-2 * d * T, 2 * d * T + 1, d)
         for a, b in ((1, 1), (2, 2), (1, 2)):
-            got = bounds._offset_table(bounds._Tables(), d, T, a, b)
-            want = _offset_table_full_grid(d, T, a, b)
-            assert got.shape == want.shape == (4 * d * T + 1,)
-            for u in (0, -2 * d * T, 2 * d * T):
-                assert want[u + 2 * d * T] > 0.0
+            got = bounds._offset_kernel(bounds._Tables(), d, T, a, b, u)
+            want = _offset_table_full_grid(d, T, a, b)[::d]
+            assert got.shape == want.shape == (4 * T + 1,)
+            assert want[0] > 0.0 and want[2 * T] > 0.0 and want[-1] > 0.0
             assert np.all(np.abs(got - want) <= 2e-15 * want), (d, T, a, b)
+
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    @pytest.mark.parametrize("T", (1, 2, 3, 8, 512))
+    def test_step_kernel_is_the_scaled_step_1_table(self, d, T):
+        # g_d(u) = d^-(a+b) g_1(u/d) on dZ, bit for bit against the per-class build;
+        # one step past the reach reads 0
+        u = np.arange(-2 * d * T - d, 2 * d * T + d + 1, d)
+        for a, b in ((1, 1), (2, 2), (1, 2)):
+            got = bounds._offset_kernel(bounds._Tables(), d, T, a, b, u)
+            want = np.concatenate([[0.0], _offset_table_by_class(d, T, a, b)[::d], [0.0]])
+            assert np.array_equal(got, want), (d, T, a, b)
 
 
 class TestChainSumOracles:
@@ -827,10 +852,10 @@ class TestBattery:
             builds.update(convolve=0, circle=0)
             run_battery(seed=1, draws=draws, Ns=(4, 8), K=32, operator_K=16)
             counts.append(dict(builds))
-        # three offset tables per step d (the shift grid and the two tail
-        # grids), each one convolution per residue class: 3 * (2 + 1); one
-        # circle-offset table per (bc, N), the draws sharing one support
-        assert counts[0]["convolve"] == 9 and counts[0]["circle"] > 0
+        # three step-1 offset tables (the shift grid and the two tail grids),
+        # one convolution each, which both steps d read; one circle-offset
+        # table per (bc, N), the draws sharing one support
+        assert counts[0]["convolve"] == 3 and counts[0]["circle"] > 0
         assert counts[1] == counts[0] and counts[2] == counts[0]
 
     def test_one_envelope_per_draw_and_bc(self, monkeypatch):

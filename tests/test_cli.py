@@ -28,6 +28,8 @@ from diracproj.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     RunConfig,
+    _fmt,
+    _write_csv,
     build_parser,
     load_potential_file,
     main,
@@ -649,7 +651,7 @@ class TestUnusableResources:
 
     @pytest.mark.parametrize("argv", [
         ["threshold", "--K", "1000000000000000"],  # 28.4 PiB for one disc's scan block
-        ["verify-bounds", "--draws", "1", "--window", "1000000000000000"],  # 28.4 PiB of window offsets
+        ["verify-bounds", "--draws", "1", "--window", "1000000000000000"],  # 14.2 PiB of window offsets
         # 711 PiB of quadrature nodes: the Schur route sums its matrix filter node by node
         ["deviations", "--K", "16", "--nodes", "100000000000000000", "--potential", "p_only"],
     ])
@@ -687,7 +689,7 @@ class TestUnusableResources:
         assert gates["min_contour_offset"] >= projections.PROXIMITY_TOL
 
     def test_window_past_numpy_largest_array_exits_two(self, tmp_path, capsys):
-        # np.arange refuses 4 * 10^21 + 1 offsets with a ValueError, not a MemoryError
+        # np.arange refuses 2 * 10^21 + 1 offsets with a ValueError, not a MemoryError
         argv = ["verify-bounds", "--draws", "1", "--window", str(10**21), "--out", str(tmp_path / "run")]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -871,6 +873,33 @@ class TestOutputSchema:
         assert set(check.RUN_KINDS) <= run_keys
         assert set(check.UNCONDITIONALITY_KINDS) <= unconditionality_keys
         assert set(check.CSV_KINDS) <= set(self.HEADERS)
+
+    @staticmethod
+    def _write_csv_by_line(path, header, rows):
+        """_write_csv as it wrote before the one-pass join: one write per row,
+        every cell through _fmt."""
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+    @pytest.mark.parametrize("rows", [
+        [
+            (0.1, math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 1.0, 2.5e17),
+            (np.float64(0.1), np.float64(math.nan), np.float64(-0.0), np.float64(1e-300), np.float64(3.0)),
+            (7, -3, 0, np.int64(7), np.int64(-2**62), True, False, np.bool_(True), np.bool_(False)),
+            ("chain_closed", "", "bc=per+;draw=0", "x", 0.5, 3),
+            (),
+        ],
+        [],
+    ], ids=["every_cell_type", "header_only"])
+    def test_csv_bytes_match_the_per_line_writer(self, tmp_path, rows):
+        header = ("check", "parameters", "lhs")
+        _write_csv(tmp_path / "got.csv", header, rows)
+        self._write_csv_by_line(tmp_path / "want.csv", header, rows)
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert want.count(b"\n") == len(rows) + 1  # no rows: the header line alone
 
 
 class TestWorkPerJob:

@@ -1,8 +1,9 @@
 """Spectral decomposition f = S_N f + sum_n P_n f and its reorderings.
 
-This module works in coefficient space only: a function is its
-coefficient vector in one truncation basis, built from {(n, channel):
-value} by expand, and nothing here samples it or evaluates it on [0, pi].
+This module works in coefficient space only: a function is its complex
+coefficient vector in the basis of the operator that decomposes it, built
+from {(n, channel): value} by expand, and nothing here samples it or
+evaluates it on [0, pi].
 For the periodic couplings the basis vectors are e1_n = (e^{-inx}, 0) and
 e2_n = (0, e^{inx}); for the Dirichlet-type coupling they are the combined
 g_n = (e1_n + e2_n)/sqrt(2).  All are orthonormal under the normalized
@@ -27,26 +28,8 @@ from .operator import BasisIndexSet, OperatorMatrix
 from .projections import DeviationReport, _disc_sweep, global_projection
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionVector:
-    """Coefficients of a two-component function in one truncation basis."""
-
-    basis: BasisIndexSet
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (self.basis.dim,):
-            raise ValueError(f"coefficient vector must have length {self.basis.dim}")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-def expand(coeffs, basis: BasisIndexSet) -> FunctionVector:
-    """The coefficient vector of {(n, channel): value} in the basis ordering.
+def expand(coeffs, basis: BasisIndexSet) -> np.ndarray:
+    """The complex coefficient vector of {(n, channel): value} in the basis ordering.
 
     Every index must exist in the basis; one that does not (the wrong
     parity of n, or the wrong channel) raises a parity-mismatch error.
@@ -61,20 +44,21 @@ def expand(coeffs, basis: BasisIndexSet) -> FunctionVector:
                 f"{basis.bc} basis at K={basis.K}"
             ) from None
         vector[pos] = complex(val)
-    return FunctionVector(basis, vector)
+    return vector
 
 
 @dataclass(frozen=True, eq=False)
 class DiscExpansion:
     """S_N f and the disc terms P_n f of one function over N < |n| <= M.
 
-    report is the disc sweep that built the terms: its discs, in the
-    canonical (|n|, n) order, and their deviations ||P_n - P_n^0||_HS.
-    terms[i] is P_n f for n = report.discs[i]; the projections themselves,
-    built once each and applied in factored form, are not kept.
+    f is the function's coefficient vector in the operator's basis.  report
+    is the disc sweep that built the terms: its discs, in the canonical
+    (|n|, n) order, and their deviations ||P_n - P_n^0||_HS.  terms[i] is
+    P_n f for n = report.discs[i]; the projections themselves, built once
+    each and applied in factored form, are not kept.
     """
 
-    f: FunctionVector
+    f: np.ndarray
     M: int
     report: DeviationReport
     start: np.ndarray
@@ -82,7 +66,7 @@ class DiscExpansion:
 
 
 def disc_expansion(
-    f: FunctionVector,
+    f: np.ndarray,
     op: OperatorMatrix,
     N: int,
     threshold: int,
@@ -93,10 +77,13 @@ def disc_expansion(
 ) -> DiscExpansion:
     """Apply S_N and every window disc projection to f, one contour each.
 
-    N must be at or above the verified `threshold`, and M at most K/2.
+    f is a coefficient vector in op's basis, of length op.dim.  N must be at
+    or above the verified `threshold`, and M at most K/2.
     """
-    report, terms = _disc_sweep(op, N, threshold, M, radius, nodes, f.coeffs)
-    start = global_projection(op, N, global_nodes).apply(f.coeffs)
+    if f.shape != (op.dim,):
+        raise ValueError(f"f has shape {f.shape}, but the {op.basis.bc} operator at K={op.basis.K} has dim {op.dim}")
+    report, terms = _disc_sweep(op, N, threshold, M, radius, nodes, f)
+    start = global_projection(op, N, global_nodes).apply(f)
     return DiscExpansion(f, M, report, start, terms)
 
 
@@ -109,7 +96,6 @@ def reconstruction_curve(expansion: DiscExpansion, Ms=None) -> list[tuple[int, f
     Ms = sorted({abs(n) for n in discs} if Ms is None else (int(m) for m in Ms))
     if Ms and Ms[-1] > expansion.M:
         raise ValueError(f"window M = {Ms[-1]} exceeds the expansion's M = {expansion.M}")
-    target = expansion.f.coeffs
     acc = expansion.start
     out = []
     i = 0
@@ -117,7 +103,7 @@ def reconstruction_curve(expansion: DiscExpansion, Ms=None) -> list[tuple[int, f
         while i < len(discs) and abs(discs[i]) <= M:
             acc = acc + expansion.terms[i]
             i += 1
-        out.append((M, float(np.linalg.norm(acc - target))))
+        out.append((M, float(np.linalg.norm(acc - expansion.f))))
     return out
 
 
@@ -161,7 +147,7 @@ def unconditionality_test(expansion: DiscExpansion, trials: int = 16, seed: int 
         raise ValueError("trials must be positive")
     terms = expansion.terms
     start = expansion.start
-    target = expansion.f.coeffs
+    target = expansion.f
 
     def run(order) -> tuple[float, float]:
         acc = start.copy()
@@ -172,14 +158,9 @@ def unconditionality_test(expansion: DiscExpansion, trials: int = 16, seed: int 
         return worst, float(np.linalg.norm(acc - target))
 
     _, base_error = run(range(len(terms)))
-    excursions: list[float] = []
-    terminals: list[float] = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        order = rng.permutation(len(terms))
-        worst, terminal = run(order)
-        excursions.append(worst)
-        terminals.append(terminal)
+    runs = [run(np.random.default_rng([seed, t]).permutation(len(terms))) for t in range(trials)]
+    excursions = [worst for worst, _ in runs]
+    terminals = [terminal for _, terminal in runs]
 
     return UnconditionalityReport(
         trials=trials,
@@ -188,7 +169,7 @@ def unconditionality_test(expansion: DiscExpansion, trials: int = 16, seed: int 
         max_reordered_error=max(terminals + [base_error]),
         max_partial_sum_spread=max(excursions + [base_error]),
         bari_markus_tail=expansion.report.tail_sum,
-        f_norm=expansion.f.norm,
+        f_norm=float(np.linalg.norm(target)),
         trial_excursions=tuple(excursions),
         trial_terminals=tuple(terminals),
     )

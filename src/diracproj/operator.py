@@ -98,6 +98,9 @@ class BasisIndexSet:
     bc: str
     K: int
 
+    def __post_init__(self) -> None:
+        _ = self.dim  # refuses an unknown bc or a negative K
+
     @cached_property
     def points(self) -> tuple[int, ...]:
         return lattice_points(self.bc, self.K)
@@ -137,12 +140,6 @@ class BasisIndexSet:
         return np.array([n for n, _ in self.indices], dtype=float)
 
 
-def basis_index_set(bc: str, K: int) -> BasisIndexSet:
-    basis = BasisIndexSet(bc, K)
-    _ = basis.dim  # refuses an unknown bc or a negative K
-    return basis
-
-
 @dataclass(eq=False)
 class OperatorMatrix:
     """A truncation of an operator in a BasisIndexSet ordering, held as its
@@ -151,16 +148,15 @@ class OperatorMatrix:
     and the zeros of the sums dropped.
 
     dense() forms the dim x dim matrix, fresh on every call, as the scratch
-    input of one LAPACK or BLAS call, which may overwrite it.  Carries a lazy
-    eigendecomposition cache so repeated contour work on the same operator
-    diagonalizes once.
+    input of one LAPACK or BLAS call, which may overwrite it.  One lazy
+    cache holds eig, V^{-1}, its condition number and the Schur form, so
+    repeated contour work on the same operator diagonalizes once.
     """
 
     basis: BasisIndexSet
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    _eig_cache: tuple | None = field(default=None, repr=False, compare=False)
     _aux_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -225,7 +221,7 @@ def _hankel_nonzeros(coeff, max_mode: int, bc: str, K: int) -> tuple[np.ndarray,
 
 
 def build_v(spec: PotentialSpec, bc: str, K: int) -> OperatorMatrix:
-    basis = basis_index_set(bc, K)
+    basis = BasisIndexSet(bc, K)
     _refuse_oversized(basis)
     if bc == DIRICHLET:
         # entry (k, n) couples g_n into g_k through W(k + n)
@@ -258,7 +254,7 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     Raises EigenResidualError unless every backward residual is within
     EIGEN_RESIDUAL_TOL times the operator's HS norm, and that norm is finite.
     """
-    if op._eig_cache is None:
+    if "eig" not in op._aux_cache:
         vals, vecs = scipy.linalg.eig(op.dense(), overwrite_a=True)
         order = np.lexsort((vals.imag, vals.real))
         vals = vals[order]
@@ -281,8 +277,8 @@ def eigen(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
                 f"eigendecomposition residual {residual:.3e} is not within {EIGEN_RESIDUAL_TOL:.0e} * ||L||_HS = "
                 f"{EIGEN_RESIDUAL_TOL * scale:.3e}"
             )
-        op._eig_cache = (vals, vecs)
-    return op._eig_cache
+        op._aux_cache["eig"] = (vals, vecs)
+    return op._aux_cache["eig"]
 
 
 def eigenbasis_condition(op: OperatorMatrix) -> float:

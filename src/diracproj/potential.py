@@ -258,8 +258,13 @@ def random_potential(seed, max_mode: int = 8, norm: float = 1.0) -> PotentialSpe
 
     Draws independent complex Gaussians on every mode |m| <= max_mode of
     both parity classes for P and Q (fixed draw order, so a seed pins the
-    potential exactly), then rescales so potential_norm equals `norm`.
+    potential exactly), then rescales so potential_norm equals `norm`, which
+    must be finite and nonnegative: norm = 0 gives the zero potential.
     """
+    if not 0 <= norm < math.inf:
+        raise ValueError(f"norm must be finite and nonnegative, got {norm}")
+    if norm == 0:
+        return PotentialSpec({}, {}, {}, {}, max_mode)
     rng = np.random.default_rng(seed)
     modes = list(range(-max_mode, max_mode + 1))
 
@@ -270,6 +275,6 @@ def random_potential(seed, max_mode: int = 8, norm: float = 1.0) -> PotentialSpe
 
     spec = PotentialSpec.from_coefficients(draw(), draw(), max_mode)  # P's draw, then Q's
     size = potential_norm(spec)
-    if norm > 0 and size > 0:
+    if size > 0:
         spec = spec.scaled(norm / size)
     return spec

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .operator import OperatorMatrix, _lattice_range, basis_index_set, eigen, lattice_step
+from .operator import BasisIndexSet, OperatorMatrix, _lattice_range, eigen, lattice_step
 from .potential import DIRICHLET, PotentialSpec, dirichlet_w
 
 CONDITION_LIMIT = 1e12
@@ -155,7 +155,7 @@ def circle_norm_profile(spec: PotentialSpec, bc: str, K: int) -> dict[int, float
     the squared norms are _circle_double_sums with the anti-diagonal
     weights w, read at the circle's real points n +- 1/2.
     """
-    points = basis_index_set(bc, K).dim // lattice_step(bc)  # by arithmetic: len() overflows past 2**63
+    points = BasisIndexSet(bc, K).dim // lattice_step(bc)  # by arithmetic: len() overflows past 2**63
     try:  # one disc's (point, lattice) block, below which the scan's blocks cannot split
         np.empty((CIRCLE_PEAKS.size, points))
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from diracproj.operator import basis_index_set, build_operator
+from diracproj.operator import BasisIndexSet, build_operator
 from diracproj.potential import PotentialSpec, random_potential
 
 
@@ -43,7 +43,7 @@ STRUCTURED = ("p_only", "q_only", "real", "constant", "scaled_random")
 
 def free_matrix(bc: str, n: int, K: int) -> np.ndarray:
     """The dense free projection P_n^0: the coordinate projection onto the basis rows of n."""
-    return np.diag([1.0 + 0j if m == n else 0j for m, _ in basis_index_set(bc, K).indices])
+    return np.diag([1.0 + 0j if m == n else 0j for m, _ in BasisIndexSet(bc, K).indices])
 
 
 def projection_matrix(p) -> np.ndarray:

@@ -16,7 +16,6 @@ import pytest
 
 from diracproj.bounds import check_chain_sums, check_shift_sums, run_battery, worst_ratios
 from diracproj.decomposition import (
-    FunctionVector,
     disc_expansion,
     expand,
     reconstruction_curve,
@@ -212,7 +211,7 @@ def test_criterion_07_reconstruction():
         n0 = N + 2 if (N + 2) % 2 == 0 else N + 3
         i0 = int(np.argmin(np.abs(vals - n0)))
         y = vecs[:, i0]
-        fe = FunctionVector(op.basis, y / np.linalg.norm(y))
+        fe = y / np.linalg.norm(y)
         [(_, err_e)] = reconstruction_curve(disc_expansion(fe, op, N, N, 32), [32])
         assert err_e <= 1e-6, (seed, err_e)
 

@@ -34,7 +34,7 @@ from diracproj.cli import (
     load_potential_file,
     main,
 )
-from diracproj.operator import basis_index_set
+from diracproj.operator import BasisIndexSet
 import diracproj
 from diracproj import projections
 from diracproj.resolvent import ShiftedSolve, circle_norm_profile
@@ -940,7 +940,7 @@ class TestWorkPerJob:
             argv += ["--bc", bc, "--K", "16", "--potential", small_potential]
         assert main(argv) == EXIT_OK
         assert (len(eigs), len(scans), len(inversions)) == self.EXPECTED[command]
-        assert all(args[0].shape[-1] < basis_index_set(bc, 16).dim for args in inverses)
+        assert all(args[0].shape[-1] < BasisIndexSet(bc, 16).dim for args in inverses)
         contours = [args[1] for args in projected]
         if command == "deviations":
             _, rows = read_csv(out / "deviations.csv")
@@ -1009,7 +1009,7 @@ class TestWorkPerJob:
         assert main(argv) == EXIT_OK
         assert read_run(out)["gates"]["route"] == "spectral"
         assert (qrs, inverses) == ([], [])
-        dim = basis_index_set(bc, 16).dim
+        dim = BasisIndexSet(bc, 16).dim
         # eigen's residual gate multiplies L by blocks of eigenvectors; the rest are the projections'
         products = [args for args in gemms if args[1].shape != (dim, dim)]
         assert all(x.ndim == 2 for args in products for x in args[1:])

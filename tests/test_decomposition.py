@@ -7,21 +7,20 @@ import pytest
 
 from diracproj import projections
 from diracproj.decomposition import (
-    FunctionVector,
     disc_expansion,
     expand,
     reconstruction_curve,
     unconditionality_test,
 )
-from diracproj.operator import basis_index_set, build_operator
+from diracproj.operator import BasisIndexSet, build_operator
 from diracproj.potential import (
     BC_TAGS,
     DIRICHLET,
     PER_PLUS,
     random_potential,
 )
-from diracproj.resolvent import find_threshold_n
-from helpers import zero_potential
+from diracproj.resolvent import ThresholdNotFoundError, find_threshold_n
+from helpers import structured_potential, zero_potential
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,11 +35,11 @@ def random_vector(basis, seed, max_abs_n=None):
     return expand(coeffs, basis)
 
 
-def synthesize(f, x):
-    """Both components of f at the points x, summed over its basis fields."""
+def synthesize(f, basis, x):
+    """Both components of the coefficient vector f at the points x, summed over the basis fields."""
     f1 = np.zeros(len(x), dtype=complex)
     f2 = np.zeros(len(x), dtype=complex)
-    for (n, ch), c in zip(f.basis.indices, f.coeffs):
+    for (n, ch), c in zip(basis.indices, f):
         if ch == 1:
             f1 += c * np.exp(-1j * n * x)
         elif ch == 2:
@@ -53,43 +52,54 @@ def synthesize(f, x):
 
 class TestGridAndVector:
     def test_norm(self):
-        basis = basis_index_set(DIRICHLET, 1)
-        f = FunctionVector(basis, np.array([3.0, 4.0, 0.0], dtype=complex))
-        assert f.norm == pytest.approx(5.0)
+        # f_norm is the coefficient 2-norm, which Parseval makes the L2 norm
+        op = build_operator(zero_potential(), DIRICHLET, 16)
+        f = expand({(0, 0): 3.0, (1, 0): 4j}, op.basis)
+        assert f.dtype == complex and f.shape == (op.dim,)
+        rep = unconditionality_test(disc_expansion(f, op, 1, 1, 8, global_nodes=256), trials=1)
+        assert rep.f_norm == pytest.approx(5.0)
 
     def test_wrong_length_rejected(self):
-        basis = basis_index_set(DIRICHLET, 1)
-        with pytest.raises(ValueError):
-            FunctionVector(basis, np.zeros(5, dtype=complex))
+        op = build_operator(zero_potential(), DIRICHLET, 1)
+        with pytest.raises(ValueError, match=r"shape \(5,\), but the dir operator at K=1 has dim 3"):
+            disc_expansion(np.zeros(5, dtype=complex), op, 1, 1, 0)
+
+    @pytest.mark.parametrize("K", [64, 16])
+    def test_vector_of_another_truncation_rejected(self, K):
+        # a dir K = 64 vector (129) is longer than the K = 32 basis (65), a K = 16 one (33) shorter
+        op = build_operator(zero_potential(), DIRICHLET, 32)
+        f = random_vector(BasisIndexSet(DIRICHLET, K), seed=1, max_abs_n=4)
+        with pytest.raises(ValueError, match=rf"shape \({2 * K + 1},\), but the dir operator at K=32 has dim 65"):
+            disc_expansion(f, op, 1, 1, 8)
 
 
 class TestExpandCoefficients:
     def test_dirichlet_combined_mode(self):
-        basis = basis_index_set(DIRICHLET, 2)
+        basis = BasisIndexSet(DIRICHLET, 2)
         f = expand({(0, 0): 1.0}, basis)
-        f1, f2 = synthesize(f, np.arange(8) * (np.pi / 8))
+        f1, f2 = synthesize(f, basis, np.arange(8) * (np.pi / 8))
         assert np.allclose(f1, 1 / SQRT2)
         assert np.allclose(f2, 1 / SQRT2)
 
     def test_periodic_channel_fields(self):
-        basis = basis_index_set(PER_PLUS, 2)
+        basis = BasisIndexSet(PER_PLUS, 2)
         x = np.arange(16) * (np.pi / 16)
         f = expand({(2, 1): 1.0}, basis)
-        f1, f2 = synthesize(f, x)
+        f1, f2 = synthesize(f, basis, x)
         assert np.allclose(f1, np.exp(-2j * x))
         assert np.allclose(f2, 0.0)
         g = expand({(-2, 2): 0.5}, basis)
-        g1, g2 = synthesize(g, x)
+        g1, g2 = synthesize(g, basis, x)
         assert np.allclose(g1, 0.0)
         assert np.allclose(g2, 0.5 * np.exp(-2j * x))
 
     def test_parity_mismatch_message(self):
-        basis = basis_index_set(PER_PLUS, 2)
+        basis = BasisIndexSet(PER_PLUS, 2)
         with pytest.raises(ValueError, match="parity mismatch"):
             expand({(1, 1): 1.0}, basis)
 
     def test_wrong_channel(self):
-        basis = basis_index_set(PER_PLUS, 2)
+        basis = BasisIndexSet(PER_PLUS, 2)
         with pytest.raises(ValueError):
             expand({(2, 0): 1.0}, basis)
 
@@ -99,7 +109,7 @@ class TestOrthonormality:
     def test_basis_gram_is_identity(self, bc):
         # (f, g) = (1/pi) int_0^pi (f1 conj(g1) + f2 conj(g2)) dx by
         # Gauss-Legendre quadrature: spectrally exact for these modes
-        basis = basis_index_set(bc, 2)
+        basis = BasisIndexSet(bc, 2)
         t, w = np.polynomial.legendre.leggauss(120)
         x = (t + 1) * (np.pi / 2)
         w = w * (np.pi / 2) / np.pi
@@ -107,7 +117,7 @@ class TestOrthonormality:
         for i in range(basis.dim):
             coeffs = np.zeros(basis.dim, dtype=complex)
             coeffs[i] = 1.0
-            fields.append(synthesize(FunctionVector(basis, coeffs), x))
+            fields.append(synthesize(coeffs, basis, x))
         gram = np.zeros((basis.dim, basis.dim), dtype=complex)
         for i, (a1, a2) in enumerate(fields):
             for j, (b1, b2) in enumerate(fields):
@@ -122,7 +132,7 @@ class TestReconstruct:
         expansion = disc_expansion(f, op, 1, 1, 8, nodes=64, global_nodes=256)
         [(_, err)] = reconstruction_curve(expansion, [8])
         assert err < 1e-9
-        assert np.max(np.abs(expansion.start + sum(expansion.terms) - f.coeffs)) < 1e-9
+        assert np.max(np.abs(expansion.start + sum(expansion.terms) - f)) < 1e-9
 
     def test_window_beyond_trusted_rejected(self):
         op = build_operator(zero_potential(), DIRICHLET, 16)
@@ -178,7 +188,7 @@ class TestReconstruct:
         curve = reconstruction_curve(disc_expansion(f, op, N, N, 16), [N + 2, 8, 16])
         errs = [e for _, e in curve]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-        assert errs[-1] < 0.05 * f.norm
+        assert errs[-1] < 0.05 * np.linalg.norm(f)
 
 
 class TestUnconditionality:
@@ -220,6 +230,36 @@ class TestUnconditionality:
             unconditionality_test(disc_expansion(f, op, 1, 1, 8), trials=0)
 
 
+class TestStructuredPotentials:
+    """The decomposition of potentials the Gaussian draws never produce, at
+    K = 32, where each threshold is N = 6 or 7.  With P or Q identically zero
+    the per+ truncation is defective and takes the Schur route."""
+
+    @pytest.mark.parametrize("bc", [PER_PLUS, DIRICHLET])
+    @pytest.mark.parametrize("kind", ["p_only", "q_only", "real"])
+    def test_reconstruction_and_reordering(self, kind, bc):
+        spec = structured_potential(kind)
+        op = build_operator(spec, bc, 32)
+        N = find_threshold_n(spec, bc, 32)
+        assert N in (6, 7)
+        f = random_vector(op.basis, seed=4, max_abs_n=4)
+        expansion = disc_expansion(f, op, N, N, 16)
+        assert expansion.report.route == ("schur" if bc == PER_PLUS and kind != "real" else "spectral")
+        errs = [e for _, e in reconstruction_curve(expansion)]
+        assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+        assert errs[-1] < 0.05 * np.linalg.norm(f)
+        rep = unconditionality_test(expansion, trials=8)
+        assert max(abs(t - rep.base_error) for t in rep.trial_terminals) < 1e-10
+        assert np.isfinite(rep.bari_markus_tail) and np.isfinite(rep.excursion_constant)
+
+    @pytest.mark.parametrize("bc", [PER_PLUS, DIRICHLET])
+    @pytest.mark.parametrize("kind", ["constant", "scaled_random"])
+    def test_no_threshold_in_reach(self, kind, bc):
+        for K in (32, 64):
+            with pytest.raises(ThresholdNotFoundError):
+                find_threshold_n(structured_potential(kind), bc, K)
+
+
 def _small_operator():
     return build_operator(random_potential(3, norm=0.3), DIRICHLET, 8)
 
@@ -229,10 +269,9 @@ def _small_operator():
     [
         _small_operator,
         lambda: projections.global_projection(_small_operator(), 2),
-        lambda: random_vector(basis_index_set(DIRICHLET, 8), seed=0),
-        lambda: disc_expansion(random_vector(basis_index_set(DIRICHLET, 8), seed=0), _small_operator(), 2, 2, 4),
+        lambda: disc_expansion(random_vector(BasisIndexSet(DIRICHLET, 8), seed=0), _small_operator(), 2, 2, 4),
     ],
-    ids=["OperatorMatrix", "ProjectionResult", "FunctionVector", "DiscExpansion"],
+    ids=["OperatorMatrix", "ProjectionResult", "DiscExpansion"],
 )
 def test_array_holders_compare_by_identity(build):
     # a generated field-by-field __eq__ would compare arrays, whose truth value is ambiguous

@@ -10,9 +10,9 @@ import scipy.linalg
 import diracproj.operator as operator_module
 from diracproj.cli import load_potential_file
 from diracproj.operator import (
+    BasisIndexSet,
     EigenResidualError,
     OperatorMatrix,
-    basis_index_set,
     build_operator,
     build_v,
     classify_bc,
@@ -39,7 +39,7 @@ BC_QUADRUPLES = {PER_PLUS: (0, -1, -1, 0), PER_MINUS: (0, 1, 1, 0), DIRICHLET: (
 
 def _per_entry_coupling(spec, bc, K):
     """Coupling matrix filled one entry at a time from the coefficient maps."""
-    basis = basis_index_set(bc, K)
+    basis = BasisIndexSet(bc, K)
     ns = lattice_points(bc, K)
     entries = np.zeros((basis.dim, basis.dim), dtype=complex)
     for k in ns:
@@ -94,12 +94,12 @@ class TestLattices:
             assert got == want and all(type(n) is int for n in got), (bc, limit)
 
     def test_dimensions_at_k64(self):
-        assert basis_index_set(PER_PLUS, 64).dim == 258
-        assert basis_index_set(PER_MINUS, 64).dim == 260
-        assert basis_index_set(DIRICHLET, 64).dim == 129
+        assert BasisIndexSet(PER_PLUS, 64).dim == 258
+        assert BasisIndexSet(PER_MINUS, 64).dim == 260
+        assert BasisIndexSet(DIRICHLET, 64).dim == 129
 
     def test_index_order_and_position(self):
-        basis = basis_index_set(PER_PLUS, 1)
+        basis = BasisIndexSet(PER_PLUS, 1)
         assert basis.indices == ((-2, 1), (-2, 2), (0, 1), (0, 2), (2, 1), (2, 2))
         assert basis.position(0, 2) == 3
         with pytest.raises(KeyError):
@@ -108,11 +108,17 @@ class TestLattices:
             basis.position(0, 0)
 
     def test_dirichlet_single_channel(self):
-        basis = basis_index_set(DIRICHLET, 1)
+        basis = BasisIndexSet(DIRICHLET, 1)
         assert basis.indices == ((-1, 0), (0, 0), (1, 0))
 
     def test_trusted_limit(self):
-        assert basis_index_set(PER_PLUS, 64).trusted_limit == 32
+        assert BasisIndexSet(PER_PLUS, 64).trusted_limit == 32
+
+    def test_construction_refuses_bad_bc_and_K(self):
+        with pytest.raises(ValueError, match="unknown boundary condition tag 'bogus'"):
+            BasisIndexSet("bogus", 8)
+        with pytest.raises(ValueError, match="K must be nonnegative"):
+            BasisIndexSet(PER_PLUS, -1)
 
 
 class TestFreeOperator:
@@ -154,7 +160,7 @@ class TestEigenbasisCondition:
         vals, vecs = eigen(op)
         vecs = vecs.copy()
         vecs[:, 1] = vecs[:, 0]
-        op._eig_cache = (vals, vecs)
+        op._aux_cache["eig"] = (vals, vecs)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             eigenbasis_inverse(op)
         assert eigenbasis_condition(op) == np.inf
@@ -280,7 +286,7 @@ class TestMemory:
     """L is held as its nonzeros; the dense matrix is only ever LAPACK's scratch input."""
 
     def test_nonzeros_are_summed_sorted_and_checked(self):
-        basis = basis_index_set(DIRICHLET, 1)
+        basis = BasisIndexSet(DIRICHLET, 1)
         op = OperatorMatrix(basis, [2, 0, 1, 2, 1], [0, 1, 1, 0, 2], [1j, 2.0, 3.0, -1j, 0.0])
         # (2, 0) sums to zero and (1, 2) is zero: both are dropped
         assert (op.rows.tolist(), op.cols.tolist(), op.values.tolist()) == ([0, 1], [1, 1], [2, 3])

@@ -275,3 +275,13 @@ class TestRandomPotential:
     def test_norm_parameter(self):
         spec = random_potential(9, norm=0.3)
         assert potential_norm(spec) == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("norm", [0.0, 0.3, 1.0, 2.5])
+    def test_norm_is_honoured(self, norm):
+        # norm = 0 is the zero potential, not the unscaled draw
+        assert potential_norm(random_potential(3, norm=norm)) == pytest.approx(norm, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])
+    def test_bad_norm_refused(self, norm):
+        with pytest.raises(ValueError, match=f"got {norm}"):
+            random_potential(3, norm=norm)

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from diracproj import projections, resolvent
 from diracproj.cli import load_potential_file
-from diracproj.decomposition import FunctionVector, disc_expansion
+from diracproj.decomposition import disc_expansion
 from diracproj.operator import (
+    BasisIndexSet,
     OperatorMatrix,
-    basis_index_set,
     build_operator,
     disc_centers,
     eigen,
@@ -180,7 +180,7 @@ class TestContourSpec:
 
 def free_rows(bc, K, ns):
     """Basis rows of each lattice point of ns, one row of indices per point, as the disc sweep finds them."""
-    basis = basis_index_set(bc, K)
+    basis = BasisIndexSet(bc, K)
     return np.array([[basis.position(n, ch) for ch in basis.channels] for n in ns])
 
 
@@ -224,7 +224,7 @@ class TestFreeProjection:
     def test_rows_found_by_index_arithmetic(self):
         # every index against its place in the enumeration, then the refusals
         for bc, K in itertools.product(BC_TAGS, (0, 1, 8, 64)):
-            basis = basis_index_set(bc, K)
+            basis = BasisIndexSet(bc, K)
             assert [basis.position(n, ch) for n, ch in basis.indices] == list(range(basis.dim)), (bc, K)
             top, step = basis.points[-1], len(basis.channels)
             refused = [(top + step, basis.channels[0]), (-top - step, basis.channels[-1])]  # past the lattice
@@ -373,7 +373,7 @@ def coupled_triangle(coupling):
     first two coupled: not complex symmetric, so the Schur route refuses it."""
     entries = np.diag([0.0, 0.9, 2.0]).astype(complex)
     entries[0, 1] = coupling
-    return dense_operator(basis_index_set(DIRICHLET, 1), entries)
+    return dense_operator(BasisIndexSet(DIRICHLET, 1), entries)
 
 
 def symmetric_pair(s):
@@ -383,7 +383,7 @@ def symmetric_pair(s):
     b = math.sqrt(0.2025 + s * s)
     entries = np.diag([0.45 + 1j * s, 0.45 - 1j * s, 2.0])
     entries[0, 1] = entries[1, 0] = b
-    return dense_operator(basis_index_set(DIRICHLET, 1), entries)
+    return dense_operator(BasisIndexSet(DIRICHLET, 1), entries)
 
 
 def structured_potential(seed, p_scale, q_scale):
@@ -706,7 +706,7 @@ class TestFactoredForm:
         spec = random_potential(3, norm=0.3)
         N = find_threshold_n(spec, PER_PLUS, 16)
         op = build_operator(spec, PER_PLUS, 16)
-        f = FunctionVector(op.basis, np.random.default_rng(0).standard_normal(op.dim) + 0j)
+        f = np.random.default_rng(0).standard_normal(op.dim) + 0j
         report = deviation_report(op, N, N)
         expansion = disc_expansion(f, op, N, N, 8)
         s = global_projection(op, N)
@@ -805,27 +805,13 @@ class TestBatchedPass:
             dev = _split_deviation(p.left, p.right, free_rows(bc, 32, [n])[0])
             self.close(dev, oracle_deviation(left, right, bc, n, 32))
 
-    def test_schur_selection_leaving_the_window(self):
-        # radius 1.5 at 64 nodes keeps the neighbouring lattice points; at
-        # n = K/2 that reaches past the window, so that contour works on the
-        # whole form and the others on the window form
-        op = build_operator(structured_potential(0, 1.0, 0.0), PER_PLUS, 32)
-        contours = [ContourSpec(n, 1.5, 64) for n in (10, 12, 14, 16)]
-        assert [_leaves_window(op, c) for c in contours] == [False, False, False, True]
-        for contour in contours:
-            p = riesz_projection(op, contour)
-            left, right, rank, *_ = oracle_projection(op, contour)
-            assert p.route == "schur"
-            assert p.rank == rank == 2
-            self.close(p.left @ p.right, left @ right)
-
     @staticmethod
     def moved_eigenvalue(to):
         """The dir K = 16 free diagonal with the eigenvalue at 6 moved to `to`;
         at 6.5 it lies on the contours of the discs at 6 and 7."""
-        diagonal = basis_index_set(DIRICHLET, 16).free_diagonal().astype(complex)
+        diagonal = BasisIndexSet(DIRICHLET, 16).free_diagonal().astype(complex)
         diagonal[np.flatnonzero(diagonal == 6.0)] = to
-        return dense_operator(basis_index_set(DIRICHLET, 16), np.diag(diagonal))
+        return dense_operator(BasisIndexSet(DIRICHLET, 16), np.diag(diagonal))
 
     def test_window_with_an_empty_disc(self, route):
         # at 6.9 the eigenvalue joins the disc at 7 and leaves the one at 6
@@ -870,6 +856,28 @@ class TestBatchedPass:
         with pytest.raises(ProjectionQualityError) as got:
             deviation_report(op, 1, 1, nodes=8)
         assert str(got.value) == str(want.value)
+
+
+class TestDiscSweep:
+    """The disc sweep against the per-disc oracle, at TestBatchedPass's
+    tolerance.  TestBatchedPass is named for the batched pass this sweep
+    replaced; its tests move here one function at a time."""
+
+    close = staticmethod(TestBatchedPass.close)
+
+    def test_schur_selection_leaving_the_window(self):
+        # radius 1.5 at 64 nodes keeps the neighbouring lattice points; at
+        # n = K/2 that reaches past the window, so that contour works on the
+        # whole form and the others on the window form
+        op = build_operator(structured_potential(0, 1.0, 0.0), PER_PLUS, 32)
+        contours = [ContourSpec(n, 1.5, 64) for n in (10, 12, 14, 16)]
+        assert [_leaves_window(op, c) for c in contours] == [False, False, False, True]
+        for contour in contours:
+            p = riesz_projection(op, contour)
+            left, right, rank, *_ = oracle_projection(op, contour)
+            assert p.route == "schur"
+            assert p.rank == rank == 2
+            self.close(p.left @ p.right, left @ right)
 
 
 class TestGlobalProjection:

@@ -10,7 +10,6 @@ import pytest
 from diracproj.operator import (
     BasisIndexSet,
     OperatorMatrix,
-    basis_index_set,
     build_operator,
     build_v,
     disc_centers,
@@ -158,7 +157,7 @@ class TestBranchSqrt:
 
 class TestKOperator:
     def test_half_gap_values(self):
-        basis = basis_index_set(DIRICHLET, 4)
+        basis = BasisIndexSet(DIRICHLET, 4)
         below = k_operator(basis, 2 - 0.5)  # lambda - n = -1/2 at n = 2
         i2 = basis.position(2, 0)
         assert below.diag[i2] == pytest.approx(1j * math.sqrt(2))
@@ -166,19 +165,19 @@ class TestKOperator:
         assert above.diag[i2] == pytest.approx(math.sqrt(2))
 
     def test_square_is_free_resolvent(self):
-        basis = basis_index_set(PER_PLUS, 8)
+        basis = BasisIndexSet(PER_PLUS, 8)
         lam = 1.0 + 0.3j
         k = k_operator(basis, lam)
         free = basis.free_diagonal()
         assert np.max(np.abs(k.diag**2 - 1.0 / (lam - free))) < 1e-14
 
     def test_rejects_free_eigenvalue(self):
-        basis = basis_index_set(DIRICHLET, 8)
+        basis = BasisIndexSet(DIRICHLET, 8)
         with pytest.raises(ValueError):
             k_operator(basis, 3.0)
 
     def test_as_matrix_diagonal(self):
-        basis = basis_index_set(PER_MINUS, 2)
+        basis = BasisIndexSet(PER_MINUS, 2)
         k = k_operator(basis, 0.25)
         m = k.as_matrix()
         assert np.array_equal(np.diag(np.diag(m)), m)
@@ -240,7 +239,7 @@ class TestKvkNorm:
         spec = random_potential(7, max_mode=4)
         K = 8
         lam = 2.3 + 0.7j
-        basis = basis_index_set(bc, K)
+        basis = BasisIndexSet(bc, K)
         k = k_operator(basis, lam).as_matrix()
         v = build_v(spec, bc, K).dense()
         dense = float(np.linalg.norm(k @ v @ k))
@@ -267,7 +266,7 @@ class TestKvkNorm:
         r = r_sequence(spec, DIRICHLET)
         K = 8
         lam = 3.4 + 0.2j
-        basis = basis_index_set(DIRICHLET, K)
+        basis = BasisIndexSet(DIRICHLET, K)
         k = k_operator(basis, lam).as_matrix()
         dense = np.zeros((basis.dim, basis.dim))
         for i, (n, _) in enumerate(basis.indices):
